@@ -36,8 +36,9 @@ EXIT_FIT = 4
 EXIT_EVALUATION = 5
 
 
-def parse_theta_grid(text: str) -> gpr.SearchConfig:
-    """Parse LO:HI:STEPS into grid bounds (jitter is attached separately)."""
+def _search_config(args) -> gpr.SearchConfig:
+    """Build the theta grid from --theta-grid LO:HI:STEPS plus --jitter."""
+    text = args.theta_grid
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--theta-grid expects LO:HI:STEPS, got {text!r}")
@@ -45,26 +46,13 @@ def parse_theta_grid(text: str) -> gpr.SearchConfig:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"--theta-grid expects LO:HI:STEPS numbers, got {text!r}") from None
-    return gpr.SearchConfig(theta_min=lo, theta_max=hi, steps=steps)
-
-
-def _search_config(args) -> gpr.SearchConfig:
-    base = parse_theta_grid(args.theta_grid)
-    if args.jitter < 0:
-        raise ConfigError("--jitter must be non-negative")
-    return gpr.SearchConfig(
-        theta_min=base.theta_min, theta_max=base.theta_max, steps=base.steps, jitter=args.jitter
-    )
+    return gpr.SearchConfig(theta_min=lo, theta_max=hi, steps=steps, jitter=args.jitter)
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _load_panel(path) -> pipeline.PanelDataset:
-    return pipeline.read_panel_csv(path)
 
 
 def _write_report_files(report, summary, out: Path) -> None:
@@ -80,17 +68,17 @@ def cmd_ingest(args) -> int:
     records = pipeline.ingest_sites(args.sites)
     if args.fetch_fixture:
         fetcher = pipeline.ReplayFetcher(args.fetch_fixture)
-        records = _refetch(records, fetcher, args.threads)
+        records = _refetch(records, fetcher)
     out = _out_dir(args)
     pipeline.write_records_json(records, out / "records.json")
     logger.info("ingested %d records -> %s", len(records), out / "records.json")
     return EXIT_OK
 
 
-def _refetch(records, fetcher, threads):
+def _refetch(records, fetcher):
     """Replace file signals with fetched ones; countries come from the file."""
     country_by_url = {rec.url: rec.country_code for rec in records}
-    fetched = pipeline.fetch_signals([rec.url for rec in records], fetcher, max_workers=threads)
+    fetched = pipeline.fetch_signals([rec.url for rec in records], fetcher)
     merged = []
     for rec in fetched:
         country = rec.country_code
@@ -130,7 +118,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    panel = _load_panel(args.panel)
+    panel = pipeline.read_panel_csv(args.panel)
     direction = evaluation.Direction.from_flag(args.direction)
     basis = gpr.BasisExpansion(args.basis)
     search = _search_config(args)
@@ -150,13 +138,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    panel = _load_panel(args.panel)
+    panel = pipeline.read_panel_csv(args.panel)
     report = evaluation.evaluate(
         panel,
         evaluation.Direction.from_flag(args.direction),
         gpr.BasisExpansion(args.basis),
         _search_config(args),
-        threads=args.threads,
         in_sample=args.in_sample,
     )
     out = _out_dir(args)
@@ -175,7 +162,7 @@ def cmd_pipeline(args) -> int:
         if args.fetch_fixture:
             stage = "fetch"
             fetcher = pipeline.ReplayFetcher(args.fetch_fixture)
-            records = _refetch(records, fetcher, args.threads)
+            records = _refetch(records, fetcher)
         stage = "clean"
         kept, dropped = pipeline.listwise_delete(records)
         stage = "score"
@@ -193,9 +180,7 @@ def cmd_pipeline(args) -> int:
         model = gpr.fit(training, basis, kernel)
         gpr.save_model(model, out / "model.json")
         stage = "evaluate"
-        report = evaluation.evaluate(
-            panel, direction, basis, search, threads=args.threads, in_sample=args.in_sample
-        )
+        report = evaluation.evaluate(panel, direction, basis, search, in_sample=args.in_sample)
         _write_report_files(report, pipeline.describe_panel(panel, complete_sites=kept), out)
     except Exception as exc:
         print(f"pipeline failed at stage {stage}: {exc}", file=sys.stderr)
@@ -241,12 +226,6 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_eval_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="parallelism bound for fold evaluation and fetching (default: %(default)s)",
-    )
-    parser.add_argument(
         "--in-sample",
         action="store_true",
         help="score a full-data fit on its own rows instead of leave-one-out",
@@ -266,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument(
         "--fetch-fixture", help="replay-fetcher JSON fixture; replaces file signals"
     )
-    p_ingest.add_argument("--threads", type=int, default=1, help="fetch parallelism bound")
     p_ingest.add_argument("--out", required=True, help="output directory")
     p_ingest.set_defaults(func=cmd_ingest)
 

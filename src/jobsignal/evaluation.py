@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +28,6 @@ __all__ = [
     "correlation_rate",
     "evaluate",
     "format_report",
-    "loocv_predictions",
     "rae",
     "report_from_dict",
     "report_to_dict",
@@ -111,55 +109,26 @@ def rae(pairs) -> float:
     return float(np.abs(predicted - actual).sum()) / baseline
 
 
-def _loocv_with_kernel(
+def _loo_pairs(
     inputs: np.ndarray,
     targets: np.ndarray,
     basis: gpr.BasisExpansion,
     kernel: gpr.Kernel,
     labels,
-    threads: int = 1,
 ) -> list[tuple[float, float]]:
-    n = targets.size
-    mask = np.ones(n, dtype=bool)
-
-    def run_fold(i: int) -> tuple[float, float]:
-        fold_mask = mask.copy()
-        fold_mask[i] = False
-        training = gpr.TrainingSet(inputs=inputs[fold_mask], targets=targets[fold_mask])
+    """(actual, predicted) per row, each predicted by a fit without that row."""
+    pairs = []
+    for i in range(targets.size):
+        keep = np.ones(targets.size, dtype=bool)
+        keep[i] = False
+        training = gpr.TrainingSet(inputs=inputs[keep], targets=targets[keep])
         try:
             model = gpr.fit(training, basis, kernel)
             prediction = gpr.predict(model, inputs[i])
         except FitError as exc:
             raise EvaluationError(f"fold {i} ({labels[i]}) failed: {exc}") from exc
-        return float(targets[i]), prediction.mean
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_fold, range(n)))
-    return [run_fold(i) for i in range(n)]
-
-
-def loocv_predictions(
-    panel: PanelDataset,
-    direction: Direction,
-    basis: gpr.BasisExpansion,
-    search: gpr.SearchConfig,
-    threads: int = 1,
-) -> list[tuple[float, float]]:
-    """(actual, predicted) per row, each predicted with that row held out.
-
-    Hyperparameters are chosen once on the full panel, then fixed across
-    folds; the output list follows panel order regardless of how folds are
-    scheduled.
-    """
-    if panel.n < 3:
-        raise EvaluationError(f"leave-one-out needs at least 3 rows, got {panel.n}")
-    inputs, targets = split_panel(panel, direction)
-    kernel = gpr.fit_hyperparameters(
-        gpr.TrainingSet(inputs=inputs, targets=targets), basis, search
-    )
-    labels = [row.url for row in panel.rows]
-    return _loocv_with_kernel(inputs, targets, basis, kernel, labels, threads=threads)
+        pairs.append((float(targets[i]), prediction.mean))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -183,7 +152,6 @@ def evaluate(
     direction: Direction,
     basis: gpr.BasisExpansion,
     search: gpr.SearchConfig,
-    threads: int = 1,
     in_sample: bool = False,
 ) -> EvaluationReport:
     """Run the validation protocol and compute all three metrics.
@@ -206,7 +174,7 @@ def evaluate(
         except FitError as exc:
             raise EvaluationError(f"in-sample fit failed: {exc}") from exc
     else:
-        pairs = _loocv_with_kernel(inputs, targets, basis, kernel, labels, threads=threads)
+        pairs = _loo_pairs(inputs, targets, basis, kernel, labels)
     return EvaluationReport(
         direction=direction,
         n=panel.n,

@@ -14,7 +14,6 @@ import csv
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
@@ -83,7 +82,8 @@ class SiteRecord:
             raise ValueError(f"url must be lowercase-normalized: {self.url!r}")
         if not _COUNTRY_RE.match(self.country_code):
             raise ValueError(f"country_code must be 2 uppercase letters: {self.country_code!r}")
-        if self.rank is not None and (not isinstance(self.rank, int) or self.rank < 1):
+        # type() rather than isinstance(): bool subclasses int.
+        if self.rank is not None and (type(self.rank) is not int or self.rank < 1):
             raise ValueError(f"rank must be a positive integer: {self.rank!r}")
         for name in ("trend", "traffic"):
             value = getattr(self, name)
@@ -217,13 +217,11 @@ def _coerce_fetched(url: str, raw: dict) -> SiteRecord:
     return SiteRecord(url=url, country_code=country, **values)
 
 
-def fetch_signals(
-    urls: Sequence[str], fetcher: SignalFetcher, max_workers: int = 1
-) -> list[SiteRecord]:
+def fetch_signals(urls: Sequence[str], fetcher: SignalFetcher) -> list[SiteRecord]:
     """Fetch signals for each url; failures yield missing fields, never aborts.
 
-    Output is ordered by url ascending regardless of completion order, so
-    downstream stages see a deterministic batch.
+    Output is ordered by url ascending, so downstream stages see a
+    deterministic batch.
     """
     normalized = [url.lower() for url in urls]
     seen: set[str] = set()
@@ -231,10 +229,8 @@ def fetch_signals(
         if url in seen:
             raise IntegrityError(f"duplicate url in fetch batch: {url}")
         seen.add(url)
-    if not normalized:
-        return []
-
-    def fetch_one(url: str) -> SiteRecord:
+    records = []
+    for url in normalized:
         try:
             raw = fetcher.fetch(url)
         except Exception as exc:  # per-site failures degrade to missing signals
@@ -243,13 +239,7 @@ def fetch_signals(
         if not isinstance(raw, dict):
             logger.warning("fetcher returned non-mapping for %s; treating as missing", url)
             raw = {}
-        return _coerce_fetched(url, raw)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(fetch_one, normalized))
-    else:
-        records = [fetch_one(url) for url in normalized]
+        records.append(_coerce_fetched(url, raw))
     return sorted(records, key=lambda rec: rec.url)
 
 
@@ -396,13 +386,10 @@ def build_panel(
     scored: Sequence[tuple[str, float]],
     sites: Sequence[SiteRecord],
     indicators: Sequence[CountryIndicator],
-    country_mean: bool = False,
 ) -> PanelDataset:
     """Join site scores with their country's unemployment rate.
 
     Each row repeats its country's single rate; rows are sorted by url.
-    country_mean=True instead aggregates scores to one row per country
-    (sensitivity-analysis mode).
     """
     by_url = {site.url: site for site in sites}
     rate_by_country = {ind.country_code: ind.unemployment_rate for ind in indicators}
@@ -417,37 +404,21 @@ def build_panel(
         raise JoinError(
             "countries missing from the indicator table: " + ", ".join(missing_countries)
         )
-    raw_count = len(sites)
-    clean_count = len(scored)
-    if country_mean:
-        grouped: dict[str, list[float]] = {}
-        for url, score in scored:
-            grouped.setdefault(by_url[url].country_code, []).append(score)
-        rows = [
-            PanelRow(
-                url=f"{code.lower()}.country-mean",
-                country_code=code,
-                score=float(np.mean(values)),
-                unemployment_rate=rate_by_country[code],
-            )
-            for code, values in grouped.items()
-        ]
-    else:
-        rows = [
-            PanelRow(
-                url=url,
-                country_code=by_url[url].country_code,
-                score=score,
-                unemployment_rate=rate_by_country[by_url[url].country_code],
-            )
-            for url, score in scored
-        ]
+    rows = [
+        PanelRow(
+            url=url,
+            country_code=by_url[url].country_code,
+            score=score,
+            unemployment_rate=rate_by_country[by_url[url].country_code],
+        )
+        for url, score in scored
+    ]
     rows.sort(key=lambda row: row.url)
     return PanelDataset(
         rows=tuple(rows),
-        raw_count=raw_count,
-        clean_count=clean_count,
-        dropped_count=raw_count - clean_count,
+        raw_count=len(sites),
+        clean_count=len(scored),
+        dropped_count=len(sites) - len(scored),
     )
 
 
@@ -582,8 +553,11 @@ def read_records_json(path) -> list[SiteRecord]:
         raise ParseError(f"records file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("schema") != RECORDS_SCHEMA:
         raise ParseError(f"unsupported records document (expected schema {RECORDS_SCHEMA!r})")
+    entries = payload.get("records", [])
+    if not isinstance(entries, list):
+        raise ParseError(f"records must be a list, got {type(entries).__name__}")
     records = []
-    for entry in payload.get("records", []):
+    for entry in entries:
         try:
             records.append(
                 SiteRecord(

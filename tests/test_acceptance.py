@@ -26,7 +26,7 @@ from jobsignal import (
 from jobsignal.cli import main
 from jobsignal.datasets import bundled_sites_path
 from jobsignal.evaluation import load_report
-from jobsignal.gpr import build_covariance, kernel_correlation
+from jobsignal.gpr import correlation
 from jobsignal.pipeline import read_panel_csv
 
 from conftest import record_acceptance, separated_inputs
@@ -108,11 +108,12 @@ def test_criterion_3_kernel_properties():
         points = rng.integers(-256, 256, size=(n, d)) / 64.0
         shift = rng.integers(-64, 64, size=d) / 64.0
         i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
-        forward = kernel_correlation(points[i], points[j], kernel)
-        ok &= forward == kernel_correlation(points[j], points[i], kernel)
+        forward = correlation(points[i], points[j], kernel.theta)[0, 0]
+        ok &= forward == correlation(points[j], points[i], kernel.theta)[0, 0]
         ok &= 0.0 < forward <= 1.0
-        ok &= kernel_correlation(points[i] + shift, points[j] + shift, kernel) == forward
-        reg = build_covariance(points, kernel, regularized=True)
+        ok &= correlation(points[i] + shift, points[j] + shift, kernel.theta)[0, 0] == forward
+        corr = correlation(points, points, kernel.theta)
+        reg = kernel.sigma_sq * corr + kernel.jitter * kernel.sigma_sq * np.eye(n)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(reg).min()))
     elapsed = time.perf_counter() - start
     check(

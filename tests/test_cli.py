@@ -185,6 +185,18 @@ class TestStagedCommands:
         assert run(["fit", "--panel", panel, "--theta-grid", "oops", "--out", tmp_path / "o"]) == 2
         assert run(["fit", "--panel", panel, "--theta-grid", "5:1:4", "--out", tmp_path / "o"]) == 2
 
+    def test_bad_jitter_exit_2(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(
+            "url,country,score,unemployment_rate\n"
+            "a.test,ZZ,0.0,4.0\nb.test,ZZ,1.0,5.0\nc.test,ZZ,2.0,6.0\n",
+            encoding="utf-8",
+        )
+        for value in ("nan", "inf", "-0.5"):
+            rc = run(["evaluate", "--panel", panel, "--jitter", value, "--out", tmp_path / "o"])
+            assert rc == 2
+            assert "jitter" in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_minimum_rows(self, tmp_path):
@@ -225,7 +237,6 @@ class TestHelpParity:
         "--jitter",
         "--out",
         "--seed",
-        "--threads",
         "--in-sample",
     ]
 

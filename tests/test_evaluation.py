@@ -17,7 +17,6 @@ from jobsignal import (
 from jobsignal.evaluation import (
     format_report,
     load_report,
-    loocv_predictions,
     report_from_dict,
     report_to_dict,
     save_report,
@@ -145,10 +144,24 @@ class TestMetricScaleEquivariance:
 
 
 class TestLoocvPredictions:
-    def test_constant_target_recovered(self):
+    def test_constant_target_recovered(self, monkeypatch):
+        import jobsignal.evaluation as ev
+
+        # The correlation rate is undefined on a constant target, so evaluate
+        # raises; the per-fold pairs are read as they reach the metric.
+        pairs = []
+        original_rate = ev.correlation_rate
+
+        def spy_rate(values):
+            pairs.extend(values)
+            return original_rate(values)
+
         rng = np.random.default_rng(5)
         panel = panel_from(rng.standard_normal(8), np.full(8, 6.25))
-        pairs = loocv_predictions(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
+        monkeypatch.setattr(ev, "correlation_rate", spy_rate)
+        with pytest.raises(EvaluationError, match="correlation undefined"):
+            evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
+        assert len(pairs) == 8
         for actual, predicted in pairs:
             assert actual == 6.25
             assert predicted == pytest.approx(6.25, abs=1e-6)
@@ -157,7 +170,7 @@ class TestLoocvPredictions:
         rng = np.random.default_rng(7)
         scores = rng.standard_normal(20)
         panel = panel_from(scores, 2.0 * scores)
-        pairs = loocv_predictions(panel, Direction.SCORE_TO_RATE, BasisExpansion("linear"), SearchConfig())
+        pairs = evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("linear"), SearchConfig()).per_fold
         assert len(pairs) == 20
         for actual, predicted in pairs:
             assert abs(predicted - actual) < 1e-3
@@ -174,7 +187,7 @@ class TestLoocvPredictions:
 
         panel = panel_from([0.0, 1.0, 2.0], [1.0, 3.0, 2.0])
         monkeypatch.setattr(ev.gpr, "fit", spy_fit)
-        pairs = loocv_predictions(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
+        pairs = evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig()).per_fold
         assert len(pairs) == 3
         assert fold_sizes == [2, 2, 2]
         assert [actual for actual, _ in pairs] == [1.0, 3.0, 2.0]
@@ -182,7 +195,7 @@ class TestLoocvPredictions:
     def test_too_few_rows(self):
         panel = panel_from([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(EvaluationError, match="at least 3"):
-            loocv_predictions(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
+            evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
 
     def test_fold_failure_identifies_fold(self, monkeypatch):
         import jobsignal.evaluation as ev
@@ -199,7 +212,7 @@ class TestLoocvPredictions:
         panel = panel_from([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 2.0, 4.0])
         monkeypatch.setattr(ev.gpr, "fit", failing_fit)
         with pytest.raises(EvaluationError, match=r"fold 2 \(s002"):
-            loocv_predictions(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
+            evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
 
     def test_matches_dense_oracle_per_fold(self):
         rng = np.random.default_rng(9)
@@ -207,7 +220,7 @@ class TestLoocvPredictions:
         rates = 8.0 + np.sin(scores)
         panel = panel_from(scores, rates)
         search = SearchConfig(theta_min=0.5, theta_max=0.5, steps=1)
-        pairs = loocv_predictions(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), search)
+        pairs = evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), search).per_fold
         for i, (actual, predicted) in enumerate(pairs):
             mask = np.ones(8, dtype=bool)
             mask[i] = False
@@ -224,15 +237,6 @@ class TestLoocvPredictions:
                 kernel.sigma_sq, kernel.theta, kernel.jitter, "const",
             )
             assert predicted == pytest.approx(mean, abs=1e-8)
-
-    def test_threads_do_not_change_results(self):
-        rng = np.random.default_rng(3)
-        panel = panel_from(rng.standard_normal(12), rng.standard_normal(12) + 8.0)
-        serial = loocv_predictions(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
-        threaded = loocv_predictions(
-            panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig(), threads=4
-        )
-        assert serial == threaded
 
 
 class TestEvaluate:

@@ -19,10 +19,7 @@ from jobsignal import (
 )
 from jobsignal.gpr import (
     SIGMA_SQ_FLOOR,
-    build_covariance,
-    extend_covariance,
-    gaussian_pdf,
-    kernel_correlation,
+    correlation,
     load_model,
     log_marginal_likelihood,
     model_from_dict,
@@ -38,30 +35,10 @@ def kernel_1d(theta=1.0, sigma_sq=1.0, jitter=1e-10):
     return Kernel(sigma_sq=sigma_sq, theta=[theta], jitter=jitter)
 
 
-class TestGaussianPdf:
-    def test_standard_normal_at_zero(self):
-        assert gaussian_pdf(0.0, 0.0, 1.0) == pytest.approx(0.3989422804, abs=1e-10)
-
-    def test_peak_at_mean(self):
-        for mu, sigma in [(0.0, 1.0), (-3.5, 0.2), (100.0, 7.0)]:
-            assert gaussian_pdf(mu, mu, sigma) == pytest.approx(1.0 / (sigma * math.sqrt(2 * math.pi)))
-
-    def test_symmetry_about_mean(self):
-        assert gaussian_pdf(3.0, 0.0, 1.0) == gaussian_pdf(-3.0, 0.0, 1.0)
-
-    def test_strictly_positive(self, rng):
-        # Within float64 range: exp underflows to 0 only beyond |z| ~ 38.
-        for _ in range(50):
-            mu = rng.normal(0, 10)
-            sigma = rng.uniform(0.01, 5.0)
-            z = rng.uniform(-30, 30)
-            assert gaussian_pdf(mu + z * sigma, mu, sigma) > 0.0
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError, match="sigma"):
-            gaussian_pdf(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="sigma"):
-            gaussian_pdf(0.0, 0.0, -1.0)
+def regularized_covariance(inputs, kernel):
+    """sigma_sq * (R + jitter * I): the matrix fit factorizes."""
+    corr = correlation(inputs, inputs, kernel.theta)
+    return kernel.sigma_sq * (corr + kernel.jitter * np.eye(len(inputs)))
 
 
 class TestKernelCorrelation:
@@ -69,81 +46,83 @@ class TestKernelCorrelation:
         kernel = Kernel(sigma_sq=2.0, theta=[0.7, 3.0], jitter=0.0)
         for _ in range(10):
             x = rng.normal(size=2)
-            assert kernel_correlation(x, x, kernel) == 1.0
+            assert correlation(x, x, kernel.theta)[0, 0] == 1.0
 
     def test_unit_distance_unit_theta(self):
-        value = kernel_correlation([0.0], [1.0], kernel_1d())
+        value = correlation([0.0], [1.0], [1.0])[0, 0]
         assert value == pytest.approx(0.3678794412, abs=1e-10)
 
     def test_per_dimension_sum(self):
-        kernel = Kernel(sigma_sq=1.0, theta=[1.0, 4.0])
-        value = kernel_correlation([0.0, 0.0], [1.0, 2.0], kernel)
+        value = correlation([0.0, 0.0], [1.0, 2.0], [1.0, 4.0])[0, 0]
         assert value == pytest.approx(0.1353352832, abs=1e-10)
 
     def test_symmetry_exact(self, rng):
-        kernel = Kernel(sigma_sq=1.0, theta=rng.uniform(0.2, 5.0, size=3))
+        theta = rng.uniform(0.2, 5.0, size=3)
         for _ in range(100):
             a, b = rng.normal(size=(2, 3))
-            assert kernel_correlation(a, b, kernel) == kernel_correlation(b, a, kernel)
+            assert correlation(a, b, theta)[0, 0] == correlation(b, a, theta)[0, 0]
 
     def test_range(self, rng):
-        kernel = Kernel(sigma_sq=1.0, theta=rng.uniform(0.2, 5.0, size=2))
+        theta = rng.uniform(0.2, 5.0, size=2)
         for _ in range(200):
             a, b = rng.normal(0, 3, size=(2, 2))
-            value = kernel_correlation(a, b, kernel)
+            value = correlation(a, b, theta)[0, 0]
             assert 0.0 < value <= 1.0
             if not np.array_equal(a, b):
                 assert value < 1.0
 
     def test_stationarity_on_dyadic_grid(self, rng):
         # Dyadic coordinates keep the shifted differences bit-exact.
-        kernel = Kernel(sigma_sq=1.0, theta=[1.3, 0.8])
+        theta = np.array([1.3, 0.8])
         for _ in range(100):
             a = rng.integers(-64, 64, size=2) / 64.0
             b = rng.integers(-64, 64, size=2) / 64.0
             c = rng.integers(-64, 64, size=2) / 64.0
-            assert kernel_correlation(a + c, b + c, kernel) == kernel_correlation(a, b, kernel)
+            assert correlation(a + c, b + c, theta)[0, 0] == correlation(a, b, theta)[0, 0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            kernel_correlation([0.0, 1.0], [1.0], kernel_1d())
+            correlation([0.0, 1.0], [1.0], [1.0])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            kernel_correlation([0.0, 1.0], [1.0, 2.0], kernel_1d())
+            correlation([0.0, 1.0], [1.0, 2.0], [1.0])
 
 
 class TestBuildCovariance:
     def test_single_point(self):
-        cov = build_covariance(np.array([[0.3]]), kernel_1d(sigma_sq=2.0))
-        assert cov.shape == (1, 1)
-        assert cov[0, 0] == 2.0
+        corr = correlation(np.array([[0.3]]), np.array([[0.3]]), [1.0])
+        assert corr.shape == (1, 1)
+        assert corr[0, 0] == 1.0
 
     def test_identical_points(self):
-        cov = build_covariance(np.array([[1.5], [1.5]]), kernel_1d())
-        assert np.array_equal(cov, np.ones((2, 2)))
+        points = np.array([[1.5], [1.5]])
+        assert np.array_equal(correlation(points, points, [1.0]), np.ones((2, 2)))
 
     def test_two_points_hand_value(self):
-        cov = build_covariance(np.array([[0.0], [1.0]]), kernel_1d())
+        points = np.array([[0.0], [1.0]])
         expected = np.array([[1.0, math.exp(-1)], [math.exp(-1), 1.0]])
-        assert np.allclose(cov, expected, atol=1e-15)
+        assert np.allclose(correlation(points, points, [1.0]), expected, atol=1e-15)
 
     def test_matches_pairwise_correlation(self, rng):
-        kernel = Kernel(sigma_sq=1.7, theta=rng.uniform(0.3, 4.0, size=3))
+        theta = rng.uniform(0.3, 4.0, size=3)
         points = rng.normal(0, 2, size=(6, 3))
-        cov = build_covariance(points, kernel)
+        corr = correlation(points, points, theta)
         for i in range(6):
             for j in range(6):
-                assert cov[i, j] == pytest.approx(
-                    kernel.sigma_sq * kernel_correlation(points[i], points[j], kernel), rel=1e-15
+                assert corr[i, j] == pytest.approx(
+                    correlation(points[i], points[j], theta)[0, 0], rel=1e-15
                 )
 
     def test_regularized_diagonal(self):
+        # fit factorizes sigma_sq * R plus jitter * sigma_sq on the diagonal only.
         kernel = Kernel(sigma_sq=2.0, theta=[1.0], jitter=1e-6)
         points = np.array([[0.0], [1.0]])
-        plain = build_covariance(points, kernel)
-        reg = build_covariance(points, kernel, regularized=True)
+        training = TrainingSet(inputs=points, targets=np.array([0.0, 1.0]))
+        model = fit(training, BasisExpansion("const"), kernel)
+        plain = kernel.sigma_sq * correlation(points, points, kernel.theta)
+        reg = model.chol @ model.chol.T
         assert np.allclose(np.diag(reg) - np.diag(plain), 1e-6 * 2.0)
         off_diag = ~np.eye(2, dtype=bool)
-        assert np.array_equal(plain[off_diag], reg[off_diag])
+        assert np.allclose(reg[off_diag], plain[off_diag], rtol=1e-14, atol=0.0)
 
     def test_positive_semidefinite(self, rng):
         for _ in range(100):
@@ -153,49 +132,40 @@ class TestBuildCovariance:
                 sigma_sq=float(rng.uniform(0.5, 2.0)), theta=rng.uniform(0.1, 10.0, size=d)
             )
             points = rng.normal(0, 2, size=(n, d))
-            reg = build_covariance(points, kernel, regularized=True)
+            reg = regularized_covariance(points, kernel)
             assert np.linalg.eigvalsh(reg).min() >= -1e-10
 
 
 class TestExtendCovariance:
     def test_self_correlation_column(self):
-        kernel = Kernel(sigma_sq=1.8, theta=[0.9])
         points = np.array([[0.0], [2.0], [4.0]])
-        cov = build_covariance(points, kernel)
-        k, kappa = extend_covariance(cov, points, points[1], kernel)
-        assert k[1] == kernel.sigma_sq
-        assert kappa == kernel.sigma_sq
+        column = correlation(points, points[1], [0.9])[:, 0]
+        assert column[1] == 1.0
 
     def test_distant_point_vanishes(self):
-        kernel = Kernel(sigma_sq=3.0, theta=[2.0, 0.5])
+        theta = np.array([2.0, 0.5])
         points = np.array([[0.0, 0.0], [1.0, 1.0]])
-        cov = build_covariance(points, kernel)
         # Squared distances of at least 50 * theta_i in each dimension.
         far = np.array([math.sqrt(50 * 2.0 * 2), math.sqrt(50 * 0.5 * 2)]) + 1.0
-        k, _ = extend_covariance(cov, points, far, kernel)
-        assert np.all(k < 1e-20 * kernel.sigma_sq)
+        assert np.all(correlation(points, far, theta) < 1e-20)
 
     def test_assembled_matches_build(self, rng):
+        # correlation(X, x) is the last column of correlation over X and x stacked.
         for _ in range(25):
             n = int(rng.integers(1, 9))
             d = int(rng.integers(1, 4))
-            kernel = Kernel(
-                sigma_sq=float(rng.uniform(0.5, 2.0)), theta=rng.uniform(0.2, 5.0, size=d)
-            )
+            theta = rng.uniform(0.2, 5.0, size=d)
             points = rng.normal(0, 2, size=(n, d))
             x_new = rng.normal(0, 2, size=d)
-            cov = build_covariance(points, kernel)
-            k, kappa = extend_covariance(cov, points, x_new, kernel)
-            assembled = np.block([[cov, k[:, None]], [k[None, :], np.array([[kappa]])]])
-            stacked = build_covariance(np.vstack([points, x_new]), kernel)
-            assert np.array_equal(assembled, stacked)
+            stacked = np.vstack([points, x_new])
+            full = correlation(stacked, stacked, theta)
+            assert np.array_equal(correlation(points, x_new, theta)[:, 0], full[:n, n])
+            assert full[n, n] == 1.0
 
     def test_dimension_mismatch(self):
-        kernel = kernel_1d()
         points = np.array([[0.0], [1.0]])
-        cov = build_covariance(points, kernel)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            extend_covariance(cov, points, np.array([0.0, 1.0]), kernel)
+            correlation(points, np.array([0.0, 1.0]), [1.0])
 
 
 class TestFit:
@@ -231,7 +201,7 @@ class TestFit:
     def test_cholesky_reconstruction_invariant(self, rng):
         for _ in range(10):
             model = random_fitted_model(rng, n=int(rng.integers(2, 10)), d=2)
-            reg = build_covariance(model.training.inputs, model.kernel, regularized=True)
+            reg = regularized_covariance(model.training.inputs, model.kernel)
             err = np.linalg.norm(model.chol @ model.chol.T - reg) / np.linalg.norm(reg)
             assert err <= 1e-10
 
@@ -241,7 +211,7 @@ class TestFit:
         for degree in ("const", "linear"):
             for _ in range(10):
                 model = random_fitted_model(rng, n=int(rng.integers(2, 10)), d=1, degree=degree)
-                reg = build_covariance(model.training.inputs, model.kernel, regularized=True)
+                reg = regularized_covariance(model.training.inputs, model.kernel)
                 design = model.basis.design_matrix(model.training.inputs)
                 lhs = reg @ model.alpha
                 rhs = model.training.targets - design @ model.beta
@@ -261,7 +231,7 @@ class TestFit:
         training = TrainingSet(inputs=inputs, targets=np.array([0.0, 0.5, 1.0]))
         model = fit(training, BasisExpansion("const"), kernel_1d(jitter=0.0))
         assert model.kernel.jitter == 1e-10
-        reg = build_covariance(inputs, model.kernel, regularized=True)
+        reg = regularized_covariance(inputs, model.kernel)
         err = np.linalg.norm(model.chol @ model.chol.T - reg) / np.linalg.norm(reg)
         assert err <= 1e-10
 
@@ -320,7 +290,7 @@ class TestPredict:
             model = random_fitted_model(rng, n=6, d=2, degree=degree)
             far = model.training.inputs.max(axis=0) + 100.0
             prediction = predict(model, far)
-            f_row = model.basis.design_row(far)
+            f_row = model.basis.design_matrix([far])[0]
             assert prediction.mean == pytest.approx(float(f_row @ model.beta), abs=1e-10)
             ft = model.trend_whitened
             gram_inv = np.linalg.inv(ft.T @ ft)
@@ -334,7 +304,7 @@ class TestPredict:
         for _ in range(50):
             x = rng.uniform(-3, 8, size=2)
             prediction = predict(model, x)
-            f_row = model.basis.design_row(x)
+            f_row = model.basis.design_matrix([x])[0]
             bound = model.kernel.sigma_sq + float(f_row @ gram_inv @ f_row)
             assert prediction.variance <= bound + 1e-10
 
@@ -512,16 +482,6 @@ class TestTypes:
             TrainingSet(inputs=np.zeros((0, 1)), targets=np.zeros(0))
         with pytest.raises(ValueError):
             TrainingSet(inputs=np.array([[np.nan]]), targets=np.array([1.0]))
-
-    def test_basis_functions_match_design_matrix(self, rng):
-        for degree in ("const", "linear"):
-            basis = BasisExpansion(degree)
-            points = rng.normal(size=(4, 3))
-            design = basis.design_matrix(points)
-            fns = basis.functions(3)
-            assert fns[0](points[0]) == 1.0
-            manual = np.array([[fn(x) for fn in fns] for x in points])
-            assert np.array_equal(design, manual)
 
     def test_unknown_degree_rejected(self):
         with pytest.raises(ValueError, match="degree"):

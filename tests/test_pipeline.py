@@ -181,17 +181,6 @@ class TestFetchSignals:
         with pytest.raises(IntegrityError, match="duplicate"):
             fetch_signals(["jobs.a.de", "JOBS.A.DE"], ReplayFetcher(path))
 
-    def test_concurrent_fetch_same_output(self, tmp_path):
-        table = {
-            f"jobs.{i:02d}.de": {"country": "DE", "rank": i + 1, "trend": float(i), "traffic": 10.0 * i}
-            for i in range(20)
-        }
-        path = self.fixture_file(tmp_path, table)
-        urls = list(table)[::-1]
-        serial = fetch_signals(urls, ReplayFetcher(path), max_workers=1)
-        threaded = fetch_signals(urls, ReplayFetcher(path), max_workers=8)
-        assert serial == threaded
-
     def test_invalid_fetched_value_becomes_missing(self, tmp_path):
         path = self.fixture_file(
             tmp_path, {"jobs.a.de": {"country": "DE", "rank": 0, "trend": -3, "traffic": 5}}
@@ -356,15 +345,6 @@ class TestBuildPanel:
         with pytest.raises(ValueError, match="missing from the site listing"):
             build_panel([("jobs.q.de", 0.0)], [site("jobs.a.de")], self.indicators())
 
-    def test_country_mean_mode(self):
-        sites = [site("jobs.a.de"), site("jobs.b.de"), site("jobs.c.fr", country="FR")]
-        scored = [("jobs.a.de", 0.2), ("jobs.b.de", 0.4), ("jobs.c.fr", -0.6)]
-        panel = build_panel(scored, sites, self.indicators(), country_mean=True)
-        assert panel.n == 2
-        by_country = {row.country_code: row.score for row in panel.rows}
-        assert by_country["DE"] == pytest.approx(0.3)
-        assert by_country["FR"] == pytest.approx(-0.6)
-
 
 class TestDescribePanel:
     def panel_from_rates(self, rates):
@@ -441,6 +421,12 @@ class TestRecordsJson:
         with pytest.raises(ParseError, match="schema"):
             read_records_json(path)
 
+    def test_records_not_a_list(self, tmp_path):
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps({"schema": "site-records/1", "records": 5}), encoding="utf-8")
+        with pytest.raises(ParseError, match="must be a list"):
+            read_records_json(path)
+
 
 class TestSiteRecordValidation:
     def test_rejects_uppercase_url(self):
@@ -454,6 +440,10 @@ class TestSiteRecordValidation:
     def test_rejects_nonpositive_rank(self):
         with pytest.raises(ValueError, match="rank"):
             SiteRecord(url="jobs.a.de", country_code="DE", rank=0)
+
+    def test_rejects_boolean_rank(self):
+        with pytest.raises(ValueError, match="rank"):
+            SiteRecord(url="jobs.a.de", country_code="DE", rank=True)
 
     def test_rejects_negative_trend(self):
         with pytest.raises(ValueError, match="trend"):
