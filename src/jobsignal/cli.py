@@ -117,15 +117,18 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    panel = pipeline.read_panel_csv(args.panel)
-    direction = evaluation.Direction.from_flag(args.direction)
+def _fit_model(panel, direction, args) -> gpr.GprModel:
+    """Grid-search the hyperparameters on the whole panel and fit once."""
     basis = gpr.BasisExpansion(args.basis)
     search = _search_config(args)
     inputs, targets = evaluation.split_panel(panel, direction)
     training = gpr.TrainingSet(inputs=inputs, targets=targets)
-    kernel = gpr.fit_hyperparameters(training, basis, search)
-    model = gpr.fit(training, basis, kernel)
+    return gpr.fit(training, basis, gpr.fit_hyperparameters(training, basis, search))
+
+
+def cmd_fit(args) -> int:
+    panel = pipeline.read_panel_csv(args.panel)
+    model = _fit_model(panel, evaluation.Direction.from_flag(args.direction), args)
     out = _out_dir(args)
     gpr.save_model(model, out / "model.json")
     logger.info(
@@ -172,15 +175,10 @@ def cmd_pipeline(args) -> int:
         pipeline.write_panel_csv(panel, out / "panel.csv")
         stage = "fit"
         direction = evaluation.Direction.from_flag(args.direction)
-        basis = gpr.BasisExpansion(args.basis)
-        search = _search_config(args)
-        inputs, targets = evaluation.split_panel(panel, direction)
-        training = gpr.TrainingSet(inputs=inputs, targets=targets)
-        kernel = gpr.fit_hyperparameters(training, basis, search)
-        model = gpr.fit(training, basis, kernel)
+        model = _fit_model(panel, direction, args)
         gpr.save_model(model, out / "model.json")
         stage = "evaluate"
-        report = evaluation.evaluate(panel, direction, basis, search, in_sample=args.in_sample)
+        report = evaluation.evaluate_model(model, panel, direction, in_sample=args.in_sample)
         _write_report_files(report, pipeline.describe_panel(panel, complete_sites=kept), out)
     except Exception as exc:
         print(f"pipeline failed at stage {stage}: {exc}", file=sys.stderr)

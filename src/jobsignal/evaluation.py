@@ -1,10 +1,17 @@
 """Leave-one-out evaluation of the regression over the panel.
 
 Hyperparameters are selected once on the full panel and held fixed; each
-row is then predicted by a model fitted on all other rows. The report
-carries the correlation rate (Pearson correlation of actual vs predicted),
-RMSE, and RAE (sum of absolute errors relative to the mean-predictor
-baseline), in either prediction direction.
+row is then predicted by the model fitted on all other rows. That
+prediction is computed exactly in closed form from the one full-data fit
+(Dubrule 1983, Math. Geology 15(6); Rasmussen & Williams, GPML 5.4.2):
+with P = C^-1 - C^-1 F (F' C^-1 F)^-1 F' C^-1, the held-out residual of
+row i is (P t)_i / P_ii, and P t is the fit's alpha. Frozen hyperparameters
+include the jitter: if the full-data factorization had to escalate it,
+every fold uses the escalated value, and the report records it.
+
+The report carries the correlation rate (Pearson correlation of actual vs
+predicted), RMSE, and RAE (sum of absolute errors relative to the
+mean-predictor baseline), in either prediction direction.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from . import gpr
 from .errors import EvaluationError, FitError, ParseError
@@ -27,6 +36,7 @@ __all__ = [
     "EvaluationReport",
     "correlation_rate",
     "evaluate",
+    "evaluate_model",
     "format_report",
     "rae",
     "report_from_dict",
@@ -37,6 +47,11 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "evaluation-report/1"
+
+# A fold is degenerate when P_ii keeps less than this share of diag(C^-1)_i:
+# half the digits cancelled, so the held-out trend is singular to working
+# precision (a sound fold keeps a share of order one).
+FOLD_RTOL = math.sqrt(np.finfo(float).eps)
 
 
 class Direction(enum.Enum):
@@ -109,26 +124,32 @@ def rae(pairs) -> float:
     return float(np.abs(predicted - actual).sum()) / baseline
 
 
-def _loo_pairs(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    basis: gpr.BasisExpansion,
-    kernel: gpr.Kernel,
-    labels,
-) -> list[tuple[float, float]]:
-    """(actual, predicted) per row, each predicted by a fit without that row."""
-    pairs = []
-    for i in range(targets.size):
-        keep = np.ones(targets.size, dtype=bool)
-        keep[i] = False
-        training = gpr.TrainingSet(inputs=inputs[keep], targets=targets[keep])
-        try:
-            model = gpr.fit(training, basis, kernel)
-            prediction = gpr.predict(model, inputs[i])
-        except FitError as exc:
-            raise EvaluationError(f"fold {i} ({labels[i]}) failed: {exc}") from exc
-        pairs.append((float(targets[i]), prediction.mean))
-    return pairs
+def _loo_pairs(model: gpr.GprModel, labels) -> list[tuple[float, float]]:
+    """(actual, predicted) per row, each predicted by the fit without that row.
+
+    With C = L L', diag(C^-1) is the row sums of squares of L^-T, and the
+    trend term of diag(P) is the row sums of squares of L^-T Q, where
+    Q = trend_whitened trend_r^-1 has orthonormal columns.
+    """
+    # L^-T is the one N x N temporary. dtrtri leaves the strict lower triangle
+    # as it finds it, and L' has zeros there, so whole-row sums are valid.
+    chol_inv_t, info = dtrtri(model.chol.T, lower=0)
+    if info != 0:
+        raise EvaluationError(f"covariance factor is singular (dtrtri info {info})")
+    q = solve_triangular(model.trend_r, model.trend_whitened.T, trans="T", lower=False).T
+    trend = chol_inv_t @ q
+    inv_diag = np.einsum("ij,ij->i", chol_inv_t, chol_inv_t)
+    p_diag = inv_diag - np.einsum("ij,ij->i", trend, trend)
+    degenerate = ~np.isfinite(p_diag) | (p_diag <= FOLD_RTOL * inv_diag)
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        raise EvaluationError(
+            f"fold {i} ({labels[i]}) failed: held-out trend system is singular "
+            f"(P_ii = {p_diag[i]:.3g}, diag(C^-1)_ii = {inv_diag[i]:.3g})"
+        )
+    targets = model.training.targets
+    predicted = targets - model.alpha / p_diag
+    return list(zip(targets.tolist(), predicted.tolist()))
 
 
 @dataclass(frozen=True)
@@ -147,6 +168,11 @@ class EvaluationReport:
     per_fold: tuple[tuple[float, float], ...]
 
 
+def _require_rows(n: int) -> None:
+    if n < 3:
+        raise EvaluationError(f"evaluation needs at least 3 rows, got {n}")
+
+
 def evaluate(
     panel: PanelDataset,
     direction: Direction,
@@ -154,35 +180,51 @@ def evaluate(
     search: gpr.SearchConfig,
     in_sample: bool = False,
 ) -> EvaluationReport:
-    """Run the validation protocol and compute all three metrics.
+    """Select hyperparameters on the panel, fit once, and score the fit.
 
-    in_sample=True scores a single full-data fit on its own training rows
+    in_sample=True scores the full-data fit on its own training rows
     instead of leave-one-out predictions.
     """
-    if panel.n < 3:
-        raise EvaluationError(f"evaluation needs at least 3 rows, got {panel.n}")
+    _require_rows(panel.n)
     inputs, targets = split_panel(panel, direction)
     training = gpr.TrainingSet(inputs=inputs, targets=targets)
     kernel = gpr.fit_hyperparameters(training, basis, search)
-    labels = [row.url for row in panel.rows]
+    try:
+        model = gpr.fit(training, basis, kernel)
+    except FitError as exc:
+        protocol = "in-sample" if in_sample else "full-data"
+        raise EvaluationError(f"{protocol} fit failed: {exc}") from exc
+    return evaluate_model(model, panel, direction, in_sample=in_sample)
+
+
+def evaluate_model(
+    model: gpr.GprModel,
+    panel: PanelDataset,
+    direction: Direction,
+    in_sample: bool = False,
+) -> EvaluationReport:
+    """Compute all three metrics for a model fitted on the whole panel.
+
+    model must be the fit on split_panel(panel, direction); its kernel,
+    with the jitter the fit actually used, is the one the report records.
+    """
+    _require_rows(panel.n)
     if in_sample:
-        try:
-            model = gpr.fit(training, basis, kernel)
-            pairs = [
-                (float(t), gpr.predict(model, x).mean) for x, t in zip(inputs, targets)
-            ]
-        except FitError as exc:
-            raise EvaluationError(f"in-sample fit failed: {exc}") from exc
+        training = model.training
+        pairs = [
+            (float(t), gpr.predict(model, x).mean)
+            for x, t in zip(training.inputs, training.targets)
+        ]
     else:
-        pairs = _loo_pairs(inputs, targets, basis, kernel, labels)
+        pairs = _loo_pairs(model, [row.url for row in panel.rows])
     return EvaluationReport(
         direction=direction,
         n=panel.n,
         correlation_rate=correlation_rate(pairs),
         rmse=rmse(pairs),
         rae=rae(pairs),
-        kernel=kernel,
-        basis=basis,
+        kernel=model.kernel,
+        basis=model.basis,
         in_sample=in_sample,
         per_fold=tuple(pairs),
     )

@@ -1,8 +1,10 @@
-"""Brute-force oracle for the regression math, used only by tests.
+"""Brute-force oracles for the regression math, used only by tests.
 
-Everything here goes through explicit dense inversion (np.linalg.inv) and
-per-pair loops, deliberately avoiding the library's Cholesky/QR code paths
-so the two implementations can check each other.
+The dense_* functions go through explicit dense inversion (np.linalg.inv)
+and per-pair loops, deliberately avoiding the library's Cholesky/QR code
+paths so the two implementations can check each other. The leave-one-out
+oracle refits the library's own model once per fold, the definition the
+closed-form leave-one-out in jobsignal.evaluation must reproduce.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from jobsignal import gpr
 
 
 def dense_correlation(points_a: np.ndarray, points_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -73,3 +77,19 @@ def dense_log_marginal_likelihood(inputs, targets, sigma_sq, theta, jitter, degr
     residual = targets - dense_design(inputs, degree) @ beta
     _, logdet = np.linalg.slogdet(cov)
     return -0.5 * (n * math.log(2.0 * math.pi) + logdet + float(residual @ cov_inv @ residual))
+
+
+def refit_loo_predictions(inputs, targets, basis, kernel) -> np.ndarray:
+    """Each row predicted by a fresh fit on all other rows, kernel held fixed.
+
+    O(N^4) in all; raises the fold's FitError when its fit fails.
+    """
+    inputs = np.asarray(inputs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    predicted = np.empty(targets.size)
+    for i in range(targets.size):
+        keep = np.arange(targets.size) != i
+        training = gpr.TrainingSet(inputs=inputs[keep], targets=targets[keep])
+        model = gpr.fit(training, basis, kernel)
+        predicted[i] = gpr.predict(model, inputs[i]).mean
+    return predicted

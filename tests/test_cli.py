@@ -67,6 +67,19 @@ class TestPipelineCommand:
         for name in ("panel.csv", "report.json", "model.json", "report.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("extra", [[], ["--in-sample"]])
+    @pytest.mark.parametrize("direction", ["score-to-rate", "rate-to-score"])
+    def test_matches_separate_fit_and_evaluate(self, small_inputs, tmp_path, direction, extra):
+        sites, indicators = small_inputs
+        flags = ["--direction", direction, "--basis", "linear", *extra]
+        pipe, staged = tmp_path / "pipe", tmp_path / "staged"
+        assert run(["pipeline", "--sites", sites, "--indicators", indicators, *flags, "--out", pipe]) == 0
+        fit_flags = [f for f in flags if f != "--in-sample"]
+        assert run(["fit", "--panel", pipe / "panel.csv", *fit_flags, "--out", staged]) == 0
+        assert run(["evaluate", "--panel", pipe / "panel.csv", *flags, "--out", staged]) == 0
+        for name in ("model.json", "report.json"):
+            assert (pipe / name).read_bytes() == (staged / name).read_bytes()
+
     def test_duplicate_url_exit_3(self, small_inputs, tmp_path):
         sites, indicators = small_inputs
         sites.write_text(
@@ -174,6 +187,18 @@ class TestStagedCommands:
         )
         rc = run(["evaluate", "--panel", panel, "--out", tmp_path / "o"])
         assert rc == 5
+
+    def test_degenerate_fold_exit_5(self, tmp_path, capsys):
+        # Without d.test the inputs are all 0.0 and a linear trend is singular.
+        panel = tmp_path / "panel.csv"
+        panel.write_text(
+            "url,country,score,unemployment_rate\n"
+            "a.test,ZZ,0.0,1.0\nb.test,ZZ,0.0,3.0\nc.test,ZZ,0.0,2.0\nd.test,ZZ,1.0,4.0\n",
+            encoding="utf-8",
+        )
+        rc = run(["evaluate", "--panel", panel, "--basis", "linear", "--out", tmp_path / "o"])
+        assert rc == 5
+        assert "fold 3 (d.test) failed" in capsys.readouterr().err
 
     def test_bad_theta_grid_exit_2(self, tmp_path):
         panel = tmp_path / "panel.csv"

@@ -7,7 +7,6 @@ from jobsignal import (
     BasisExpansion,
     Direction,
     EvaluationError,
-    FitError,
     SearchConfig,
     correlation_rate,
     evaluate,
@@ -20,11 +19,12 @@ from jobsignal.evaluation import (
     report_from_dict,
     report_to_dict,
     save_report,
+    split_panel,
 )
 from jobsignal.pipeline import PanelDataset, PanelRow
 from jobsignal.synth import RATE_CENTER, RATE_SCALE, synthetic_panel
 
-from oracle_gpr import dense_gpr_predict
+from oracle_gpr import dense_gpr_predict, refit_loo_predictions
 
 
 def panel_from(scores, rates):
@@ -189,7 +189,8 @@ class TestLoocvPredictions:
         monkeypatch.setattr(ev.gpr, "fit", spy_fit)
         pairs = evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig()).per_fold
         assert len(pairs) == 3
-        assert fold_sizes == [2, 2, 2]
+        # One full-data fit; the folds come from its factor, not from refits.
+        assert fold_sizes == [3]
         assert [actual for actual, _ in pairs] == [1.0, 3.0, 2.0]
 
     def test_too_few_rows(self):
@@ -197,22 +198,16 @@ class TestLoocvPredictions:
         with pytest.raises(EvaluationError, match="at least 3"):
             evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
 
-    def test_fold_failure_identifies_fold(self, monkeypatch):
-        import jobsignal.evaluation as ev
-
-        original_fit = ev.gpr.fit
-        calls = {"n": 0}
-
-        def failing_fit(training, basis, kernel):
-            calls["n"] += 1
-            if calls["n"] == 3:  # hyperparameter search fits nothing; fold 2
-                raise FitError("forced failure")
-            return original_fit(training, basis, kernel)
-
-        panel = panel_from([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 2.0, 4.0])
-        monkeypatch.setattr(ev.gpr, "fit", failing_fit)
-        with pytest.raises(EvaluationError, match=r"fold 2 \(s002"):
-            evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
+    def test_fold_failure_identifies_fold(self):
+        # Without row 3 the remaining inputs all equal 0, so that fold's
+        # linear trend is singular (a refit raises FitError there).
+        # P_33 rounds to just above 0 at jitter 1e-10 and to just below at 1e-4.
+        panel = panel_from([0.0, 0.0, 0.0, 1.0], [1.0, 3.0, 2.0, 4.0])
+        for jitter in (1e-10, 1e-4):
+            with pytest.raises(EvaluationError, match=r"fold 3 \(s003"):
+                evaluate(
+                    panel, Direction.SCORE_TO_RATE, BasisExpansion("linear"), SearchConfig(jitter=jitter)
+                )
 
     def test_matches_dense_oracle_per_fold(self):
         rng = np.random.default_rng(9)
@@ -237,6 +232,36 @@ class TestLoocvPredictions:
                 kernel.sigma_sq, kernel.theta, kernel.jitter, "const",
             )
             assert predicted == pytest.approx(mean, abs=1e-8)
+
+
+def assert_loo_matches_refits(panel, direction, basis, search):
+    """evaluate's per_fold predictions equal refit LOO with the report's kernel."""
+    report = evaluate(panel, direction, basis, search)
+    inputs, targets = split_panel(panel, direction)
+    refit = refit_loo_predictions(inputs, targets, basis, report.kernel)
+    closed = np.array([predicted for _, predicted in report.per_fold])
+    np.testing.assert_allclose(closed, refit, rtol=0.0, atol=1e-8)
+    return report
+
+
+class TestClosedFormLoo:
+    @pytest.mark.parametrize("n", [3, 40, 200])
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("degree", ["const", "linear"])
+    def test_matches_refit_loo(self, n, direction, degree):
+        panel = synthetic_panel(n, 0.7, 0.5, seed=n)
+        assert_loo_matches_refits(panel, direction, BasisExpansion(degree), SearchConfig(jitter=1e-4))
+
+    @pytest.mark.parametrize("degree", ["const", "linear"])
+    def test_escalated_jitter_applies_to_every_fold(self, degree):
+        # A duplicated input makes R singular, so the full-data fit at jitter 0
+        # escalates; the report records the escalated jitter and every fold
+        # equals a refit at that jitter.
+        scores = np.r_[np.linspace(-2.0, 2.0, 11), -2.0]
+        panel = panel_from(scores, 8.0 + np.sin(scores) + 0.1 * np.cos(7.0 * scores))
+        search = SearchConfig(theta_min=0.5, theta_max=0.5, steps=1, jitter=0.0)
+        report = assert_loo_matches_refits(panel, Direction.SCORE_TO_RATE, BasisExpansion(degree), search)
+        assert report.kernel.jitter == 1e-10
 
 
 class TestEvaluate:
