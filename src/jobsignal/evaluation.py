@@ -207,14 +207,15 @@ def evaluate_model(
 
     model must be the fit on split_panel(panel, direction); its kernel,
     with the jitter the fit actually used, is the one the report records.
+    Leave-one-out predictions come in closed form from the fit's factor;
+    in_sample=True instead predicts every training row in one batched
+    gpr.predict call.
     """
     _require_rows(panel.n)
     if in_sample:
         training = model.training
-        pairs = [
-            (float(t), gpr.predict(model, x).mean)
-            for x, t in zip(training.inputs, training.targets)
-        ]
+        predicted = gpr.predict(model, training.inputs).mean
+        pairs = list(zip(training.targets.tolist(), predicted.tolist()))
     else:
         pairs = _loo_pairs(model, [row.url for row in panel.rows])
     return EvaluationReport(

@@ -158,17 +158,21 @@ class Diagnostics:
         self._lock = threading.Lock()
         self.variance_clamps = 0
 
-    def record_variance_clamp(self) -> None:
+    def record_variance_clamps(self, count: int) -> None:
         with self._lock:
-            self.variance_clamps += 1
+            self.variance_clamps += count
 
 
 @dataclass(frozen=True)
 class Prediction:
-    """Posterior mean and (clamped non-negative) variance at one point."""
+    """Posterior mean and (clamped non-negative) variance.
 
-    mean: float
-    variance: float
+    Floats for a single point; length-M arrays, one entry per row, for an
+    (M, d) batch (compare those field by field, not with ==).
+    """
+
+    mean: float | np.ndarray
+    variance: float | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,13 +214,30 @@ def correlation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.exp(-sq)
 
 
-def _cholesky_with_escalation(corr_reg_base: np.ndarray, base_jitter: float) -> tuple[np.ndarray, float]:
-    """Factorize corr + jitter*I, escalating jitter x10 up to MAX_JITTER."""
-    n = corr_reg_base.shape[0]
+def _squared_distances(points: np.ndarray) -> np.ndarray:
+    """N x N sums over dimensions of squared coordinate differences.
+
+    For one dimension, exp(-D / theta) reproduces correlation(points,
+    points, theta) bit for bit.
+    """
+    diff = points[:, None, :] - points[None, :, :]
+    np.square(diff, out=diff)
+    return diff.sum(axis=-1)
+
+
+def _cholesky_with_escalation(corr: np.ndarray, base_jitter: float) -> tuple[np.ndarray, float]:
+    """Factorize corr + jitter*I, escalating jitter x10 up to MAX_JITTER.
+
+    The jitter goes onto corr's diagonal in place; corr is left holding the
+    last matrix tried.
+    """
+    n = corr.shape[0]
+    diag = corr.flat[:: n + 1]  # a copy of the unregularized diagonal
     jitter = base_jitter
     while True:
+        corr.flat[:: n + 1] = diag + jitter
         try:
-            chol = np.linalg.cholesky(corr_reg_base + jitter * np.eye(n))
+            chol = np.linalg.cholesky(corr)
             return chol, jitter
         except np.linalg.LinAlgError:
             nxt = DEFAULT_JITTER if jitter == 0.0 else jitter * 10.0
@@ -260,8 +281,8 @@ def fit(training: TrainingSet, basis: BasisExpansion, kernel: Kernel) -> GprMode
             f"trend system is underdetermined: {p} basis functions for {training.n} observations"
         )
     corr = correlation(training.inputs, training.inputs, kernel.theta)
-    chol_corr, jitter = _cholesky_with_escalation(corr, kernel.jitter)
-    chol = math.sqrt(kernel.sigma_sq) * chol_corr
+    chol, jitter = _cholesky_with_escalation(corr, kernel.jitter)
+    chol *= math.sqrt(kernel.sigma_sq)
     design = basis.design_matrix(training.inputs)
     ft, r_qr, beta, rho = _gls(chol, design, training.targets)
     alpha = solve_triangular(chol.T, rho, lower=False)
@@ -278,25 +299,53 @@ def fit(training: TrainingSet, basis: BasisExpansion, kernel: Kernel) -> GprMode
 
 
 def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
-    """Posterior mean and variance at one point.
+    """Posterior mean and variance at one point (1-d x_new) or at each row
+    of an (M, d) batch.
 
-    mean = F(x)·beta + k' alpha; variance = kappa - k' C^-1 k plus the
-    trend-uncertainty term u' (F' C^-1 F)^-1 u with u = F(x) - F' C^-1 k,
-    all through the stored Cholesky factor. Variances that round below
-    zero are clamped to 0 and counted in model.diagnostics.
+    With K the N x M cross-covariance and F(X) the batch's design rows,
+    mean = F(X) beta + K' alpha and variance = kappa - diag(K' C^-1 K) plus
+    the trend-uncertainty term diag(U' (F' C^-1 F)^-1 U) with
+    U = F(X)' - F' C^-1 K. All M points share one triangular solve of the
+    stored Cholesky factor against K (Rasmussen & Williams, GPML Alg. 2.1).
+    Variances that round below zero are clamped to 0 and counted in
+    model.diagnostics. A 1-d x_new gives a Prediction of two floats.
     """
-    x = np.asarray(x_new, dtype=float).reshape(1, -1)
-    k = model.kernel.sigma_sq * correlation(model.training.inputs, x, model.kernel.theta)[:, 0]
-    kappa = model.kernel.sigma_sq
-    f_row = model.basis.design_matrix(x)[0]
-    mean = float(f_row @ model.beta + k @ model.alpha)
-    v = solve_triangular(model.chol, k, lower=True)
-    u = f_row - model.trend_whitened.T @ v
-    w = solve_triangular(model.trend_r.T, u, lower=True)
-    variance = float(kappa - v @ v + w @ w)
-    if variance < 0.0:
-        model.diagnostics.record_variance_clamp()
-        variance = 0.0
+    x = np.asarray(x_new, dtype=float)
+    single = x.ndim < 2
+    if single:
+        x = x.reshape(1, -1)
+    elif x.ndim != 2:
+        raise ValueError(f"points must be one point or an (M, d) batch, got shape {x.shape}")
+    m = x.shape[0]
+    if m == 1:
+        # OpenBLAS solves a lone right-hand side with trsv, which rounds
+        # differently from trsm; a duplicate row keeps one point on the batch
+        # arithmetic, so its variance (and clamp) does not depend on batching.
+        x = np.repeat(x, 2, axis=0)
+    design = model.basis.design_matrix(x)
+    # M x N, so that its transpose is the Fortran-ordered right-hand side
+    # the triangular solve overwrites without a copy.
+    k_t = correlation(x, model.training.inputs, model.kernel.theta)
+    k_t *= model.kernel.sigma_sq
+    # The per-point sums below are einsums over contiguous rows, not BLAS
+    # matrix-vector products, so each runs in the same order whatever M is.
+    mean = design @ model.beta + np.einsum("ij,j->i", k_t, model.alpha)
+    v_t = solve_triangular(model.chol, k_t.T, lower=True, overwrite_b=True).T
+    ft_t = np.ascontiguousarray(model.trend_whitened.T)
+    u = design.T - np.einsum("ik,jk->ji", v_t, ft_t)
+    w_t = solve_triangular(model.trend_r.T, u, lower=True).T
+    variance = (
+        model.kernel.sigma_sq
+        - np.einsum("ij,ij->i", v_t, v_t)
+        + np.einsum("ij,ij->i", w_t, w_t)
+    )
+    mean, variance = mean[:m], variance[:m]
+    clamped = variance < 0.0
+    if clamped.any():
+        model.diagnostics.record_variance_clamps(int(clamped.sum()))
+        variance[clamped] = 0.0
+    if single:
+        return Prediction(mean=float(mean[0]), variance=float(variance[0]))
     return Prediction(mean=mean, variance=variance)
 
 
@@ -307,8 +356,8 @@ def log_marginal_likelihood(training: TrainingSet, basis: BasisExpansion, kernel
     corresponds to the covariance that would actually be factorized.
     """
     corr = correlation(training.inputs, training.inputs, kernel.theta)
-    chol_corr, _ = _cholesky_with_escalation(corr, kernel.jitter)
-    chol = math.sqrt(kernel.sigma_sq) * chol_corr
+    chol, _ = _cholesky_with_escalation(corr, kernel.jitter)
+    chol *= math.sqrt(kernel.sigma_sq)
     design = basis.design_matrix(training.inputs)
     _, _, _, rho = _gls(chol, design, training.targets)
     n = training.n
@@ -354,7 +403,9 @@ def fit_hyperparameters(
 
     For each grid theta the process variance is profiled out in closed form
     (residual quadratic form divided by N, floored to keep the likelihood
-    finite on zero-residual data). The scan runs in ascending theta order
+    finite on zero-residual data). Squared distances are computed once per
+    search and each cell's correlation is built from them in one reused
+    buffer. The scan runs in ascending theta order
     and only a strictly larger likelihood replaces the incumbent, so ties
     resolve toward the smallest theta and then the smallest sigma_sq.
     """
@@ -367,10 +418,12 @@ def fit_hyperparameters(
             f"for {training.n} observations"
         )
     n = training.n
+    sq_dist = _squared_distances(training.inputs)
+    corr = np.empty_like(sq_dist)  # refilled in place for every cell
     best: tuple[float, float, float] | None = None  # (loglik, theta, sigma_sq)
     for theta_scalar in grid:
-        theta = np.full(d, float(theta_scalar))
-        corr = correlation(training.inputs, training.inputs, theta)
+        np.divide(sq_dist, -float(theta_scalar), out=corr)
+        np.exp(corr, out=corr)
         try:
             chol_corr, _ = _cholesky_with_escalation(corr, search.jitter)
             _, _, _, rho = _gls(chol_corr, design, training.targets)

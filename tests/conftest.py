@@ -1,6 +1,14 @@
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# Before numpy loads OpenBLAS: the suite factorizes many small matrices, which
+# lose to thread start-up and oversubscription on BLAS's default thread count
+# (200 refits of a 200-row panel: 2.6 s on two threads, 0.29 s on one). An
+# explicit OPENBLAS_NUM_THREADS still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from jobsignal import BasisExpansion, Kernel, TrainingSet, fit

@@ -93,3 +93,42 @@ def refit_loo_predictions(inputs, targets, basis, kernel) -> np.ndarray:
         model = gpr.fit(training, basis, kernel)
         predicted[i] = gpr.predict(model, inputs[i]).mean
     return predicted
+
+
+def reference_theta_search(training, basis, search) -> gpr.Kernel:
+    """The grid search with each cell built from scratch: gpr.correlation at
+    the cell's theta, then a fresh corr + jitter * I for every escalation
+    attempt. On 1-d inputs gpr.fit_hyperparameters must select the same
+    kernel bit for bit.
+    """
+    n, d = training.inputs.shape
+    design = basis.design_matrix(training.inputs)
+    best = None  # (loglik, theta, sigma_sq)
+    for theta_scalar in search.grid():
+        corr = gpr.correlation(training.inputs, training.inputs, np.full(d, float(theta_scalar)))
+        jitter = search.jitter
+        while True:
+            try:
+                chol = np.linalg.cholesky(corr + jitter * np.eye(n))
+                break
+            except np.linalg.LinAlgError:
+                jitter = gpr.DEFAULT_JITTER if jitter == 0.0 else jitter * 10.0
+                if jitter > gpr.MAX_JITTER * (1.0 + 1e-12):
+                    chol = None
+                    break
+        if chol is None:
+            continue
+        try:
+            _, _, _, rho = gpr._gls(chol, design, training.targets)
+        except gpr.FitError:
+            continue
+        quad = float(rho @ rho)
+        sigma_sq = max(quad / n, gpr.SIGMA_SQ_FLOOR)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        loglik = -0.5 * (
+            n * math.log(2.0 * math.pi) + n * math.log(sigma_sq) + logdet + quad / sigma_sq
+        )
+        if best is None or loglik > best[0]:
+            best = (loglik, float(theta_scalar), sigma_sq)
+    _, theta, sigma_sq = best
+    return gpr.Kernel(sigma_sq=sigma_sq, theta=np.full(d, theta), jitter=search.jitter)

@@ -17,6 +17,8 @@ from jobsignal import (
     fit_hyperparameters,
     predict,
 )
+from jobsignal.datasets import bundled_indicators_path, bundled_sites_path
+from jobsignal.evaluation import Direction, split_panel
 from jobsignal.gpr import (
     SIGMA_SQ_FLOOR,
     correlation,
@@ -26,9 +28,21 @@ from jobsignal.gpr import (
     model_to_dict,
     save_model,
 )
+from jobsignal.pipeline import (
+    build_panel,
+    ingest_sites,
+    listwise_delete,
+    normalize_and_score,
+    read_indicators,
+)
 
 from conftest import random_fitted_model, random_instance
-from oracle_gpr import dense_gls_beta, dense_gpr_predict, dense_log_marginal_likelihood
+from oracle_gpr import (
+    dense_gls_beta,
+    dense_gpr_predict,
+    dense_log_marginal_likelihood,
+    reference_theta_search,
+)
 
 
 def kernel_1d(theta=1.0, sigma_sq=1.0, jitter=1e-10):
@@ -235,6 +249,27 @@ class TestFit:
         err = np.linalg.norm(model.chol @ model.chol.T - reg) / np.linalg.norm(reg)
         assert err <= 1e-10
 
+    def test_each_ladder_rung_regularizes_the_unjittered_matrix(self, monkeypatch):
+        # The jitter goes onto the diagonal in place; every rung must add its
+        # own jitter to the original diagonal, not to the previous rung's.
+        cholesky = np.linalg.cholesky
+        tried = []
+
+        def fails_three_times(matrix):
+            tried.append(matrix.copy())
+            if len(tried) <= 3:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails_three_times)
+        inputs = np.array([[0.0], [0.4], [1.0]])
+        training = TrainingSet(inputs=inputs, targets=np.array([0.0, 0.5, 1.0]))
+        model = fit(training, BasisExpansion("const"), kernel_1d(jitter=0.0))
+        assert model.kernel.jitter == 1e-8
+        corr = correlation(inputs, inputs, [1.0])
+        for matrix, jitter in zip(tried, [0.0, 1e-10, 1e-9, 1e-8]):
+            assert np.array_equal(matrix, corr + jitter * np.eye(3))
+
     def test_jitter_ladder_exhaustion_is_fit_error(self, monkeypatch):
         def always_fails(matrix):
             raise np.linalg.LinAlgError("forced")
@@ -325,13 +360,44 @@ class TestPredict:
             for x in inputs:
                 prediction = predict(model, x)
                 assert prediction.variance >= 0.0
-            clamped += model.diagnostics.variance_clamps
+            per_point = model.diagnostics.variance_clamps
+            # One batched call over the same points clamps the same entries.
+            batched = predict(model, inputs)
+            assert np.all(batched.variance >= 0.0)
+            assert model.diagnostics.variance_clamps == 2 * per_point
+            clamped += per_point
         assert clamped > 0
+
+    @pytest.mark.parametrize("degree", ["const", "linear"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_batch_matches_per_point_and_oracle(self, rng, degree, d, m):
+        model = random_fitted_model(rng, n=10, d=d, degree=degree)
+        training, kernel = model.training, model.kernel
+        span = training.inputs.max(axis=0) - training.inputs.min(axis=0)
+        points = training.inputs.min(axis=0) + rng.uniform(-0.2, 1.2, size=(m, d)) * span
+        batched = predict(model, points)
+        assert batched.mean.shape == batched.variance.shape == (m,)
+        per_point = [predict(model, x) for x in points]
+        assert all(isinstance(p.mean, float) and isinstance(p.variance, float) for p in per_point)
+        means = np.array([p.mean for p in per_point])
+        variances = np.array([p.variance for p in per_point])
+        scale = max(1.0, float(np.abs(means).max()))
+        assert np.abs(batched.mean - means).max() <= 1e-12 * scale
+        assert np.abs(batched.variance - variances).max() <= 1e-12 * kernel.sigma_sq
+        for x, mean, variance in zip(points, batched.mean, batched.variance):
+            expected_mean, expected_var = dense_gpr_predict(
+                training.inputs, training.targets, x, kernel.sigma_sq, kernel.theta,
+                kernel.jitter, degree,
+            )
+            assert mean == pytest.approx(expected_mean, abs=1e-8)
+            assert variance == pytest.approx(max(expected_var, 0.0), abs=1e-8)
 
     def test_dimension_mismatch(self, rng):
         model = random_fitted_model(rng, n=5, d=2)
-        with pytest.raises(ValueError, match="dimension"):
-            predict(model, [0.0])
+        for points in ([0.0], np.zeros((3, 1)), np.zeros((3, 3))):
+            with pytest.raises(ValueError, match="dimension"):
+                predict(model, points)
 
     def test_concurrent_reads_match_serial(self, rng):
         model = random_fitted_model(rng, n=10, d=2)
@@ -359,6 +425,12 @@ def _sample_from_kernel(rng, n=40, theta=1.0):
     corr = np.exp(-((inputs - inputs.T) ** 2) / theta)
     chol = np.linalg.cholesky(corr + 1e-10 * np.eye(n))
     return TrainingSet(inputs=inputs, targets=chol @ rng.standard_normal(n))
+
+
+def assert_same_kernel(got, expected):
+    assert got.sigma_sq == expected.sigma_sq
+    assert np.array_equal(got.theta, expected.theta)
+    assert got.jitter == expected.jitter
 
 
 class TestFitHyperparameters:
@@ -430,6 +502,40 @@ class TestFitHyperparameters:
         second = fit_hyperparameters(training, BasisExpansion("const"), search)
         assert first.sigma_sq == second.sigma_sq
         assert np.array_equal(first.theta, second.theta)
+
+    @pytest.mark.parametrize("jitter", [1e-10, 1e-4])
+    @pytest.mark.parametrize("degree", ["const", "linear"])
+    def test_matches_cell_by_cell_reference(self, degree, jitter):
+        # One sampled panel plus both directions of the bundled panel, whose
+        # rate-to-score inputs are tied (29 distinct rates over 382 rows).
+        records = ingest_sites(bundled_sites_path())
+        kept, _ = listwise_delete(records)
+        panel = build_panel(
+            normalize_and_score(kept), records, read_indicators(bundled_indicators_path())
+        )
+        cases = [_sample_from_kernel(np.random.default_rng(5), n=30)]
+        for direction in Direction:
+            inputs, targets = split_panel(panel, direction)
+            cases.append(TrainingSet(inputs=inputs, targets=targets))
+        basis = BasisExpansion(degree)
+        search = SearchConfig(jitter=jitter)
+        for training in cases:
+            assert_same_kernel(
+                fit_hyperparameters(training, basis, search),
+                reference_theta_search(training, basis, search),
+            )
+
+    def test_escalating_cells_match_reference(self):
+        # Duplicated inputs make every cell singular at jitter 0.
+        training = _sample_from_kernel(np.random.default_rng(9), n=12)
+        inputs = np.vstack([training.inputs, training.inputs[:4]])
+        targets = np.concatenate([training.targets, training.targets[:4]])
+        training = TrainingSet(inputs=inputs, targets=targets)
+        basis = BasisExpansion("const")
+        search = SearchConfig(jitter=0.0)
+        selected = fit_hyperparameters(training, basis, search)
+        assert fit(training, basis, selected).kernel.jitter > 0.0
+        assert_same_kernel(selected, reference_theta_search(training, basis, search))
 
     def test_gradient_sign_consistent_with_grid_trajectory(self):
         # Central finite differences of the profile likelihood in log theta
