@@ -9,6 +9,11 @@ row i is (P t)_i / P_ii, and P t is the fit's alpha. Frozen hyperparameters
 include the jitter: if the full-data factorization had to escalate it,
 every fold uses the escalated value, and the report records it.
 
+In-sample predictions need no solve at all. On the training rows the
+cross-covariance is K = C - jitter * sigma_sq * I and C alpha = t - F beta,
+so the kriging mean F beta + K alpha is exactly t - jitter * sigma_sq * alpha,
+with the jitter the fit actually used.
+
 The report carries the correlation rate (Pearson correlation of actual vs
 predicted), RMSE, and RAE (sum of absolute errors relative to the
 mean-predictor baseline), in either prediction direction.
@@ -208,14 +213,15 @@ def evaluate_model(
     model must be the fit on split_panel(panel, direction); its kernel,
     with the jitter the fit actually used, is the one the report records.
     Leave-one-out predictions come in closed form from the fit's factor;
-    in_sample=True instead predicts every training row in one batched
-    gpr.predict call.
+    in_sample=True instead reads each training row's kriging mean off the
+    fit's alpha (see the module docstring).
     """
     _require_rows(panel.n)
     if in_sample:
-        training = model.training
-        predicted = gpr.predict(model, training.inputs).mean
-        pairs = list(zip(training.targets.tolist(), predicted.tolist()))
+        targets = model.training.targets
+        kernel = model.kernel
+        predicted = targets - (kernel.jitter * kernel.sigma_sq) * model.alpha
+        pairs = list(zip(targets.tolist(), predicted.tolist()))
     else:
         pairs = _loo_pairs(model, [row.url for row in panel.rows])
     return EvaluationReport(

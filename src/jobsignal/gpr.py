@@ -7,8 +7,10 @@ zero-mean stationary process Z whose covariance between two points is
     sigma_sq * exp(-sum_i (x_i - x'_i)**2 / theta_i).
 
 Every linear solve is routed through one Cholesky factorization of the
-jitter-regularized training covariance; nothing here inverts a matrix
-explicitly (the dense-inverse formulation lives only in the test oracle).
+jitter-regularized training covariance, made by scipy's LAPACK dpotrf;
+nothing here inverts a matrix explicitly (the dense-inverse formulation
+lives only in the test oracle). A saved model refits to the same bits
+under the same numpy/scipy build.
 Hyperparameters are selected by maximizing the log marginal likelihood over
 a logarithmic theta grid with the process variance profiled out in closed
 form.
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from .errors import ConfigError, FitError, ParseError
 
@@ -208,10 +211,14 @@ def correlation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
             f"dimension mismatch: points of size {a.shape[1]}/{b.shape[1]}, "
             f"{theta.size} correlation lengths"
         )
-    # Keep diff named: inlined, glibc mmaps and unmaps the N x N buffers per call (~40 % slower).
+    # In place after the one difference buffer: the same bits as
+    # exp(-sum(diff**2 / theta)) without three more N x N temporaries.
     diff = a[:, None, :] - b[None, :, :]
-    sq = np.sum(diff**2 / theta, axis=-1)
-    return np.exp(-sq)
+    np.square(diff, out=diff)
+    diff /= theta
+    sq = diff.sum(axis=-1)
+    np.negative(sq, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def _squared_distances(points: np.ndarray) -> np.ndarray:
@@ -228,25 +235,29 @@ def _squared_distances(points: np.ndarray) -> np.ndarray:
 def _cholesky_with_escalation(corr: np.ndarray, base_jitter: float) -> tuple[np.ndarray, float]:
     """Factorize corr + jitter*I, escalating jitter x10 up to MAX_JITTER.
 
-    The jitter goes onto corr's diagonal in place; corr is left holding the
-    last matrix tried.
+    corr must be symmetric. The jitter goes onto corr's diagonal in place;
+    corr is left holding the last matrix tried. The lower factor comes from
+    scipy's LAPACK dpotrf, Fortran-ordered with exact zeros above the
+    diagonal, so a refit reproduces it bit for bit under the same
+    numpy/scipy build.
     """
     n = corr.shape[0]
     diag = corr.flat[:: n + 1]  # a copy of the unregularized diagonal
     jitter = base_jitter
     while True:
         corr.flat[:: n + 1] = diag + jitter
-        try:
-            chol = np.linalg.cholesky(corr)
+        # corr.T is the same symmetric matrix in LAPACK's column order, so
+        # dpotrf copies it once without transposing.
+        chol, info = dpotrf(corr.T, lower=1, clean=1)
+        if info == 0:
             return chol, jitter
-        except np.linalg.LinAlgError:
-            nxt = DEFAULT_JITTER if jitter == 0.0 else jitter * 10.0
-            if nxt > MAX_JITTER * (1.0 + 1e-12):
-                raise FitError(
-                    f"covariance is not positive definite even at jitter {jitter:g}"
-                ) from None
-            logger.debug("cholesky failed at jitter %g, escalating to %g", jitter, nxt)
-            jitter = nxt
+        if info < 0:
+            raise ValueError(f"dpotrf rejected argument {-info}")
+        nxt = DEFAULT_JITTER if jitter == 0.0 else jitter * 10.0
+        if nxt > MAX_JITTER * (1.0 + 1e-12):
+            raise FitError(f"covariance is not positive definite even at jitter {jitter:g}")
+        logger.debug("cholesky failed at jitter %g, escalating to %g", jitter, nxt)
+        jitter = nxt
 
 
 def _gls(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
@@ -468,8 +479,8 @@ def model_from_dict(payload: dict) -> GprModel:
 
     Refits deterministically from the stored training data and kernel (the
     stored jitter already includes any escalation, so the factorization is
-    reproduced bit for bit on the same platform) and cross-checks the
-    stored coefficients.
+    reproduced bit for bit under the same numpy/scipy build) and
+    cross-checks the stored coefficients.
     """
     if not isinstance(payload, dict) or payload.get("schema") != MODEL_SCHEMA:
         raise ParseError(f"unsupported model document (expected schema {MODEL_SCHEMA!r})")

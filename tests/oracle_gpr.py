@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from jobsignal import gpr
 
@@ -98,8 +99,8 @@ def refit_loo_predictions(inputs, targets, basis, kernel) -> np.ndarray:
 def reference_theta_search(training, basis, search) -> gpr.Kernel:
     """The grid search with each cell built from scratch: gpr.correlation at
     the cell's theta, then a fresh corr + jitter * I for every escalation
-    attempt. On 1-d inputs gpr.fit_hyperparameters must select the same
-    kernel bit for bit.
+    attempt, factorized by the same LAPACK dpotrf the library calls. On 1-d
+    inputs gpr.fit_hyperparameters must select the same kernel bit for bit.
     """
     n, d = training.inputs.shape
     design = basis.design_matrix(training.inputs)
@@ -108,14 +109,13 @@ def reference_theta_search(training, basis, search) -> gpr.Kernel:
         corr = gpr.correlation(training.inputs, training.inputs, np.full(d, float(theta_scalar)))
         jitter = search.jitter
         while True:
-            try:
-                chol = np.linalg.cholesky(corr + jitter * np.eye(n))
+            chol, info = dpotrf((corr + jitter * np.eye(n)).T, lower=1, clean=1)
+            if info == 0:
                 break
-            except np.linalg.LinAlgError:
-                jitter = gpr.DEFAULT_JITTER if jitter == 0.0 else jitter * 10.0
-                if jitter > gpr.MAX_JITTER * (1.0 + 1e-12):
-                    chol = None
-                    break
+            jitter = gpr.DEFAULT_JITTER if jitter == 0.0 else jitter * 10.0
+            if jitter > gpr.MAX_JITTER * (1.0 + 1e-12):
+                chol = None
+                break
         if chol is None:
             continue
         try:

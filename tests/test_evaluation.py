@@ -7,13 +7,19 @@ from jobsignal import (
     BasisExpansion,
     Direction,
     EvaluationError,
+    Kernel,
     SearchConfig,
+    TrainingSet,
     correlation_rate,
     evaluate,
+    fit,
+    fit_hyperparameters,
+    predict,
     rae,
     rmse,
 )
 from jobsignal.evaluation import (
+    evaluate_model,
     format_report,
     load_report,
     report_from_dict,
@@ -24,6 +30,7 @@ from jobsignal.evaluation import (
 from jobsignal.pipeline import PanelDataset, PanelRow
 from jobsignal.synth import RATE_CENTER, RATE_SCALE, synthetic_panel
 
+from conftest import separated_inputs
 from oracle_gpr import dense_gpr_predict, refit_loo_predictions
 
 
@@ -262,6 +269,58 @@ class TestClosedFormLoo:
         search = SearchConfig(theta_min=0.5, theta_max=0.5, steps=1, jitter=0.0)
         report = assert_loo_matches_refits(panel, Direction.SCORE_TO_RATE, BasisExpansion(degree), search)
         assert report.kernel.jitter == 1e-10
+
+
+def fit_panel(panel, direction, basis, search):
+    inputs, targets = split_panel(panel, direction)
+    training = TrainingSet(inputs=inputs, targets=targets)
+    return fit(training, basis, fit_hyperparameters(training, basis, search))
+
+
+def in_sample_means(model, panel, direction):
+    report = evaluate_model(model, panel, direction, in_sample=True)
+    return np.array([predicted for _, predicted in report.per_fold])
+
+
+class TestInSampleClosedForm:
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("degree", ["const", "linear"])
+    def test_matches_batched_predict(self, direction, degree):
+        panel = synthetic_panel(200, 0.7, 0.5, seed=3)
+        model = fit_panel(panel, direction, BasisExpansion(degree), SearchConfig(jitter=1e-4))
+        expected = predict(model, model.training.inputs).mean
+        scale = max(1.0, float(np.abs(expected).max()))
+        assert np.abs(in_sample_means(model, panel, direction) - expected).max() <= 1e-8 * scale
+
+    @pytest.mark.parametrize("degree", ["const", "linear"])
+    def test_matches_dense_oracle(self, rng, degree):
+        for _ in range(5):
+            theta = float(rng.uniform(0.5, 3.0))
+            scores = separated_inputs(rng, 12, 1, theta)[:, 0]
+            panel = panel_from(scores, 8.0 + np.sin(scores) + 0.3 * rng.standard_normal(12))
+            inputs, targets = split_panel(panel, Direction.SCORE_TO_RATE)
+            kernel = Kernel(sigma_sq=float(rng.uniform(0.5, 2.0)), theta=[theta])
+            model = fit(TrainingSet(inputs=inputs, targets=targets), BasisExpansion(degree), kernel)
+            means = in_sample_means(model, panel, Direction.SCORE_TO_RATE)
+            for x, mean in zip(inputs, means):
+                expected, _ = dense_gpr_predict(
+                    inputs, targets, x, kernel.sigma_sq, kernel.theta, kernel.jitter, degree
+                )
+                assert mean == pytest.approx(expected, abs=1e-8)
+
+    def test_escalated_jitter_is_used(self):
+        # A duplicated input with a different target: the fit at jitter 0
+        # escalates to 1e-10, and the two rows' means move off their targets.
+        scores = np.r_[np.linspace(-2.0, 2.0, 11), -2.0]
+        rates = 8.0 + np.sin(scores) + 0.1 * np.cos(7.0 * np.arange(12))
+        panel = panel_from(scores, rates)
+        search = SearchConfig(theta_min=0.5, theta_max=0.5, steps=1, jitter=0.0)
+        model = fit_panel(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), search)
+        assert model.kernel.jitter == 1e-10
+        means = in_sample_means(model, panel, Direction.SCORE_TO_RATE)
+        assert min(abs(means[0] - rates[0]), abs(means[11] - rates[11])) > 1e-3
+        expected = predict(model, model.training.inputs).mean
+        assert np.abs(means - expected).max() <= 1e-6
 
 
 class TestEvaluate:

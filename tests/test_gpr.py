@@ -17,6 +17,7 @@ from jobsignal import (
     fit_hyperparameters,
     predict,
 )
+from jobsignal import gpr
 from jobsignal.datasets import bundled_indicators_path, bundled_sites_path
 from jobsignal.evaluation import Direction, split_panel
 from jobsignal.gpr import (
@@ -252,16 +253,16 @@ class TestFit:
     def test_each_ladder_rung_regularizes_the_unjittered_matrix(self, monkeypatch):
         # The jitter goes onto the diagonal in place; every rung must add its
         # own jitter to the original diagonal, not to the previous rung's.
-        cholesky = np.linalg.cholesky
+        dpotrf = gpr.dpotrf
         tried = []
 
-        def fails_three_times(matrix):
+        def fails_three_times(matrix, **options):
             tried.append(matrix.copy())
             if len(tried) <= 3:
-                raise np.linalg.LinAlgError("forced")
-            return cholesky(matrix)
+                return matrix, 1  # LAPACK: leading minor 1 is not positive definite
+            return dpotrf(matrix, **options)
 
-        monkeypatch.setattr(np.linalg, "cholesky", fails_three_times)
+        monkeypatch.setattr(gpr, "dpotrf", fails_three_times)
         inputs = np.array([[0.0], [0.4], [1.0]])
         training = TrainingSet(inputs=inputs, targets=np.array([0.0, 0.5, 1.0]))
         model = fit(training, BasisExpansion("const"), kernel_1d(jitter=0.0))
@@ -271,13 +272,35 @@ class TestFit:
             assert np.array_equal(matrix, corr + jitter * np.eye(3))
 
     def test_jitter_ladder_exhaustion_is_fit_error(self, monkeypatch):
-        def always_fails(matrix):
-            raise np.linalg.LinAlgError("forced")
+        def always_fails(matrix, **options):
+            return matrix, 1
 
-        monkeypatch.setattr(np.linalg, "cholesky", always_fails)
+        monkeypatch.setattr(gpr, "dpotrf", always_fails)
         training = TrainingSet(inputs=np.array([[0.0], [1.0]]), targets=np.array([0.0, 1.0]))
         with pytest.raises(FitError, match="positive definite"):
             fit(training, BasisExpansion("const"), kernel_1d())
+
+    def test_factor_matches_numpy_cholesky(self, rng):
+        # The library factorizes with scipy's LAPACK; numpy's is an independent
+        # check of the same factor.
+        models = [random_fitted_model(rng, n=int(rng.integers(2, 30)), d=2) for _ in range(10)]
+        training = _sample_from_kernel(np.random.default_rng(3), n=200)
+        models.append(fit(training, BasisExpansion("linear"), kernel_1d(jitter=1e-4)))
+        for model in models:
+            reg = regularized_covariance(model.training.inputs, model.kernel)
+            expected = np.linalg.cholesky(reg)
+            assert np.abs(model.chol - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_factor_has_exact_zeros_above_the_diagonal(self, rng):
+        # Closed-form leave-one-out sums whole rows of the factor's inverse.
+        escalated = fit(
+            TrainingSet(inputs=np.array([[0.0], [0.0], [1.0]]), targets=np.array([0.0, 0.5, 1.0])),
+            BasisExpansion("const"),
+            kernel_1d(jitter=0.0),
+        )
+        assert escalated.kernel.jitter == 1e-10
+        for model in [escalated] + [random_fitted_model(rng, n=12, d=1) for _ in range(5)]:
+            assert np.all(np.triu(model.chol, 1) == 0.0)
 
     def test_singular_trend_system(self):
         # A constant input column duplicates the intercept under the linear basis.
