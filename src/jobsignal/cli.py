@@ -118,12 +118,12 @@ def cmd_score(args) -> int:
 
 
 def _fit_model(panel, direction, args) -> gpr.GprModel:
-    """Grid-search the hyperparameters on the whole panel and fit once."""
+    """Grid-search the hyperparameters on the whole panel; the search returns the fit."""
     basis = gpr.BasisExpansion(args.basis)
     search = _search_config(args)
     inputs, targets = evaluation.split_panel(panel, direction)
     training = gpr.TrainingSet(inputs=inputs, targets=targets)
-    return gpr.fit(training, basis, gpr.fit_hyperparameters(training, basis, search))
+    return gpr.fit_hyperparameters(training, basis, search)
 
 
 def cmd_fit(args) -> int:

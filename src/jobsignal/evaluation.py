@@ -32,7 +32,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtri
 
 from . import gpr
-from .errors import EvaluationError, FitError, ParseError
+from .errors import EvaluationError, ParseError
 from .pipeline import PanelDataset
 
 __all__ = [
@@ -185,7 +185,7 @@ def evaluate(
     search: gpr.SearchConfig,
     in_sample: bool = False,
 ) -> EvaluationReport:
-    """Select hyperparameters on the panel, fit once, and score the fit.
+    """Select hyperparameters on the panel, which fits once, and score the fit.
 
     in_sample=True scores the full-data fit on its own training rows
     instead of leave-one-out predictions.
@@ -193,12 +193,7 @@ def evaluate(
     _require_rows(panel.n)
     inputs, targets = split_panel(panel, direction)
     training = gpr.TrainingSet(inputs=inputs, targets=targets)
-    kernel = gpr.fit_hyperparameters(training, basis, search)
-    try:
-        model = gpr.fit(training, basis, kernel)
-    except FitError as exc:
-        protocol = "in-sample" if in_sample else "full-data"
-        raise EvaluationError(f"{protocol} fit failed: {exc}") from exc
+    model = gpr.fit_hyperparameters(training, basis, search)
     return evaluate_model(model, panel, direction, in_sample=in_sample)
 
 

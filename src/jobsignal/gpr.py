@@ -7,13 +7,15 @@ zero-mean stationary process Z whose covariance between two points is
     sigma_sq * exp(-sum_i (x_i - x'_i)**2 / theta_i).
 
 Every linear solve is routed through one Cholesky factorization of the
-jitter-regularized training covariance, made by scipy's LAPACK dpotrf;
-nothing here inverts a matrix explicitly (the dense-inverse formulation
-lives only in the test oracle). A saved model refits to the same bits
-under the same numpy/scipy build.
+jitter-regularized training covariance, made in place by scipy's LAPACK
+dpotrf in an N x N Fortran-ordered buffer that the caller allocates and
+that becomes the model's factor; nothing here inverts a matrix explicitly
+(the dense-inverse formulation lives only in the test oracle). A saved
+model refits to the same bits under the same numpy/scipy build.
 Hyperparameters are selected by maximizing the log marginal likelihood over
 a logarithmic theta grid with the process variance profiled out in closed
-form.
+form; the winning cell's factor becomes the fitted model, so the search
+is also the fit.
 """
 
 from __future__ import annotations
@@ -232,25 +234,25 @@ def _squared_distances(points: np.ndarray) -> np.ndarray:
     return diff.sum(axis=-1)
 
 
-def _cholesky_with_escalation(corr: np.ndarray, base_jitter: float) -> tuple[np.ndarray, float]:
-    """Factorize corr + jitter*I, escalating jitter x10 up to MAX_JITTER.
+def _cholesky_with_escalation(buf: np.ndarray, refill, base_jitter: float) -> float:
+    """Factorize R + jitter*I in place, escalating jitter x10 up to MAX_JITTER.
 
-    corr must be symmetric. The jitter goes onto corr's diagonal in place;
-    corr is left holding the last matrix tried. The lower factor comes from
-    scipy's LAPACK dpotrf, Fortran-ordered with exact zeros above the
-    diagonal, so a refit reproduces it bit for bit under the same
-    numpy/scipy build.
+    buf is an N x N Fortran-ordered buffer owned by the caller and holding
+    the symmetric R on entry. Each rung adds its jitter to the diagonal and
+    LAPACK dpotrf overwrites the lower triangle with the factor, without a
+    copy; the strict upper triangle keeps R's entries (zero it before using
+    buf as a dense factor). A failed dpotrf leaves the lower triangle half
+    factorized, so refill(buf) writes R back before the next rung. Returns
+    the jitter used. The factor is the same bits whichever caller builds
+    R, under the same numpy/scipy build.
     """
-    n = corr.shape[0]
-    diag = corr.flat[:: n + 1]  # a copy of the unregularized diagonal
+    diag = buf.reshape(-1, order="F")[:: buf.shape[0] + 1]  # a view into buf
     jitter = base_jitter
     while True:
-        corr.flat[:: n + 1] = diag + jitter
-        # corr.T is the same symmetric matrix in LAPACK's column order, so
-        # dpotrf copies it once without transposing.
-        chol, info = dpotrf(corr.T, lower=1, clean=1)
+        diag += jitter
+        _, info = dpotrf(buf, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            return chol, jitter
+            return jitter
         if info < 0:
             raise ValueError(f"dpotrf rejected argument {-info}")
         nxt = DEFAULT_JITTER if jitter == 0.0 else jitter * 10.0
@@ -258,6 +260,7 @@ def _cholesky_with_escalation(corr: np.ndarray, base_jitter: float) -> tuple[np.
             raise FitError(f"covariance is not positive definite even at jitter {jitter:g}")
         logger.debug("cholesky failed at jitter %g, escalating to %g", jitter, nxt)
         jitter = nxt
+        refill(buf)
 
 
 def _gls(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
@@ -278,6 +281,32 @@ def _gls(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
     return ft, r_qr, beta, rho
 
 
+def _model_from_factor(
+    training: TrainingSet, basis: BasisExpansion, kernel: Kernel, chol: np.ndarray
+) -> GprModel:
+    """The fitted model around chol, the in-place factor of R + kernel.jitter*I.
+
+    Zeroes chol's strict upper triangle, scales it to the covariance's
+    factor and solves the trend and alpha against it.
+    """
+    for j in range(1, training.n):
+        chol[:j, j] = 0.0  # contiguous in Fortran order
+    chol *= math.sqrt(kernel.sigma_sq)
+    design = basis.design_matrix(training.inputs)
+    ft, r_qr, beta, rho = _gls(chol, design, training.targets)
+    alpha = solve_triangular(chol.T, rho, lower=False)
+    return GprModel(
+        training=training,
+        kernel=kernel,
+        basis=basis,
+        beta=beta,
+        chol=chol,
+        alpha=alpha,
+        trend_whitened=ft,
+        trend_r=r_qr,
+    )
+
+
 def fit(training: TrainingSet, basis: BasisExpansion, kernel: Kernel) -> GprModel:
     """Fit trend coefficients and process state for the given kernel.
 
@@ -291,22 +320,14 @@ def fit(training: TrainingSet, basis: BasisExpansion, kernel: Kernel) -> GprMode
         raise FitError(
             f"trend system is underdetermined: {p} basis functions for {training.n} observations"
         )
-    corr = correlation(training.inputs, training.inputs, kernel.theta)
-    chol, jitter = _cholesky_with_escalation(corr, kernel.jitter)
-    chol *= math.sqrt(kernel.sigma_sq)
-    design = basis.design_matrix(training.inputs)
-    ft, r_qr, beta, rho = _gls(chol, design, training.targets)
-    alpha = solve_triangular(chol.T, rho, lower=False)
-    return GprModel(
-        training=training,
-        kernel=replace(kernel, jitter=jitter),
-        basis=basis,
-        beta=beta,
-        chol=chol,
-        alpha=alpha,
-        trend_whitened=ft,
-        trend_r=r_qr,
-    )
+
+    def corr_t() -> np.ndarray:
+        # R is symmetric, so its transpose is R in Fortran order.
+        return correlation(training.inputs, training.inputs, kernel.theta).T
+
+    chol = corr_t()
+    jitter = _cholesky_with_escalation(chol, lambda buf: np.copyto(buf, corr_t()), kernel.jitter)
+    return _model_from_factor(training, basis, replace(kernel, jitter=jitter), chol)
 
 
 def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
@@ -366,11 +387,8 @@ def log_marginal_likelihood(training: TrainingSet, basis: BasisExpansion, kernel
     Uses the same diagonal-escalation policy as fit, so the reported value
     corresponds to the covariance that would actually be factorized.
     """
-    corr = correlation(training.inputs, training.inputs, kernel.theta)
-    chol, _ = _cholesky_with_escalation(corr, kernel.jitter)
-    chol *= math.sqrt(kernel.sigma_sq)
-    design = basis.design_matrix(training.inputs)
-    _, _, _, rho = _gls(chol, design, training.targets)
+    chol = fit(training, basis, kernel).chol
+    _, _, _, rho = _gls(chol, basis.design_matrix(training.inputs), training.targets)
     n = training.n
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * (n * math.log(2.0 * math.pi) + logdet + float(rho @ rho))
@@ -409,16 +427,21 @@ class SearchConfig:
 
 def fit_hyperparameters(
     training: TrainingSet, basis: BasisExpansion, search: SearchConfig
-) -> Kernel:
-    """Pick sigma_sq and theta by grid-searched maximum marginal likelihood.
+) -> GprModel:
+    """Pick sigma_sq and theta by grid-searched maximum marginal likelihood
+    and return the model fitted at them.
 
     For each grid theta the process variance is profiled out in closed form
     (residual quadratic form divided by N, floored to keep the likelihood
     finite on zero-residual data). Squared distances are computed once per
-    search and each cell's correlation is built from them in one reused
-    buffer. The scan runs in ascending theta order
-    and only a strictly larger likelihood replaces the incumbent, so ties
-    resolve toward the smallest theta and then the smallest sigma_sq.
+    search; each cell's correlation is built from them and factorized in
+    place in one of two buffers, which swap whenever a cell wins, so the
+    winner's factor becomes the model's without a second factorization.
+    The model's kernel carries the jitter that factor used. On 1-d inputs
+    the model equals fit(training, basis, model.kernel) bit for bit. The
+    scan runs in ascending theta order and only a strictly larger
+    likelihood replaces the incumbent, so ties resolve toward the smallest
+    theta and then the smallest sigma_sq.
     """
     grid = search.grid()
     d = training.ndim
@@ -429,21 +452,28 @@ def fit_hyperparameters(
             f"for {training.n} observations"
         )
     n = training.n
-    sq_dist = _squared_distances(training.inputs)
-    corr = np.empty_like(sq_dist)  # refilled in place for every cell
-    best: tuple[float, float, float] | None = None  # (loglik, theta, sigma_sq)
+    # The distances are symmetric, so the transpose is the same matrix in
+    # Fortran order and fills a Fortran-ordered buffer without transposing.
+    sq_dist_t = _squared_distances(training.inputs).T
+    work = np.empty((n, n), order="F")
+    best_chol = np.empty((n, n), order="F")
+    best: tuple[float, Kernel] | None = None  # (loglik, kernel)
     for theta_scalar in grid:
-        np.divide(sq_dist, -float(theta_scalar), out=corr)
-        np.exp(corr, out=corr)
+
+        def fill(buf: np.ndarray) -> None:
+            np.divide(sq_dist_t, -float(theta_scalar), out=buf)
+            np.exp(buf, out=buf)
+
+        fill(work)
         try:
-            chol_corr, _ = _cholesky_with_escalation(corr, search.jitter)
-            _, _, _, rho = _gls(chol_corr, design, training.targets)
+            jitter = _cholesky_with_escalation(work, fill, search.jitter)
+            _, _, _, rho = _gls(work, design, training.targets)
         except FitError:
             logger.debug("skipping theta=%g: not factorizable", theta_scalar)
             continue
         quad = float(rho @ rho)
         sigma_sq = max(quad / n, SIGMA_SQ_FLOOR)
-        logdet_corr = 2.0 * float(np.sum(np.log(np.diag(chol_corr))))
+        logdet_corr = 2.0 * float(np.sum(np.log(np.diag(work))))
         loglik = -0.5 * (
             n * math.log(2.0 * math.pi)
             + n * math.log(sigma_sq)
@@ -451,11 +481,12 @@ def fit_hyperparameters(
             + quad / sigma_sq
         )
         if best is None or loglik > best[0]:
-            best = (loglik, float(theta_scalar), sigma_sq)
+            kernel = Kernel(sigma_sq=sigma_sq, theta=np.full(d, float(theta_scalar)), jitter=jitter)
+            best = (loglik, kernel)
+            work, best_chol = best_chol, work
     if best is None:
         raise FitError("no admissible theta grid cell: every candidate failed to factorize")
-    _, theta_best, sigma_sq_best = best
-    return Kernel(sigma_sq=sigma_sq_best, theta=np.full(d, theta_best), jitter=search.jitter)
+    return _model_from_factor(training, basis, best[1], best_chol)
 
 
 def model_to_dict(model: GprModel) -> dict:

@@ -100,7 +100,9 @@ def reference_theta_search(training, basis, search) -> gpr.Kernel:
     """The grid search with each cell built from scratch: gpr.correlation at
     the cell's theta, then a fresh corr + jitter * I for every escalation
     attempt, factorized by the same LAPACK dpotrf the library calls. On 1-d
-    inputs gpr.fit_hyperparameters must select the same kernel bit for bit.
+    inputs the kernel of the model gpr.fit_hyperparameters returns must
+    have the same sigma_sq and theta bit for bit; the jitter here is the
+    search's base jitter, before any escalation.
     """
     n, d = training.inputs.shape
     design = basis.design_matrix(training.inputs)

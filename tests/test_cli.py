@@ -177,6 +177,20 @@ class TestStagedCommands:
         rc = run(["fit", "--panel", panel, "--basis", "linear", "--out", tmp_path / "o"])
         assert rc == 4
 
+    @pytest.mark.parametrize("mode", [[], ["--in-sample"]])
+    def test_failed_search_in_evaluate_exit_4(self, tmp_path, capsys, mode):
+        # Identical scores make every cell's linear trend singular: the search
+        # itself fails, which is a fit error in either evaluation mode.
+        panel = tmp_path / "panel.csv"
+        panel.write_text(
+            "url,country,score,unemployment_rate\n"
+            "a.test,ZZ,1.0,4.0\nb.test,ZZ,1.0,5.0\nc.test,ZZ,1.0,6.0\n",
+            encoding="utf-8",
+        )
+        rc = run(["evaluate", "--panel", panel, "--basis", "linear", "--out", tmp_path / "o", *mode])
+        assert rc == 4
+        assert "no admissible theta grid cell" in capsys.readouterr().err
+
     def test_evaluate_error_exit_5(self, tmp_path):
         # Constant rates leave the correlation undefined.
         panel = tmp_path / "panel.csv"

@@ -186,14 +186,14 @@ class TestLoocvPredictions:
         import jobsignal.evaluation as ev
 
         fold_sizes = []
-        original_fit = ev.gpr.fit
+        original_search = ev.gpr.fit_hyperparameters
 
-        def spy_fit(training, basis, kernel):
+        def spy_search(training, basis, search):
             fold_sizes.append(training.n)
-            return original_fit(training, basis, kernel)
+            return original_search(training, basis, search)
 
         panel = panel_from([0.0, 1.0, 2.0], [1.0, 3.0, 2.0])
-        monkeypatch.setattr(ev.gpr, "fit", spy_fit)
+        monkeypatch.setattr(ev.gpr, "fit_hyperparameters", spy_search)
         pairs = evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig()).per_fold
         assert len(pairs) == 3
         # One full-data fit; the folds come from its factor, not from refits.
@@ -233,7 +233,7 @@ class TestLoocvPredictions:
                 TrainingSet(inputs=scores.reshape(-1, 1), targets=rates),
                 BasisExpansion("const"),
                 search,
-            )
+            ).kernel
             mean, _ = dense_gpr_predict(
                 scores[mask].reshape(-1, 1), rates[mask], [scores[i]],
                 kernel.sigma_sq, kernel.theta, kernel.jitter, "const",
@@ -274,7 +274,7 @@ class TestClosedFormLoo:
 def fit_panel(panel, direction, basis, search):
     inputs, targets = split_panel(panel, direction)
     training = TrainingSet(inputs=inputs, targets=targets)
-    return fit(training, basis, fit_hyperparameters(training, basis, search))
+    return fit_hyperparameters(training, basis, search)
 
 
 def in_sample_means(model, panel, direction):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -37,7 +38,7 @@ from jobsignal.pipeline import (
     read_indicators,
 )
 
-from conftest import random_fitted_model, random_instance
+from conftest import random_fitted_model, random_instance, separated_inputs
 from oracle_gpr import (
     dense_gls_beta,
     dense_gpr_predict,
@@ -48,6 +49,24 @@ from oracle_gpr import (
 
 def kernel_1d(theta=1.0, sigma_sq=1.0, jitter=1e-10):
     return Kernel(sigma_sq=sigma_sq, theta=[theta], jitter=jitter)
+
+
+def fail_dpotrf_three_times(monkeypatch):
+    """Make gpr's dpotrf fail its first three calls the way a partial
+    factorization does, scribbling over the lower triangle; returns the list
+    of matrices each call was given."""
+    dpotrf = gpr.dpotrf
+    tried = []
+
+    def fails_three_times(matrix, **options):
+        tried.append(matrix.copy())
+        if len(tried) <= 3:
+            matrix[np.tril_indices(matrix.shape[0])] = np.nan
+            return matrix, 1  # LAPACK: leading minor 1 is not positive definite
+        return dpotrf(matrix, **options)
+
+    monkeypatch.setattr(gpr, "dpotrf", fails_three_times)
+    return tried
 
 
 def regularized_covariance(inputs, kernel):
@@ -251,18 +270,9 @@ class TestFit:
         assert err <= 1e-10
 
     def test_each_ladder_rung_regularizes_the_unjittered_matrix(self, monkeypatch):
-        # The jitter goes onto the diagonal in place; every rung must add its
-        # own jitter to the original diagonal, not to the previous rung's.
-        dpotrf = gpr.dpotrf
-        tried = []
-
-        def fails_three_times(matrix, **options):
-            tried.append(matrix.copy())
-            if len(tried) <= 3:
-                return matrix, 1  # LAPACK: leading minor 1 is not positive definite
-            return dpotrf(matrix, **options)
-
-        monkeypatch.setattr(gpr, "dpotrf", fails_three_times)
+        # The factorization runs in place; every rung must see the original
+        # matrix plus its own jitter, not the previous rung's leftovers.
+        tried = fail_dpotrf_three_times(monkeypatch)
         inputs = np.array([[0.0], [0.4], [1.0]])
         training = TrainingSet(inputs=inputs, targets=np.array([0.0, 0.5, 1.0]))
         model = fit(training, BasisExpansion("const"), kernel_1d(jitter=0.0))
@@ -293,13 +303,19 @@ class TestFit:
 
     def test_factor_has_exact_zeros_above_the_diagonal(self, rng):
         # Closed-form leave-one-out sums whole rows of the factor's inverse.
-        escalated = fit(
-            TrainingSet(inputs=np.array([[0.0], [0.0], [1.0]]), targets=np.array([0.0, 0.5, 1.0])),
-            BasisExpansion("const"),
-            kernel_1d(jitter=0.0),
+        # dpotrf leaves correlations above the diagonal until they are zeroed.
+        duplicated = TrainingSet(
+            inputs=np.array([[0.0], [0.0], [1.0]]), targets=np.array([0.0, 0.5, 1.0])
         )
+        escalated = fit(duplicated, BasisExpansion("const"), kernel_1d(jitter=0.0))
         assert escalated.kernel.jitter == 1e-10
-        for model in [escalated] + [random_fitted_model(rng, n=12, d=1) for _ in range(5)]:
+        searched = [
+            fit_hyperparameters(duplicated, BasisExpansion("const"), SearchConfig(jitter=0.0)),
+            fit_hyperparameters(_sample_from_kernel(rng, n=30), BasisExpansion("linear"), SearchConfig()),
+        ]
+        assert searched[0].kernel.jitter == 1e-10
+        fitted = [random_fitted_model(rng, n=12, d=1) for _ in range(5)]
+        for model in [escalated] + searched + fitted:
             assert np.all(np.triu(model.chol, 1) == 0.0)
 
     def test_singular_trend_system(self):
@@ -450,10 +466,21 @@ def _sample_from_kernel(rng, n=40, theta=1.0):
     return TrainingSet(inputs=inputs, targets=chol @ rng.standard_normal(n))
 
 
-def assert_same_kernel(got, expected):
+def assert_same_selection(got, expected):
     assert got.sigma_sq == expected.sigma_sq
     assert np.array_equal(got.theta, expected.theta)
-    assert got.jitter == expected.jitter
+
+
+def assert_model_equals_fit(model, rtol=0.0):
+    """The search's model equals a fit at its kernel: bit for bit unless rtol."""
+    refit = fit(model.training, model.basis, model.kernel)
+    assert refit.kernel.jitter == model.kernel.jitter
+    for name in ("chol", "alpha", "beta", "trend_whitened", "trend_r"):
+        got, expected = getattr(model, name), getattr(refit, name)
+        if rtol == 0.0:
+            assert np.array_equal(got, expected), name
+        else:
+            assert np.abs(got - expected).max() <= rtol * np.abs(expected).max(), name
 
 
 class TestFitHyperparameters:
@@ -462,13 +489,13 @@ class TestFitHyperparameters:
         grid = search.grid()
         log_step = math.log10(grid[1]) - math.log10(grid[0])
         training = _sample_from_kernel(np.random.default_rng(3))
-        kernel = fit_hyperparameters(training, BasisExpansion("const"), search)
+        kernel = fit_hyperparameters(training, BasisExpansion("const"), search).kernel
         assert abs(math.log10(kernel.theta[0])) <= log_step + 1e-9
 
     def test_selection_maximizes_reported_likelihood(self, rng):
         training = _sample_from_kernel(rng, n=20)
         search = SearchConfig(theta_min=0.2, theta_max=5.0, steps=7)
-        selected = fit_hyperparameters(training, BasisExpansion("const"), search)
+        selected = fit_hyperparameters(training, BasisExpansion("const"), search).kernel
         best = log_marginal_likelihood(training, BasisExpansion("const"), selected)
         for theta in search.grid():
             # Profile sigma_sq at this theta the way the search defines it.
@@ -489,7 +516,7 @@ class TestFitHyperparameters:
             inputs=np.linspace(0, 3, 8).reshape(-1, 1), targets=np.full(8, 2.5)
         )
         search = SearchConfig(theta_min=0.1, theta_max=10.0, steps=5)
-        kernel = fit_hyperparameters(training, BasisExpansion("const"), search)
+        kernel = fit_hyperparameters(training, BasisExpansion("const"), search).kernel
         assert kernel.theta[0] in search.grid()
         # The profiled variance collapses toward 0 (rounding keeps the
         # residual quadratic form from being exactly zero at every theta).
@@ -503,13 +530,13 @@ class TestFitHyperparameters:
         # so the ascending scan must keep the smallest theta.
         training = TrainingSet(inputs=np.array([[0.7]]), targets=np.array([3.2]))
         search = SearchConfig(theta_min=0.1, theta_max=10.0, steps=9)
-        kernel = fit_hyperparameters(training, BasisExpansion("const"), search)
+        kernel = fit_hyperparameters(training, BasisExpansion("const"), search).kernel
         assert kernel.theta[0] == search.grid()[0]
 
     def test_single_cell_grid(self):
         training = _sample_from_kernel(np.random.default_rng(0), n=10)
         search = SearchConfig(theta_min=0.7, theta_max=0.7, steps=1)
-        kernel = fit_hyperparameters(training, BasisExpansion("const"), search)
+        kernel = fit_hyperparameters(training, BasisExpansion("const"), search).kernel
         assert kernel.theta[0] == 0.7
 
     def test_empty_grid_rejected(self):
@@ -521,8 +548,8 @@ class TestFitHyperparameters:
     def test_deterministic(self):
         training = _sample_from_kernel(np.random.default_rng(7), n=15)
         search = SearchConfig(theta_min=0.1, theta_max=10.0, steps=9)
-        first = fit_hyperparameters(training, BasisExpansion("const"), search)
-        second = fit_hyperparameters(training, BasisExpansion("const"), search)
+        first = fit_hyperparameters(training, BasisExpansion("const"), search).kernel
+        second = fit_hyperparameters(training, BasisExpansion("const"), search).kernel
         assert first.sigma_sq == second.sigma_sq
         assert np.array_equal(first.theta, second.theta)
 
@@ -543,10 +570,18 @@ class TestFitHyperparameters:
         basis = BasisExpansion(degree)
         search = SearchConfig(jitter=jitter)
         for training in cases:
-            assert_same_kernel(
-                fit_hyperparameters(training, basis, search),
-                reference_theta_search(training, basis, search),
-            )
+            model = fit_hyperparameters(training, basis, search)
+            assert_same_selection(model.kernel, reference_theta_search(training, basis, search))
+            assert_model_equals_fit(model)
+
+    @pytest.mark.parametrize("degree", ["const", "linear"])
+    def test_two_dimensional_model_matches_fit_at_its_kernel(self, rng, degree):
+        # An isotropic cell sums squared distances before dividing by theta,
+        # fit divides each dimension first, so the factors differ in rounding.
+        inputs = separated_inputs(rng, 40, 2, [1.0, 1.0])
+        training = TrainingSet(inputs=inputs, targets=np.sin(inputs).sum(axis=1))
+        model = fit_hyperparameters(training, BasisExpansion(degree), SearchConfig(jitter=1e-4))
+        assert_model_equals_fit(model, rtol=1e-12)
 
     def test_escalating_cells_match_reference(self):
         # Duplicated inputs make every cell singular at jitter 0.
@@ -556,9 +591,22 @@ class TestFitHyperparameters:
         training = TrainingSet(inputs=inputs, targets=targets)
         basis = BasisExpansion("const")
         search = SearchConfig(jitter=0.0)
-        selected = fit_hyperparameters(training, basis, search)
-        assert fit(training, basis, selected).kernel.jitter > 0.0
-        assert_same_kernel(selected, reference_theta_search(training, basis, search))
+        model = fit_hyperparameters(training, basis, search)
+        assert model.kernel.jitter > 0.0
+        assert_same_selection(model.kernel, reference_theta_search(training, basis, search))
+        assert_model_equals_fit(model)
+
+    def test_each_ladder_rung_of_a_cell_regularizes_the_unjittered_matrix(self, monkeypatch):
+        # A cell refills its buffer from the distances after a failed rung.
+        tried = fail_dpotrf_three_times(monkeypatch)
+        inputs = np.array([[0.0], [0.4], [1.0]])
+        training = TrainingSet(inputs=inputs, targets=np.array([0.0, 0.5, 1.0]))
+        search = SearchConfig(theta_min=0.7, theta_max=0.7, steps=1, jitter=0.0)
+        model = fit_hyperparameters(training, BasisExpansion("const"), search)
+        assert model.kernel.jitter == 1e-8
+        corr = correlation(inputs, inputs, [0.7])
+        for matrix, jitter in zip(tried, [0.0, 1e-10, 1e-9, 1e-8]):
+            assert np.array_equal(matrix, corr + jitter * np.eye(3))
 
     def test_gradient_sign_consistent_with_grid_trajectory(self):
         # Central finite differences of the profile likelihood in log theta
@@ -581,7 +629,7 @@ class TestFitHyperparameters:
 
         values = np.array([profile_ll(t) for t in grid])
         best = int(np.argmax(values))
-        selected = fit_hyperparameters(training, basis, search)
+        selected = fit_hyperparameters(training, basis, search).kernel
         assert selected.theta[0] == grid[best]
         h = 1e-4
         for i in range(len(grid)):
@@ -591,6 +639,25 @@ class TestFitHyperparameters:
             grad = (profile_ll(math.exp(log_t + h)) - profile_ll(math.exp(log_t - h))) / (2 * h)
             toward_optimum = 1.0 if i < best else -1.0
             assert math.copysign(1.0, grad) == toward_optimum
+
+
+class TestMemory:
+    def test_peak_allocation_in_covariance_units(self):
+        # Peak traced allocation over N x N doubles: the search holds the
+        # distances and two factor buffers, fit holds its correlation only.
+        training = _sample_from_kernel(np.random.default_rng(21), n=600)
+        basis = BasisExpansion("const")
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1] / (training.n**2 * 8)
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: fit_hyperparameters(training, basis, SearchConfig())) <= 3.25
+        assert peak(lambda: fit(training, basis, kernel_1d())) <= 2.25
 
 
 class TestTypes:
