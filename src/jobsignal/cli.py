@@ -117,18 +117,11 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _fit_model(panel, direction, args) -> gpr.GprModel:
-    """Grid-search the hyperparameters on the whole panel; the search returns the fit."""
-    basis = gpr.BasisExpansion(args.basis)
-    search = _search_config(args)
-    inputs, targets = evaluation.split_panel(panel, direction)
-    training = gpr.TrainingSet(inputs=inputs, targets=targets)
-    return gpr.fit_hyperparameters(training, basis, search)
-
-
 def cmd_fit(args) -> int:
     panel = pipeline.read_panel_csv(args.panel)
-    model = _fit_model(panel, evaluation.Direction.from_flag(args.direction), args)
+    direction = evaluation.Direction.from_flag(args.direction)
+    basis = gpr.BasisExpansion(args.basis)
+    model = evaluation.fit_panel(panel, direction, basis, _search_config(args))
     out = _out_dir(args)
     gpr.save_model(model, out / "model.json")
     logger.info(
@@ -175,7 +168,8 @@ def cmd_pipeline(args) -> int:
         pipeline.write_panel_csv(panel, out / "panel.csv")
         stage = "fit"
         direction = evaluation.Direction.from_flag(args.direction)
-        model = _fit_model(panel, direction, args)
+        basis = gpr.BasisExpansion(args.basis)
+        model = evaluation.fit_panel(panel, direction, basis, _search_config(args))
         gpr.save_model(model, out / "model.json")
         stage = "evaluate"
         report = evaluation.evaluate_model(model, panel, direction, in_sample=args.in_sample)

@@ -42,6 +42,7 @@ __all__ = [
     "correlation_rate",
     "evaluate",
     "evaluate_model",
+    "fit_panel",
     "format_report",
     "rae",
     "report_from_dict",
@@ -178,6 +179,17 @@ def _require_rows(n: int) -> None:
         raise EvaluationError(f"evaluation needs at least 3 rows, got {n}")
 
 
+def fit_panel(
+    panel: PanelDataset,
+    direction: Direction,
+    basis: gpr.BasisExpansion,
+    search: gpr.SearchConfig,
+) -> gpr.GprModel:
+    """Grid-search the hyperparameters on the whole panel; the search returns the fit."""
+    inputs, targets = split_panel(panel, direction)
+    return gpr.fit_hyperparameters(gpr.TrainingSet(inputs=inputs, targets=targets), basis, search)
+
+
 def evaluate(
     panel: PanelDataset,
     direction: Direction,
@@ -191,9 +203,7 @@ def evaluate(
     instead of leave-one-out predictions.
     """
     _require_rows(panel.n)
-    inputs, targets = split_panel(panel, direction)
-    training = gpr.TrainingSet(inputs=inputs, targets=targets)
-    model = gpr.fit_hyperparameters(training, basis, search)
+    model = fit_panel(panel, direction, basis, search)
     return evaluate_model(model, panel, direction, in_sample=in_sample)
 
 

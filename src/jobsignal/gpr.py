@@ -15,7 +15,8 @@ model refits to the same bits under the same numpy/scipy build.
 Hyperparameters are selected by maximizing the log marginal likelihood over
 a logarithmic theta grid with the process variance profiled out in closed
 form; the winning cell's factor becomes the fitted model, so the search
-is also the fit.
+is also the fit. A fitted model holds no mutable state: predict logs at
+DEBUG, on the jobsignal.gpr logger, how many variances it clamped to 0.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -34,7 +34,6 @@ from .errors import ConfigError, FitError, ParseError
 
 __all__ = [
     "BasisExpansion",
-    "Diagnostics",
     "GprModel",
     "Kernel",
     "Prediction",
@@ -44,7 +43,6 @@ __all__ = [
     "fit",
     "fit_hyperparameters",
     "load_model",
-    "log_marginal_likelihood",
     "model_from_dict",
     "model_to_dict",
     "predict",
@@ -154,20 +152,6 @@ class BasisExpansion:
         return np.hstack([ones, inputs])
 
 
-class Diagnostics:
-    """Counters for numeric edge events on a fitted model; advisory only."""
-
-    __slots__ = ("_lock", "variance_clamps")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.variance_clamps = 0
-
-    def record_variance_clamps(self, count: int) -> None:
-        with self._lock:
-            self.variance_clamps += count
-
-
 @dataclass(frozen=True)
 class Prediction:
     """Posterior mean and (clamped non-negative) variance.
@@ -182,7 +166,8 @@ class Prediction:
 
 @dataclass(frozen=True, eq=False)
 class GprModel:
-    """Fitted state; immutable after fit and safe to share across threads.
+    """Fitted state; immutable after fit and safe to share across threads:
+    predict reads it and never writes to it.
 
     kernel.jitter reflects any diagonal escalation applied during fitting,
     so chol always factorizes covariance + kernel.jitter * sigma_sq * I.
@@ -196,7 +181,6 @@ class GprModel:
     alpha: np.ndarray
     trend_whitened: np.ndarray  # chol^-1 F, reused by the variance solves
     trend_r: np.ndarray  # upper QR factor of trend_whitened
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
 
 def correlation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -268,17 +252,36 @@ def _gls(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
 
     Returns (whitened design, its upper QR factor, coefficients, whitened
     residual). Raises FitError when the whitened design is rank deficient.
+    chol is a dpotrf factor of checked-finite inputs, so no solve rescans it.
     """
-    ft = solve_triangular(chol, design, lower=True)
-    yt = solve_triangular(chol, targets, lower=True)
+    ft = solve_triangular(chol, design, lower=True, check_finite=False)
+    yt = solve_triangular(chol, targets, lower=True, check_finite=False)
     q, r_qr = np.linalg.qr(ft)
     diag = np.abs(np.diag(r_qr))
     tol = max(ft.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
     if diag.size == 0 or diag.min() <= tol:
         raise FitError("trend system is singular (collinear or duplicate basis functions)")
-    beta = solve_triangular(r_qr, q.T @ yt, lower=False)
+    beta = solve_triangular(r_qr, q.T @ yt, lower=False, check_finite=False)
     rho = yt - ft @ beta
     return ft, r_qr, beta, rho
+
+
+def _profile_log_likelihood(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
+    """(loglik, sigma_sq) with the trend at its GLS value and the process
+    variance profiled out: sigma_sq = quad / N, floored so the likelihood
+    stays finite on zero-residual data. chol is the lower factor of
+    R + jitter*I (its strict upper triangle is not read). Raises FitError
+    when the whitened design is rank deficient.
+    """
+    _, _, _, rho = _gls(chol, design, targets)
+    n = targets.shape[0]
+    quad = float(rho @ rho)
+    sigma_sq = max(quad / n, SIGMA_SQ_FLOOR)
+    logdet_corr = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    loglik = -0.5 * (
+        n * math.log(2.0 * math.pi) + n * math.log(sigma_sq) + logdet_corr + quad / sigma_sq
+    )
+    return loglik, sigma_sq
 
 
 def _model_from_factor(
@@ -294,7 +297,7 @@ def _model_from_factor(
     chol *= math.sqrt(kernel.sigma_sq)
     design = basis.design_matrix(training.inputs)
     ft, r_qr, beta, rho = _gls(chol, design, training.targets)
-    alpha = solve_triangular(chol.T, rho, lower=False)
+    alpha = solve_triangular(chol.T, rho, lower=False, check_finite=False)
     return GprModel(
         training=training,
         kernel=kernel,
@@ -339,8 +342,8 @@ def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
     the trend-uncertainty term diag(U' (F' C^-1 F)^-1 U) with
     U = F(X)' - F' C^-1 K. All M points share one triangular solve of the
     stored Cholesky factor against K (Rasmussen & Williams, GPML Alg. 2.1).
-    Variances that round below zero are clamped to 0 and counted in
-    model.diagnostics. A 1-d x_new gives a Prediction of two floats.
+    Variances that round below zero are clamped to 0, their count logged at
+    DEBUG and never stored. A 1-d x_new gives a Prediction of two floats.
     """
     x = np.asarray(x_new, dtype=float)
     single = x.ndim < 2
@@ -374,24 +377,11 @@ def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
     mean, variance = mean[:m], variance[:m]
     clamped = variance < 0.0
     if clamped.any():
-        model.diagnostics.record_variance_clamps(int(clamped.sum()))
+        logger.debug("clamped %d negative variances to 0", int(clamped.sum()))
         variance[clamped] = 0.0
     if single:
         return Prediction(mean=float(mean[0]), variance=float(variance[0]))
     return Prediction(mean=mean, variance=variance)
-
-
-def log_marginal_likelihood(training: TrainingSet, basis: BasisExpansion, kernel: Kernel) -> float:
-    """Log marginal likelihood of the targets with trend at its GLS value.
-
-    Uses the same diagonal-escalation policy as fit, so the reported value
-    corresponds to the covariance that would actually be factorized.
-    """
-    chol = fit(training, basis, kernel).chol
-    _, _, _, rho = _gls(chol, basis.design_matrix(training.inputs), training.targets)
-    n = training.n
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + float(rho @ rho))
 
 
 @dataclass(frozen=True)
@@ -416,12 +406,12 @@ class SearchConfig:
                 f"theta grid bounds must satisfy 0 < lower <= upper, "
                 f"got {self.theta_min!r}:{self.theta_max!r}"
             )
+        if math.isinf(self.theta_max):
+            raise ConfigError(f"theta grid bounds must be finite, got {self.theta_min!r}:inf")
         if not (math.isfinite(self.jitter) and self.jitter >= 0.0):
             raise ConfigError(f"jitter must be non-negative and finite, got {self.jitter!r}")
 
     def grid(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.theta_min])
         return np.geomspace(self.theta_min, self.theta_max, self.steps)
 
 
@@ -432,8 +422,7 @@ def fit_hyperparameters(
     and return the model fitted at them.
 
     For each grid theta the process variance is profiled out in closed form
-    (residual quadratic form divided by N, floored to keep the likelihood
-    finite on zero-residual data). Squared distances are computed once per
+    by _profile_log_likelihood. Squared distances are computed once per
     search; each cell's correlation is built from them and factorized in
     place in one of two buffers, which swap whenever a cell wins, so the
     winner's factor becomes the model's without a second factorization.
@@ -467,19 +456,10 @@ def fit_hyperparameters(
         fill(work)
         try:
             jitter = _cholesky_with_escalation(work, fill, search.jitter)
-            _, _, _, rho = _gls(work, design, training.targets)
+            loglik, sigma_sq = _profile_log_likelihood(work, design, training.targets)
         except FitError:
             logger.debug("skipping theta=%g: not factorizable", theta_scalar)
             continue
-        quad = float(rho @ rho)
-        sigma_sq = max(quad / n, SIGMA_SQ_FLOOR)
-        logdet_corr = 2.0 * float(np.sum(np.log(np.diag(work))))
-        loglik = -0.5 * (
-            n * math.log(2.0 * math.pi)
-            + n * math.log(sigma_sq)
-            + logdet_corr
-            + quad / sigma_sq
-        )
         if best is None or loglik > best[0]:
             kernel = Kernel(sigma_sq=sigma_sq, theta=np.full(d, float(theta_scalar)), jitter=jitter)
             best = (loglik, kernel)

@@ -93,9 +93,6 @@ class SiteRecord:
     def missing_signals(self) -> tuple[str, ...]:
         return tuple(name for name in SIGNAL_FIELDS if getattr(self, name) is None)
 
-    def is_complete(self) -> bool:
-        return not self.missing_signals()
-
 
 @dataclass(frozen=True)
 class CountryIndicator:
@@ -346,9 +343,7 @@ def listwise_delete(records: Iterable[SiteRecord]) -> tuple[list[SiteRecord], in
     return kept, dropped
 
 
-def normalize_and_score(
-    records: Sequence[SiteRecord], signals: Sequence[str] = SIGNAL_FIELDS
-) -> list[tuple[str, float]]:
+def normalize_and_score(records: Sequence[SiteRecord]) -> list[tuple[str, float]]:
     """Standardize each signal column and average into one score per site.
 
     rank is negated before standardization so that larger always means a
@@ -357,11 +352,8 @@ def normalize_and_score(
     """
     if len(records) < 2:
         raise ValueError("need at least two complete records to standardize")
-    unknown = [s for s in signals if s not in SIGNAL_FIELDS]
-    if unknown:
-        raise ValueError(f"unknown signal columns: {unknown}")
     columns = {}
-    for name in signals:
+    for name in SIGNAL_FIELDS:
         values = []
         for record in records:
             value = getattr(record, name)

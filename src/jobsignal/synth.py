@@ -31,6 +31,8 @@ def synthetic_panel(n: int, coupling: float, noise: float, seed: int) -> PanelDa
         raise ValueError(f"coupling must lie in [0, 1], got {coupling}")
     if noise < 0.0:
         raise ValueError(f"noise must be non-negative, got {noise}")
+    if not math.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise}")
     rng = np.random.default_rng(seed)
     scores = rng.standard_normal(n)
     e1 = rng.standard_normal(n)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -214,7 +215,7 @@ class TestStagedCommands:
         assert rc == 5
         assert "fold 3 (d.test) failed" in capsys.readouterr().err
 
-    def test_bad_theta_grid_exit_2(self, tmp_path):
+    def test_bad_theta_grid_exit_2(self, tmp_path, capsys):
         panel = tmp_path / "panel.csv"
         panel.write_text(
             "url,country,score,unemployment_rate\n"
@@ -223,6 +224,16 @@ class TestStagedCommands:
         )
         assert run(["fit", "--panel", panel, "--theta-grid", "oops", "--out", tmp_path / "o"]) == 2
         assert run(["fit", "--panel", panel, "--theta-grid", "5:1:4", "--out", tmp_path / "o"]) == 2
+        capsys.readouterr()
+        for grid in ("0.1:inf:13", "0.1:1e400:3"):
+            # Non-finite bounds are rejected before the grid is built, so
+            # numpy never gets to warn.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = run(["evaluate", "--panel", panel, "--theta-grid", grid, "--out", tmp_path / "o"])
+            assert rc == 2
+            assert "theta grid" in capsys.readouterr().err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_bad_jitter_exit_2(self, tmp_path, capsys):
         panel = tmp_path / "panel.csv"
@@ -244,10 +255,13 @@ class TestSynthCommand:
         lines = (out / "panel.csv").read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 1 + 3
 
-    def test_invalid_parameters_exit_2(self, tmp_path):
+    def test_invalid_parameters_exit_2(self, tmp_path, capsys):
         assert run(["synth", "--n", 2, "--out", tmp_path / "o"]) == 2
         assert run(["synth", "--n", 5, "--coupling", 1.5, "--out", tmp_path / "o"]) == 2
-        assert run(["synth", "--n", 5, "--noise", -0.1, "--out", tmp_path / "o"]) == 2
+        for noise in (-0.1, "nan", "inf"):
+            capsys.readouterr()
+            assert run(["synth", "--n", 5, "--noise", noise, "--out", tmp_path / "o"]) == 2
+            assert "noise" in capsys.readouterr().err
 
     def test_deterministic_per_seed(self, tmp_path):
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"

@@ -13,13 +13,13 @@ from jobsignal import (
     correlation_rate,
     evaluate,
     fit,
-    fit_hyperparameters,
     predict,
     rae,
     rmse,
 )
 from jobsignal.evaluation import (
     evaluate_model,
+    fit_panel,
     format_report,
     load_report,
     report_from_dict,
@@ -271,12 +271,6 @@ class TestClosedFormLoo:
         assert report.kernel.jitter == 1e-10
 
 
-def fit_panel(panel, direction, basis, search):
-    inputs, targets = split_panel(panel, direction)
-    training = TrainingSet(inputs=inputs, targets=targets)
-    return fit_hyperparameters(training, basis, search)
-
-
 def in_sample_means(model, panel, direction):
     report = evaluate_model(model, panel, direction, in_sample=True)
     return np.array([predicted for _, predicted in report.per_fold])
@@ -428,8 +422,9 @@ class TestSyntheticPanel:
             synthetic_panel(2, 0.5, 0.0, seed=0)
         with pytest.raises(ValueError, match="coupling"):
             synthetic_panel(5, 1.5, 0.0, seed=0)
-        with pytest.raises(ValueError, match="noise"):
-            synthetic_panel(5, 0.5, -1.0, seed=0)
+        for noise in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise"):
+                synthetic_panel(5, 0.5, noise, seed=0)
 
     def test_deterministic_per_seed(self):
         first = synthetic_panel(10, 0.7, 0.3, seed=42)

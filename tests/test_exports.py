@@ -1,0 +1,32 @@
+"""Every public export resolves, and removed API stays removed."""
+
+import importlib
+
+import pytest
+
+MODULES = [
+    "jobsignal",
+    "jobsignal.gpr",
+    "jobsignal.evaluation",
+    "jobsignal.pipeline",
+    "jobsignal.synth",
+    "jobsignal.datasets",
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_removed_names_stay_gone():
+    gpr = importlib.import_module("jobsignal.gpr")
+    cli = importlib.import_module("jobsignal.cli")
+    for module, attr in [
+        (gpr, "log_marginal_likelihood"),
+        (gpr, "Diagnostics"),
+        (cli, "_fit_model"),
+    ]:
+        assert not hasattr(module, attr), f"{module.__name__}.{attr}"

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -22,10 +23,9 @@ from jobsignal import gpr
 from jobsignal.datasets import bundled_indicators_path, bundled_sites_path
 from jobsignal.evaluation import Direction, split_panel
 from jobsignal.gpr import (
-    SIGMA_SQ_FLOOR,
     correlation,
+    _profile_log_likelihood,
     load_model,
-    log_marginal_likelihood,
     model_from_dict,
     model_to_dict,
     save_model,
@@ -382,10 +382,17 @@ class TestPredict:
             bound = model.kernel.sigma_sq + float(f_row @ gram_inv @ f_row)
             assert prediction.variance <= bound + 1e-10
 
-    def test_negative_variance_clamped_and_counted(self):
+    def test_negative_variance_clamped_and_counted(self, caplog):
         # With zero jitter the exact variance at a training point is 0, so
-        # rounding lands on either side; negatives must clamp and count.
-        clamped = 0
+        # rounding lands on either side; negatives must clamp and be logged.
+        caplog.set_level(logging.DEBUG, logger="jobsignal.gpr")
+
+        def logged_clamps():
+            total = sum(r.args[0] for r in caplog.records if r.msg.startswith("clamped %d"))
+            caplog.clear()
+            return total
+
+        per_point_total = batched_total = 0
         for trial in range(10):
             trial_rng = np.random.default_rng(trial)
             inputs = (trial_rng.permutation(14) * 0.8 + trial_rng.uniform(0, 0.3, 14)).reshape(-1, 1)
@@ -396,16 +403,15 @@ class TestPredict:
                 kernel_1d(theta=3.0, sigma_sq=1.5, jitter=0.0),
             )
             assert model.kernel.jitter == 0.0
-            for x in inputs:
-                prediction = predict(model, x)
-                assert prediction.variance >= 0.0
-            per_point = model.diagnostics.variance_clamps
+            caplog.clear()
+            per_point = [predict(model, x).variance for x in inputs]
+            assert all(v >= 0.0 for v in per_point)
+            per_point_total += logged_clamps()
             # One batched call over the same points clamps the same entries.
             batched = predict(model, inputs)
-            assert np.all(batched.variance >= 0.0)
-            assert model.diagnostics.variance_clamps == 2 * per_point
-            clamped += per_point
-        assert clamped > 0
+            assert np.array_equal(batched.variance, per_point)
+            batched_total += logged_clamps()
+        assert per_point_total == batched_total > 0
 
     @pytest.mark.parametrize("degree", ["const", "linear"])
     @pytest.mark.parametrize("d", [1, 2])
@@ -447,13 +453,19 @@ class TestPredict:
         assert serial == threaded
 
 
+def profile_log_likelihood(training, basis, theta, jitter):
+    """_profile_log_likelihood on the factor of a unit-variance fit at theta."""
+    unit = fit(training, basis, Kernel(sigma_sq=1.0, theta=theta, jitter=jitter))
+    return _profile_log_likelihood(unit.chol, basis.design_matrix(training.inputs), training.targets)
+
+
 class TestLogMarginalLikelihood:
     def test_matches_dense_oracle(self, rng):
         for _ in range(10):
             training, basis, kernel = random_instance(rng, max_n=10, jitter=1e-8)
-            value = log_marginal_likelihood(training, basis, kernel)
+            value, sigma_sq = profile_log_likelihood(training, basis, kernel.theta, kernel.jitter)
             oracle = dense_log_marginal_likelihood(
-                training.inputs, training.targets, kernel.sigma_sq, kernel.theta,
+                training.inputs, training.targets, sigma_sq, kernel.theta,
                 kernel.jitter, basis.degree,
             )
             assert value == pytest.approx(oracle, rel=1e-9, abs=1e-9)
@@ -496,20 +508,14 @@ class TestFitHyperparameters:
         training = _sample_from_kernel(rng, n=20)
         search = SearchConfig(theta_min=0.2, theta_max=5.0, steps=7)
         selected = fit_hyperparameters(training, BasisExpansion("const"), search).kernel
-        best = log_marginal_likelihood(training, BasisExpansion("const"), selected)
-        for theta in search.grid():
-            # Profile sigma_sq at this theta the way the search defines it.
-            unit = Kernel(sigma_sq=1.0, theta=[theta], jitter=search.jitter)
-            model = fit(training, BasisExpansion("const"), unit)
-            resid = training.targets - model.basis.design_matrix(training.inputs) @ model.beta
-            white = np.linalg.solve(model.chol, resid)
-            candidate_sigma = max(float(white @ white) / training.n, SIGMA_SQ_FLOOR)
-            value = log_marginal_likelihood(
-                training,
-                BasisExpansion("const"),
-                Kernel(sigma_sq=candidate_sigma, theta=[theta], jitter=search.jitter),
-            )
-            assert value <= best + 1e-9
+        cells = {
+            theta: profile_log_likelihood(training, BasisExpansion("const"), [theta], search.jitter)
+            for theta in search.grid()
+        }
+        best, best_sigma_sq = cells[selected.theta[0]]
+        assert best_sigma_sq == selected.sigma_sq
+        for value, _ in cells.values():
+            assert value <= best
 
     def test_constant_targets_degenerate(self):
         training = TrainingSet(
@@ -618,14 +624,7 @@ class TestFitHyperparameters:
         grid = search.grid()
 
         def profile_ll(theta):
-            candidate = Kernel(sigma_sq=1.0, theta=[theta], jitter=search.jitter)
-            model = fit(training, basis, candidate)
-            resid = training.targets - basis.design_matrix(training.inputs) @ model.beta
-            white = np.linalg.solve(model.chol, resid)
-            sigma_sq = max(float(white @ white) / training.n, SIGMA_SQ_FLOOR)
-            return log_marginal_likelihood(
-                training, basis, Kernel(sigma_sq=sigma_sq, theta=[theta], jitter=search.jitter)
-            )
+            return profile_log_likelihood(training, basis, [theta], search.jitter)[0]
 
         values = np.array([profile_ll(t) for t in grid])
         best = int(np.argmax(values))
