@@ -6,11 +6,12 @@ zero-mean stationary process Z whose covariance between two points is
 
     sigma_sq * exp(-sum_i (x_i - x'_i)**2 / theta_i).
 
-Every linear solve is routed through one Cholesky factorization of the
-jitter-regularized training covariance, made in place by scipy's LAPACK
-dpotrf in an N x N Fortran-ordered buffer that the caller allocates and
-that becomes the model's factor; nothing here inverts a matrix explicitly
-(the dense-inverse formulation lives only in the test oracle). A saved
+Every correlation is exp(-D / scale) of one distance function,
+_scaled_distances, and every linear solve goes through one Cholesky factor
+made by _factorize: it rebuilds R on every rung of its jitter ladder and
+factorizes R + jitter*I with LAPACK dpotrf in place, in an N x N
+Fortran-ordered buffer that becomes the model's factor. Nothing here
+inverts a matrix (the dense inverse lives only in the test oracle). A saved
 model refits to the same bits under the same numpy/scipy build.
 Hyperparameters are selected by maximizing the log marginal likelihood over
 a logarithmic theta grid with the process variance profiled out in closed
@@ -183,11 +184,10 @@ class GprModel:
     trend_r: np.ndarray  # upper QR factor of trend_whitened
 
 
-def correlation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Correlations exp(-sum_i (a[j, i] - b[k, i])**2 / theta_i), in (0, 1].
+def _scaled_distances(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """D[j, k] = sum_i (a[j, i] - b[k, i])**2 / theta_i, points as rows.
 
-    a and b hold points as rows (a 1-d array is one point); the result has
-    one row per point of a and one column per point of b.
+    The only code that forms coordinate differences.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -197,42 +197,38 @@ def correlation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
             f"dimension mismatch: points of size {a.shape[1]}/{b.shape[1]}, "
             f"{theta.size} correlation lengths"
         )
-    # In place after the one difference buffer: the same bits as
-    # exp(-sum(diff**2 / theta)) without three more N x N temporaries.
+    # In place after the one difference buffer: no more N x N x d temporaries.
     diff = a[:, None, :] - b[None, :, :]
     np.square(diff, out=diff)
     diff /= theta
-    sq = diff.sum(axis=-1)
-    np.negative(sq, out=sq)
-    return np.exp(sq, out=sq)
-
-
-def _squared_distances(points: np.ndarray) -> np.ndarray:
-    """N x N sums over dimensions of squared coordinate differences.
-
-    For one dimension, exp(-D / theta) reproduces correlation(points,
-    points, theta) bit for bit.
-    """
-    diff = points[:, None, :] - points[None, :, :]
-    np.square(diff, out=diff)
     return diff.sum(axis=-1)
 
 
-def _cholesky_with_escalation(buf: np.ndarray, refill, base_jitter: float) -> float:
-    """Factorize R + jitter*I in place, escalating jitter x10 up to MAX_JITTER.
+def correlation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Correlations exp(-sum_i (a[j, i] - b[k, i])**2 / theta_i), in (0, 1].
 
-    buf is an N x N Fortran-ordered buffer owned by the caller and holding
-    the symmetric R on entry. Each rung adds its jitter to the diagonal and
-    LAPACK dpotrf overwrites the lower triangle with the factor, without a
-    copy; the strict upper triangle keeps R's entries (zero it before using
-    buf as a dense factor). A failed dpotrf leaves the lower triangle half
-    factorized, so refill(buf) writes R back before the next rung. Returns
-    the jitter used. The factor is the same bits whichever caller builds
-    R, under the same numpy/scipy build.
+    a and b hold points as rows (a 1-d array is one point); the result has
+    one row per point of a and one column per point of b.
+    """
+    dist = _scaled_distances(a, b, theta)
+    np.negative(dist, out=dist)
+    return np.exp(dist, out=dist)
+
+
+def _factorize(buf: np.ndarray, dist_t: np.ndarray, scale: float, jitter: float) -> float:
+    """Factorize R + jitter*I in place in buf, escalating jitter x10 up to
+    MAX_JITTER; returns the jitter used.
+
+    dist_t holds symmetric distances in Fortran order, like buf. Each rung
+    fills buf with R = exp(-dist_t / scale), adds its jitter to the
+    diagonal and lets LAPACK dpotrf overwrite the lower triangle with the
+    factor; the strict upper triangle keeps R (zero it before using buf as
+    a dense factor).
     """
     diag = buf.reshape(-1, order="F")[:: buf.shape[0] + 1]  # a view into buf
-    jitter = base_jitter
     while True:
+        np.divide(dist_t, -scale, out=buf)
+        np.exp(buf, out=buf)
         diag += jitter
         _, info = dpotrf(buf, lower=1, clean=0, overwrite_a=1)
         if info == 0:
@@ -244,7 +240,16 @@ def _cholesky_with_escalation(buf: np.ndarray, refill, base_jitter: float) -> fl
             raise FitError(f"covariance is not positive definite even at jitter {jitter:g}")
         logger.debug("cholesky failed at jitter %g, escalating to %g", jitter, nxt)
         jitter = nxt
-        refill(buf)
+
+
+def _trend_design(training: TrainingSet, basis: BasisExpansion) -> np.ndarray:
+    """The N x p trend design; FitError when p exceeds N."""
+    p = basis.size(training.ndim)
+    if p > training.n:
+        raise FitError(
+            f"trend system is underdetermined: {p} basis functions for {training.n} observations"
+        )
+    return basis.design_matrix(training.inputs)
 
 
 def _gls(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
@@ -285,7 +290,11 @@ def _profile_log_likelihood(chol: np.ndarray, design: np.ndarray, targets: np.nd
 
 
 def _model_from_factor(
-    training: TrainingSet, basis: BasisExpansion, kernel: Kernel, chol: np.ndarray
+    training: TrainingSet,
+    basis: BasisExpansion,
+    design: np.ndarray,
+    kernel: Kernel,
+    chol: np.ndarray,
 ) -> GprModel:
     """The fitted model around chol, the in-place factor of R + kernel.jitter*I.
 
@@ -295,7 +304,6 @@ def _model_from_factor(
     for j in range(1, training.n):
         chol[:j, j] = 0.0  # contiguous in Fortran order
     chol *= math.sqrt(kernel.sigma_sq)
-    design = basis.design_matrix(training.inputs)
     ft, r_qr, beta, rho = _gls(chol, design, training.targets)
     alpha = solve_triangular(chol.T, rho, lower=False, check_finite=False)
     return GprModel(
@@ -318,19 +326,13 @@ def fit(training: TrainingSet, basis: BasisExpansion, kernel: Kernel) -> GprMode
     The returned model records the jitter actually used, including any
     escalation needed to make the factorization succeed.
     """
-    p = basis.size(training.ndim)
-    if p > training.n:
-        raise FitError(
-            f"trend system is underdetermined: {p} basis functions for {training.n} observations"
-        )
-
-    def corr_t() -> np.ndarray:
-        # R is symmetric, so its transpose is R in Fortran order.
-        return correlation(training.inputs, training.inputs, kernel.theta).T
-
-    chol = corr_t()
-    jitter = _cholesky_with_escalation(chol, lambda buf: np.copyto(buf, corr_t()), kernel.jitter)
-    return _model_from_factor(training, basis, replace(kernel, jitter=jitter), chol)
+    design = _trend_design(training, basis)
+    # The distances are symmetric, so the transpose is the same matrix in
+    # Fortran order and fills a Fortran-ordered buffer without transposing.
+    dist_t = _scaled_distances(training.inputs, training.inputs, kernel.theta).T
+    chol = np.empty_like(dist_t)
+    jitter = _factorize(chol, dist_t, 1.0, kernel.jitter)
+    return _model_from_factor(training, basis, design, replace(kernel, jitter=jitter), chol)
 
 
 def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
@@ -422,40 +424,26 @@ def fit_hyperparameters(
     and return the model fitted at them.
 
     For each grid theta the process variance is profiled out in closed form
-    by _profile_log_likelihood. Squared distances are computed once per
-    search; each cell's correlation is built from them and factorized in
-    place in one of two buffers, which swap whenever a cell wins, so the
-    winner's factor becomes the model's without a second factorization.
-    The model's kernel carries the jitter that factor used. On 1-d inputs
-    the model equals fit(training, basis, model.kernel) bit for bit. The
-    scan runs in ascending theta order and only a strictly larger
+    by _profile_log_likelihood. Every cell's correlation is exp(-D / theta)
+    of one distance matrix D, computed once per search with unit theta by
+    the distance function fit uses. _factorize rebuilds it on every jitter
+    rung and factorizes it in one of two buffers, which swap whenever a
+    cell wins, so the winner's factor becomes the model's without a second
+    factorization. The model's kernel carries the jitter that factor used.
+    On 1-d inputs the model equals fit(training, basis, model.kernel) bit
+    for bit. The scan runs in ascending theta order and only a strictly larger
     likelihood replaces the incumbent, so ties resolve toward the smallest
     theta and then the smallest sigma_sq.
     """
-    grid = search.grid()
+    design = _trend_design(training, basis)
     d = training.ndim
-    design = basis.design_matrix(training.inputs)
-    if basis.size(d) > training.n:
-        raise FitError(
-            f"trend system is underdetermined: {basis.size(d)} basis functions "
-            f"for {training.n} observations"
-        )
-    n = training.n
-    # The distances are symmetric, so the transpose is the same matrix in
-    # Fortran order and fills a Fortran-ordered buffer without transposing.
-    sq_dist_t = _squared_distances(training.inputs).T
-    work = np.empty((n, n), order="F")
-    best_chol = np.empty((n, n), order="F")
+    dist_t = _scaled_distances(training.inputs, training.inputs, np.ones(d)).T
+    work = np.empty_like(dist_t)
+    best_chol = np.empty_like(dist_t)
     best: tuple[float, Kernel] | None = None  # (loglik, kernel)
-    for theta_scalar in grid:
-
-        def fill(buf: np.ndarray) -> None:
-            np.divide(sq_dist_t, -float(theta_scalar), out=buf)
-            np.exp(buf, out=buf)
-
-        fill(work)
+    for theta_scalar in search.grid():
         try:
-            jitter = _cholesky_with_escalation(work, fill, search.jitter)
+            jitter = _factorize(work, dist_t, float(theta_scalar), search.jitter)
             loglik, sigma_sq = _profile_log_likelihood(work, design, training.targets)
         except FitError:
             logger.debug("skipping theta=%g: not factorizable", theta_scalar)
@@ -466,7 +454,7 @@ def fit_hyperparameters(
             work, best_chol = best_chol, work
     if best is None:
         raise FitError("no admissible theta grid cell: every candidate failed to factorize")
-    return _model_from_factor(training, basis, best[1], best_chol)
+    return _model_from_factor(training, basis, design, best[1], best_chol)
 
 
 def model_to_dict(model: GprModel) -> dict:
@@ -505,9 +493,9 @@ def model_from_dict(payload: dict) -> GprModel:
             inputs=np.asarray(payload["inputs"]), targets=np.asarray(payload["targets"])
         )
         stored_beta = np.asarray(payload["beta"], dtype=float)
+        model = fit(training, basis, kernel)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model document: {exc}") from exc
-    model = fit(training, basis, kernel)
     if stored_beta.shape != model.beta.shape or not np.allclose(
         stored_beta, model.beta, rtol=1e-6, atol=1e-8
     ):
@@ -522,9 +510,11 @@ def save_model(model: GprModel, path) -> None:
 
 
 def load_model(path) -> GprModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"model file is not valid JSON: {exc}") from exc
+    except FileNotFoundError:
+        raise ParseError(f"model file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"model file is not valid JSON: {exc}") from exc
     return model_from_dict(payload)

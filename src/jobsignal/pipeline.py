@@ -87,7 +87,7 @@ class SiteRecord:
             raise ValueError(f"rank must be a positive integer: {self.rank!r}")
         for name in ("trend", "traffic"):
             value = getattr(self, name)
-            if value is not None and (not np.isfinite(value) or value < 0):
+            if value is not None and (type(value) is bool or not np.isfinite(value) or value < 0):
                 raise ValueError(f"{name} must be non-negative and finite: {value!r}")
 
     def missing_signals(self) -> tuple[str, ...]:
@@ -192,13 +192,17 @@ def _coerce_fetched(url: str, raw: dict) -> SiteRecord:
     country = raw.get("country")
     if not (isinstance(country, str) and _COUNTRY_RE.match(country)):
         country = UNKNOWN_COUNTRY
-    values: dict = {}
+    values = dict.fromkeys(SIGNAL_FIELDS)
     for name in SIGNAL_FIELDS:
         value = raw.get(name)
         if value is None:
-            values[name] = None
             continue
         try:
+            # bool subclasses int; int() would truncate 2.7 and overflow on inf.
+            if isinstance(value, bool) or (
+                name == "rank" and isinstance(value, float) and not value.is_integer()
+            ):
+                raise ValueError(value)
             if name == "rank":
                 value = int(value)
                 if value < 1:
@@ -209,7 +213,7 @@ def _coerce_fetched(url: str, raw: dict) -> SiteRecord:
                     raise ValueError(value)
         except (TypeError, ValueError):
             logger.warning("discarding unusable %s=%r fetched for %s", name, raw.get(name), url)
-            value = None
+            continue
         values[name] = value
     return SiteRecord(url=url, country_code=country, **values)
 
@@ -254,76 +258,66 @@ def _parse_cell(token: str, name: str, line_no: int, caster):
         raise ParseError(f"line {line_no}: cannot parse {name} from {token!r}") from exc
 
 
+def _read_table(path, header: list[str], what: str):
+    """Yield (line_no, cells) for each data row of a CSV with this exact
+    header; ParseError on a missing file, another header or a short row."""
+    path = Path(path)
+    if not path.is_file():
+        raise ParseError(f"{what} file not found: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ParseError(f"{path}: expected header {','.join(header)!r}, got {found!r}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
+            yield line_no, row
+
+
 def ingest_sites(path) -> list[SiteRecord]:
     """Read the site listing CSV: header url,country,rank,trend,traffic.
 
     Blank cells become missing fields; urls are lowercase-normalized and
     must be unique.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"sites file not found: {path}")
     records: list[SiteRecord] = []
     seen: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SITES_HEADER:
-            raise ParseError(
-                f"{path}: expected header {','.join(SITES_HEADER)!r}, got {header!r}"
+    for line_no, row in _read_table(path, SITES_HEADER, "sites"):
+        url = row[0].strip().lower()
+        try:
+            record = SiteRecord(
+                url=url,
+                country_code=row[1].strip(),
+                rank=_parse_cell(row[2], "rank", line_no, int),
+                trend=_parse_cell(row[3], "trend", line_no, float),
+                traffic=_parse_cell(row[4], "traffic", line_no, float),
             )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(SITES_HEADER):
-                raise ParseError(f"line {line_no}: expected {len(SITES_HEADER)} cells, got {len(row)}")
-            url = row[0].strip().lower()
-            country = row[1].strip()
-            try:
-                record = SiteRecord(
-                    url=url,
-                    country_code=country,
-                    rank=_parse_cell(row[2], "rank", line_no, int),
-                    trend=_parse_cell(row[3], "trend", line_no, float),
-                    traffic=_parse_cell(row[4], "traffic", line_no, float),
-                )
-            except ValueError as exc:
-                raise ParseError(f"line {line_no}: {exc}") from exc
-            if url in seen:
-                raise IntegrityError(
-                    f"duplicate url {url!r} (lines {seen[url]} and {line_no})"
-                )
-            seen[url] = line_no
-            records.append(record)
+        except ValueError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from exc
+        if url in seen:
+            raise IntegrityError(f"duplicate url {url!r} (lines {seen[url]} and {line_no})")
+        seen[url] = line_no
+        records.append(record)
     return records
 
 
 def read_indicators(path) -> list[CountryIndicator]:
     """Read the indicator CSV: header country,unemployment_rate (percent)."""
-    path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"indicators file not found: {path}")
     indicators: list[CountryIndicator] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != INDICATORS_HEADER:
-            raise ParseError(
-                f"{path}: expected header {','.join(INDICATORS_HEADER)!r}, got {header!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ParseError(f"line {line_no}: expected 2 cells, got {len(row)}")
-            rate = _parse_cell(row[1], "unemployment_rate", line_no, float)
-            if rate is None:
-                raise ParseError(f"line {line_no}: unemployment_rate must not be blank")
-            try:
-                indicator = CountryIndicator(country_code=row[0].strip(), unemployment_rate=rate)
-            except ValueError as exc:
-                raise ParseError(f"line {line_no}: {exc}") from exc
-            if indicator.country_code in seen:
-                raise IntegrityError(f"duplicate country {indicator.country_code!r} at line {line_no}")
-            seen.add(indicator.country_code)
-            indicators.append(indicator)
+    for line_no, row in _read_table(path, INDICATORS_HEADER, "indicators"):
+        rate = _parse_cell(row[1], "unemployment_rate", line_no, float)
+        if rate is None:
+            raise ParseError(f"line {line_no}: unemployment_rate must not be blank")
+        try:
+            indicator = CountryIndicator(country_code=row[0].strip(), unemployment_rate=rate)
+        except ValueError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from exc
+        if indicator.country_code in seen:
+            raise IntegrityError(f"duplicate country {indicator.country_code!r} at line {line_no}")
+        seen.add(indicator.country_code)
+        indicators.append(indicator)
     return indicators
 
 
@@ -488,31 +482,19 @@ def read_panel_csv(path) -> PanelDataset:
 
     The file carries rows only, so provenance degenerates to raw == clean.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"panel file not found: {path}")
     rows: list[PanelRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PANEL_HEADER:
-            raise ParseError(
-                f"{path}: expected header {','.join(PANEL_HEADER)!r}, got {header!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ParseError(f"line {line_no}: expected 4 cells, got {len(row)}")
-            try:
-                rows.append(
-                    PanelRow(
-                        url=row[0],
-                        country_code=row[1],
-                        score=float(row[2]),
-                        unemployment_rate=float(row[3]),
-                    )
+    for line_no, row in _read_table(path, PANEL_HEADER, "panel"):
+        try:
+            rows.append(
+                PanelRow(
+                    url=row[0],
+                    country_code=row[1],
+                    score=float(row[2]),
+                    unemployment_rate=float(row[3]),
                 )
-            except ValueError as exc:
-                raise ParseError(f"line {line_no}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from exc
     return PanelDataset(rows=tuple(rows), raw_count=len(rows), clean_count=len(rows), dropped_count=0)
 
 

@@ -27,6 +27,8 @@ def test_removed_names_stay_gone():
     for module, attr in [
         (gpr, "log_marginal_likelihood"),
         (gpr, "Diagnostics"),
+        (gpr, "_squared_distances"),
+        (gpr, "_cholesky_with_escalation"),
         (cli, "_fit_model"),
     ]:
         assert not hasattr(module, attr), f"{module.__name__}.{attr}"

@@ -643,7 +643,7 @@ class TestFitHyperparameters:
 class TestMemory:
     def test_peak_allocation_in_covariance_units(self):
         # Peak traced allocation over N x N doubles: the search holds the
-        # distances and two factor buffers, fit holds its correlation only.
+        # distances and two factor buffers, fit the distances and one buffer.
         training = _sample_from_kernel(np.random.default_rng(21), n=600)
         basis = BasisExpansion("const")
 
@@ -709,6 +709,16 @@ class TestSerialization:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ParseError, match="JSON"):
             load_model(path)
+
+    def test_missing_file_raises_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="model file not found"):
+            load_model(tmp_path / "absent.json")
+
+    def test_rejects_theta_of_wrong_dimension(self, rng):
+        payload = model_to_dict(random_fitted_model(rng, n=6, d=2))
+        payload["kernel"]["theta"] = payload["kernel"]["theta"][:1]
+        with pytest.raises(ParseError, match="malformed model document: dimension mismatch"):
+            model_from_dict(payload)
 
     def test_rejects_tampered_beta(self, rng, tmp_path):
         model = random_fitted_model(rng, n=6, d=1)

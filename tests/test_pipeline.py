@@ -181,12 +181,28 @@ class TestFetchSignals:
         with pytest.raises(IntegrityError, match="duplicate"):
             fetch_signals(["jobs.a.de", "JOBS.A.DE"], ReplayFetcher(path))
 
-    def test_invalid_fetched_value_becomes_missing(self, tmp_path):
+    def test_invalid_fetched_value_becomes_missing(self, tmp_path, caplog):
         path = self.fixture_file(
-            tmp_path, {"jobs.a.de": {"country": "DE", "rank": 0, "trend": -3, "traffic": 5}}
+            tmp_path,
+            {
+                "jobs.a.de": {"country": "DE", "rank": 0, "trend": -3, "traffic": 5},
+                # json.dumps writes Infinity, which json.loads reads back as inf.
+                "jobs.b.de": {"country": "DE", "rank": math.inf, "trend": True, "traffic": 5},
+                "jobs.c.de": {"country": "DE", "rank": 2.7, "trend": 1, "traffic": False},
+                "jobs.d.de": {"country": "DE", "rank": True, "trend": 1.5, "traffic": 5},
+                "jobs.e.de": {"country": "DE", "rank": 3.0, "trend": 2, "traffic": "4.5"},
+            },
         )
-        (record,) = fetch_signals(["jobs.a.de"], ReplayFetcher(path))
-        assert record.missing_signals() == ("rank", "trend")
+        urls = ["jobs.a.de", "jobs.b.de", "jobs.c.de", "jobs.d.de", "jobs.e.de"]
+        with caplog.at_level("WARNING", logger="jobsignal.pipeline"):
+            a, b, c, d, e = fetch_signals(urls, ReplayFetcher(path))
+        assert a.missing_signals() == ("rank", "trend")
+        assert b.missing_signals() == ("rank", "trend")
+        assert c.missing_signals() == ("rank", "traffic")
+        assert d.missing_signals() == ("rank",)
+        assert caplog.text.count("discarding unusable") == 7
+        # Valid integers and numbers are kept as before.
+        assert (type(e.rank), e.rank, e.trend, e.traffic) == (int, 3, 2.0, 4.5)
 
 
 class TestListwiseDelete:
@@ -433,9 +449,10 @@ class TestSiteRecordValidation:
         with pytest.raises(ValueError, match="rank"):
             SiteRecord(url="jobs.a.de", country_code="DE", rank=0)
 
-    def test_rejects_boolean_rank(self):
-        with pytest.raises(ValueError, match="rank"):
-            SiteRecord(url="jobs.a.de", country_code="DE", rank=True)
+    @pytest.mark.parametrize("name", ["rank", "trend", "traffic"])
+    def test_rejects_boolean_signal(self, name):
+        with pytest.raises(ValueError, match=name):
+            SiteRecord(url="jobs.a.de", country_code="DE", **{name: True})
 
     def test_rejects_negative_trend(self):
         with pytest.raises(ValueError, match="trend"):
