@@ -28,10 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtri
 
-from . import gpr
+from . import _lapack, gpr
 from .errors import EvaluationError, ParseError
 from .pipeline import PanelDataset
 
@@ -133,16 +131,20 @@ def rae(pairs) -> float:
 def _loo_pairs(model: gpr.GprModel, labels) -> list[tuple[float, float]]:
     """(actual, predicted) per row, each predicted by the fit without that row.
 
-    With C = L L', diag(C^-1) is the row sums of squares of L^-T, and the
+    With C = L L', diag(C^-1) is the column sums of squares of L^-1, and the
     trend term of diag(P) is the row sums of squares of L^-T Q, where
     Q = trend_whitened trend_r^-1 has orthonormal columns.
     """
-    # L^-T is the one N x N temporary. dtrtri leaves the strict lower triangle
-    # as it finds it, and L' has zeros there, so whole-row sums are valid.
-    chol_inv_t, info = dtrtri(model.chol.T, lower=0)
+    # L^-1 is the one N x N temporary, inverted in a copy of the factor as
+    # stored. dtrtri leaves the strict upper triangle as it finds it, and L
+    # has zeros there, so whole-column sums are valid. Its transpose view
+    # is L^-T in C order, whose rows are those columns.
+    chol_inv = model.chol.copy(order="F")
+    info = _lapack.trtri(chol_inv)
     if info != 0:
         raise EvaluationError(f"covariance factor is singular (dtrtri info {info})")
-    q = solve_triangular(model.trend_r, model.trend_whitened.T, trans="T", lower=False).T
+    q = _lapack.solve_triangular(model.trend_r, model.trend_whitened.T, lower=False, trans=True).T
+    chol_inv_t = chol_inv.T
     trend = chol_inv_t @ q
     inv_diag = np.einsum("ij,ij->i", chol_inv_t, chol_inv_t)
     p_diag = inv_diag - np.einsum("ij,ij->i", trend, trend)

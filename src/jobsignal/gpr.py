@@ -10,9 +10,10 @@ Every correlation is exp(-D / scale) of one distance function,
 _scaled_distances, and every linear solve goes through one Cholesky factor
 made by _factorize: it rebuilds R on every rung of its jitter ladder and
 factorizes R + jitter*I with LAPACK dpotrf in place, in an N x N
-Fortran-ordered buffer that becomes the model's factor. Nothing here
-inverts a matrix (the dense inverse lives only in the test oracle). A saved
-model refits to the same bits under the same numpy/scipy build.
+Fortran-ordered buffer that becomes the model's factor. LAPACK is numpy's
+own OpenBLAS, called through jobsignal._lapack. Nothing here inverts a
+matrix (the dense inverse lives only in the test oracle). A saved model
+refits to the same bits under the same numpy build.
 Hyperparameters are selected by maximizing the log marginal likelihood over
 a logarithmic theta grid with the process variance profiled out in closed
 form; the winning cell's factor becomes the fitted model, so the search
@@ -28,9 +29,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
 
+from . import _lapack
 from .errors import ConfigError, FitError, ParseError
 
 __all__ = [
@@ -230,7 +230,7 @@ def _factorize(buf: np.ndarray, dist_t: np.ndarray, scale: float, jitter: float)
         np.divide(dist_t, -scale, out=buf)
         np.exp(buf, out=buf)
         diag += jitter
-        _, info = dpotrf(buf, lower=1, clean=0, overwrite_a=1)
+        info = _lapack.potrf(buf)
         if info == 0:
             return jitter
         if info < 0:
@@ -257,16 +257,15 @@ def _gls(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
 
     Returns (whitened design, its upper QR factor, coefficients, whitened
     residual). Raises FitError when the whitened design is rank deficient.
-    chol is a dpotrf factor of checked-finite inputs, so no solve rescans it.
     """
-    ft = solve_triangular(chol, design, lower=True, check_finite=False)
-    yt = solve_triangular(chol, targets, lower=True, check_finite=False)
+    ft = _lapack.solve_triangular(chol, design, lower=True)
+    yt = _lapack.solve_triangular(chol, targets, lower=True)
     q, r_qr = np.linalg.qr(ft)
     diag = np.abs(np.diag(r_qr))
     tol = max(ft.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
     if diag.size == 0 or diag.min() <= tol:
         raise FitError("trend system is singular (collinear or duplicate basis functions)")
-    beta = solve_triangular(r_qr, q.T @ yt, lower=False, check_finite=False)
+    beta = _lapack.solve_triangular(r_qr, q.T @ yt, lower=False)
     rho = yt - ft @ beta
     return ft, r_qr, beta, rho
 
@@ -305,7 +304,7 @@ def _model_from_factor(
         chol[:j, j] = 0.0  # contiguous in Fortran order
     chol *= math.sqrt(kernel.sigma_sq)
     ft, r_qr, beta, rho = _gls(chol, design, training.targets)
-    alpha = solve_triangular(chol.T, rho, lower=False, check_finite=False)
+    alpha = _lapack.solve_triangular(chol.T, rho, lower=False)
     return GprModel(
         training=training,
         kernel=kernel,
@@ -346,6 +345,7 @@ def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
     stored Cholesky factor against K (Rasmussen & Williams, GPML Alg. 2.1).
     Variances that round below zero are clamped to 0, their count logged at
     DEBUG and never stored. A 1-d x_new gives a Prediction of two floats.
+    A point with a NaN or infinite coordinate raises ValueError.
     """
     x = np.asarray(x_new, dtype=float)
     single = x.ndim < 2
@@ -353,6 +353,10 @@ def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
         x = x.reshape(1, -1)
     elif x.ndim != 2:
         raise ValueError(f"points must be one point or an (M, d) batch, got shape {x.shape}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"points must be finite, but row {i} is {x[i].tolist()}")
     m = x.shape[0]
     if m == 1:
         # OpenBLAS solves a lone right-hand side with trsv, which rounds
@@ -367,10 +371,10 @@ def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
     # The per-point sums below are einsums over contiguous rows, not BLAS
     # matrix-vector products, so each runs in the same order whatever M is.
     mean = design @ model.beta + np.einsum("ij,j->i", k_t, model.alpha)
-    v_t = solve_triangular(model.chol, k_t.T, lower=True, overwrite_b=True).T
+    v_t = _lapack.solve_triangular(model.chol, k_t.T, lower=True, overwrite_b=True).T
     ft_t = np.ascontiguousarray(model.trend_whitened.T)
     u = design.T - np.einsum("ik,jk->ji", v_t, ft_t)
-    w_t = solve_triangular(model.trend_r.T, u, lower=True).T
+    w_t = _lapack.solve_triangular(model.trend_r.T, u, lower=True).T
     variance = (
         model.kernel.sigma_sq
         - np.einsum("ij,ij->i", v_t, v_t)
@@ -478,7 +482,7 @@ def model_from_dict(payload: dict) -> GprModel:
 
     Refits deterministically from the stored training data and kernel (the
     stored jitter already includes any escalation, so the factorization is
-    reproduced bit for bit under the same numpy/scipy build) and
+    reproduced bit for bit under the same numpy build) and
     cross-checks the stored coefficients.
     """
     if not isinstance(payload, dict) or payload.get("schema") != MODEL_SCHEMA:

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
-from jobsignal import gpr
+from jobsignal import _lapack, gpr
 
 
 def dense_correlation(points_a: np.ndarray, points_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -111,8 +110,8 @@ def reference_theta_search(training, basis, search) -> gpr.Kernel:
         corr = gpr.correlation(training.inputs, training.inputs, np.full(d, float(theta_scalar)))
         jitter = search.jitter
         while True:
-            chol, info = dpotrf((corr + jitter * np.eye(n)).T, lower=1, clean=1)
-            if info == 0:
+            chol = np.asfortranarray(corr + jitter * np.eye(n))
+            if _lapack.potrf(chol) == 0:  # the strict upper triangle keeps corr
                 break
             jitter = gpr.DEFAULT_JITTER if jitter == 0.0 else jitter * 10.0
             if jitter > gpr.MAX_JITTER * (1.0 + 1e-12):

@@ -19,7 +19,7 @@ from jobsignal import (
     fit_hyperparameters,
     predict,
 )
-from jobsignal import gpr
+from jobsignal import _lapack, gpr
 from jobsignal.datasets import bundled_indicators_path, bundled_sites_path
 from jobsignal.evaluation import Direction, split_panel
 from jobsignal.gpr import (
@@ -52,20 +52,20 @@ def kernel_1d(theta=1.0, sigma_sq=1.0, jitter=1e-10):
 
 
 def fail_dpotrf_three_times(monkeypatch):
-    """Make gpr's dpotrf fail its first three calls the way a partial
-    factorization does, scribbling over the lower triangle; returns the list
-    of matrices each call was given."""
-    dpotrf = gpr.dpotrf
+    """Make the LAPACK binding's potrf fail its first three calls the way a
+    partial factorization does, scribbling over the lower triangle; returns
+    the list of matrices each call was given."""
+    potrf = _lapack.potrf
     tried = []
 
-    def fails_three_times(matrix, **options):
+    def fails_three_times(matrix):
         tried.append(matrix.copy())
         if len(tried) <= 3:
             matrix[np.tril_indices(matrix.shape[0])] = np.nan
-            return matrix, 1  # LAPACK: leading minor 1 is not positive definite
-        return dpotrf(matrix, **options)
+            return 1  # LAPACK: leading minor 1 is not positive definite
+        return potrf(matrix)
 
-    monkeypatch.setattr(gpr, "dpotrf", fails_three_times)
+    monkeypatch.setattr(_lapack, "potrf", fails_three_times)
     return tried
 
 
@@ -282,17 +282,18 @@ class TestFit:
             assert np.array_equal(matrix, corr + jitter * np.eye(3))
 
     def test_jitter_ladder_exhaustion_is_fit_error(self, monkeypatch):
-        def always_fails(matrix, **options):
-            return matrix, 1
+        def always_fails(matrix):
+            return 1
 
-        monkeypatch.setattr(gpr, "dpotrf", always_fails)
+        monkeypatch.setattr(_lapack, "potrf", always_fails)
         training = TrainingSet(inputs=np.array([[0.0], [1.0]]), targets=np.array([0.0, 1.0]))
         with pytest.raises(FitError, match="positive definite"):
             fit(training, BasisExpansion("const"), kernel_1d())
 
     def test_factor_matches_numpy_cholesky(self, rng):
-        # The library factorizes with scipy's LAPACK; numpy's is an independent
-        # check of the same factor.
+        # The library calls dpotrf through its own binding; np.linalg.cholesky
+        # reaches the same OpenBLAS through numpy's wrapper, so this checks the
+        # binding and the in-place buffer handling.
         models = [random_fitted_model(rng, n=int(rng.integers(2, 30)), d=2) for _ in range(10)]
         training = _sample_from_kernel(np.random.default_rng(3), n=200)
         models.append(fit(training, BasisExpansion("linear"), kernel_1d(jitter=1e-4)))
@@ -443,6 +444,17 @@ class TestPredict:
         for points in ([0.0], np.zeros((3, 1)), np.zeros((3, 3))):
             with pytest.raises(ValueError, match="dimension"):
                 predict(model, points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, rng, bad):
+        # Unchecked, an infinite coordinate yields the bare trend and a finite
+        # variance: its correlations are all exactly 0.
+        model = random_fitted_model(rng, n=6, d=2)
+        with pytest.raises(ValueError, match=r"row 0 is \[0\.5, (nan|-?inf)\]"):
+            predict(model, [0.5, bad])
+        batch = np.array([[0.5, 1.0], [1.0, 2.0], [bad, 1.0], [bad, bad]])
+        with pytest.raises(ValueError, match=r"row 2 is \[(nan|-?inf), 1\.0\]"):
+            predict(model, batch)
 
     def test_concurrent_reads_match_serial(self, rng):
         model = random_fitted_model(rng, n=10, d=2)
