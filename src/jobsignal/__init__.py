@@ -32,11 +32,9 @@ from .pipeline import (
     CountryIndicator,
     PanelDataset,
     PanelRow,
-    ReplayFetcher,
     SiteRecord,
     build_panel,
     describe_panel,
-    fetch_signals,
     ingest_sites,
     listwise_delete,
     normalize_and_score,
@@ -63,7 +61,6 @@ __all__ = [
     "PanelRow",
     "ParseError",
     "Prediction",
-    "ReplayFetcher",
     "SearchConfig",
     "SiteRecord",
     "TrainingSet",
@@ -72,7 +69,6 @@ __all__ = [
     "correlation_rate",
     "describe_panel",
     "evaluate",
-    "fetch_signals",
     "fit",
     "fit_hyperparameters",
     "ingest_sites",

@@ -67,33 +67,11 @@ def _write_report_files(report, summary, out: Path) -> None:
 def cmd_ingest(args) -> int:
     records = pipeline.ingest_sites(args.sites)
     if args.fetch_fixture:
-        fetcher = pipeline.ReplayFetcher(args.fetch_fixture)
-        records = _refetch(records, fetcher)
+        records = pipeline.replay_signals(records, args.fetch_fixture)
     out = _out_dir(args)
     pipeline.write_records_json(records, out / "records.json")
     logger.info("ingested %d records -> %s", len(records), out / "records.json")
     return EXIT_OK
-
-
-def _refetch(records, fetcher):
-    """Replace file signals with fetched ones; countries come from the file."""
-    country_by_url = {rec.url: rec.country_code for rec in records}
-    fetched = pipeline.fetch_signals([rec.url for rec in records], fetcher)
-    merged = []
-    for rec in fetched:
-        country = rec.country_code
-        if country == pipeline.UNKNOWN_COUNTRY:
-            country = country_by_url[rec.url]
-        merged.append(
-            pipeline.SiteRecord(
-                url=rec.url,
-                country_code=country,
-                rank=rec.rank,
-                trend=rec.trend,
-                traffic=rec.traffic,
-            )
-        )
-    return merged
 
 
 def cmd_clean(args) -> int:
@@ -157,8 +135,7 @@ def cmd_pipeline(args) -> int:
         records = pipeline.ingest_sites(sites_path)
         if args.fetch_fixture:
             stage = "fetch"
-            fetcher = pipeline.ReplayFetcher(args.fetch_fixture)
-            records = _refetch(records, fetcher)
+            records = pipeline.replay_signals(records, args.fetch_fixture)
         stage = "clean"
         kept, dropped = pipeline.listwise_delete(records)
         stage = "score"
@@ -235,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="validate a site listing into records.json")
     p_ingest.add_argument("--sites", required=True, help="site listing CSV")
     p_ingest.add_argument(
-        "--fetch-fixture", help="replay-fetcher JSON fixture; replaces file signals"
+        "--fetch-fixture", help="JSON fixture of recorded signals; replaces file signals"
     )
     p_ingest.add_argument("--out", required=True, help="output directory")
     p_ingest.set_defaults(func=cmd_ingest)
@@ -272,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--indicators", help="country indicator CSV (default: the bundled fixture)"
     )
     p_pipe.add_argument(
-        "--fetch-fixture", help="replay-fetcher JSON fixture; replaces file signals"
+        "--fetch-fixture", help="JSON fixture of recorded signals; replaces file signals"
     )
     _add_model_options(p_pipe)
     _add_eval_options(p_pipe)

@@ -2,9 +2,11 @@
 
 Raw inputs are a site listing (url, country, and the rank/trend/traffic
 signals, any of which may be blank) plus a per-country indicator table.
-The pipeline keeps complete records only (listwise deletion), z-scores each
-signal column, averages them into a single attractiveness score per site,
-and joins the origin country's unemployment rate to produce the two-column
+replay_signals can swap the listing's signals for ones recorded in a JSON
+fixture, standing in for the third-party ranking services. The pipeline
+keeps complete records only (listwise deletion), z-scores each signal
+column, averages them into a single attractiveness score per site, and
+joins the origin country's unemployment rate to produce the two-column
 modeling panel.
 """
 
@@ -14,9 +16,10 @@ import csv
 import json
 import logging
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,13 +30,10 @@ __all__ = [
     "PanelDataset",
     "PanelRow",
     "PanelSummary",
-    "ReplayFetcher",
-    "SignalFetcher",
     "SiteRecord",
     "SIGNAL_FIELDS",
     "build_panel",
     "describe_panel",
-    "fetch_signals",
     "format_panel_summary",
     "ingest_sites",
     "listwise_delete",
@@ -41,6 +41,7 @@ __all__ = [
     "read_indicators",
     "read_panel_csv",
     "read_records_json",
+    "replay_signals",
     "write_panel_csv",
     "write_records_json",
 ]
@@ -53,12 +54,22 @@ INDICATORS_HEADER = ["country", "unemployment_rate"]
 PANEL_HEADER = ["url", "country", "score", "unemployment_rate"]
 RECORDS_SCHEMA = "site-records/1"
 
-# ISO 3166 user-assigned code, used when a fetcher cannot supply a country.
-UNKNOWN_COUNTRY = "ZZ"
-
 _COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
 # Only the empty cell means missing; explicit placeholder tokens are rejected.
 _FORBIDDEN_MISSING_TOKENS = {"na", "n/a", "null", "none", "nan"}
+
+
+def _check_signal(name: str, value) -> None:
+    """Raise ValueError unless value is usable as this signal: rank a positive
+    integer within the float range, trend and traffic non-negative and finite."""
+    # type() rather than isinstance(): bool subclasses int.
+    if name == "rank":
+        if type(value) is not int or value < 1:
+            raise ValueError(f"rank must be a positive integer: {value!r}")
+        if value > sys.float_info.max:
+            raise ValueError("rank is too large to convert to a float")
+    elif type(value) is bool or not np.isfinite(value) or value < 0:
+        raise ValueError(f"{name} must be non-negative and finite: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,13 +93,10 @@ class SiteRecord:
             raise ValueError(f"url must be lowercase-normalized: {self.url!r}")
         if not _COUNTRY_RE.match(self.country_code):
             raise ValueError(f"country_code must be 2 uppercase letters: {self.country_code!r}")
-        # type() rather than isinstance(): bool subclasses int.
-        if self.rank is not None and (type(self.rank) is not int or self.rank < 1):
-            raise ValueError(f"rank must be a positive integer: {self.rank!r}")
-        for name in ("trend", "traffic"):
+        for name in SIGNAL_FIELDS:
             value = getattr(self, name)
-            if value is not None and (type(value) is bool or not np.isfinite(value) or value < 0):
-                raise ValueError(f"{name} must be non-negative and finite: {value!r}")
+            if value is not None:
+                _check_signal(name, value)
 
     def missing_signals(self) -> tuple[str, ...]:
         return tuple(name for name in SIGNAL_FIELDS if getattr(self, name) is None)
@@ -155,93 +163,55 @@ class PanelDataset:
         return np.array([row.unemployment_rate for row in self.rows])
 
 
-class SignalFetcher(Protocol):
-    """Source of per-site signals, standing in for third-party ranking services."""
+def replay_signals(records: Sequence[SiteRecord], fixture) -> list[SiteRecord]:
+    """Replace each record's signals with those recorded in a JSON fixture.
 
-    def fetch(self, url: str) -> dict:
-        """Return values for one site, keys among {"country", "rank", "trend",
-        "traffic"}; omitted or null keys mean the signal is unavailable."""
-        ...
-
-
-class ReplayFetcher:
-    """Replays signals recorded in a JSON fixture.
-
-    The fixture maps url -> {rank, trend, traffic[, country]} with null for
-    missing values. Urls absent from the fixture fetch as all-missing.
+    The fixture maps url -> {rank, trend, traffic[, country]}, with null for
+    a missing value; its keys match case-insensitively. A url absent from
+    the fixture gets all three signals missing, and a value that is not a
+    usable signal becomes missing with a warning. The fixture's country
+    replaces the record's only when it is two uppercase letters other than
+    ZZ. Output is ordered by url, so downstream stages see a deterministic
+    batch.
     """
-
-    def __init__(self, path) -> None:
-        path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"replay fixture not found: {path}")
-        try:
-            table = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"replay fixture is not valid JSON: {path}: {exc}") from exc
-        if not isinstance(table, dict) or not all(isinstance(v, dict) for v in table.values()):
-            raise ConfigError(f"replay fixture must map url -> signal object: {path}")
-        self._table = {url.lower(): dict(entry) for url, entry in table.items()}
-
-    def fetch(self, url: str) -> dict:
-        return self._table.get(url.lower(), {})
-
-
-def _coerce_fetched(url: str, raw: dict) -> SiteRecord:
-    """Build a record from fetcher output; unusable values become missing."""
-    country = raw.get("country")
-    if not (isinstance(country, str) and _COUNTRY_RE.match(country)):
-        country = UNKNOWN_COUNTRY
-    values = dict.fromkeys(SIGNAL_FIELDS)
-    for name in SIGNAL_FIELDS:
-        value = raw.get(name)
-        if value is None:
-            continue
-        try:
-            # bool subclasses int; int() would truncate 2.7 and overflow on inf.
-            if isinstance(value, bool) or (
-                name == "rank" and isinstance(value, float) and not value.is_integer()
-            ):
-                raise ValueError(value)
-            if name == "rank":
-                value = int(value)
-                if value < 1:
+    path = Path(fixture)
+    if not path.is_file():
+        raise ConfigError(f"replay fixture not found: {path}")
+    try:
+        table = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"replay fixture is not valid JSON: {path}: {exc}") from exc
+    if not isinstance(table, dict) or not all(isinstance(v, dict) for v in table.values()):
+        raise ConfigError(f"replay fixture must map url -> signal object: {path}")
+    table = {url.lower(): entry for url, entry in table.items()}
+    replayed = []
+    for record in records:
+        raw = table.get(record.url, {})
+        country = raw.get("country")
+        # ZZ is ISO 3166's user-assigned "unknown" code: keep the file's country.
+        if not (isinstance(country, str) and _COUNTRY_RE.match(country)) or country == "ZZ":
+            country = record.country_code
+        values = dict.fromkeys(SIGNAL_FIELDS)
+        for name in SIGNAL_FIELDS:
+            value = raw.get(name)
+            if value is None:
+                continue
+            try:
+                # bool subclasses int; int() would truncate 2.7 and overflow on inf.
+                if isinstance(value, bool) or (
+                    name == "rank" and isinstance(value, float) and not value.is_integer()
+                ):
                     raise ValueError(value)
-            else:
-                value = float(value)
-                if not np.isfinite(value) or value < 0:
-                    raise ValueError(value)
-        except (TypeError, ValueError):
-            logger.warning("discarding unusable %s=%r fetched for %s", name, raw.get(name), url)
-            continue
-        values[name] = value
-    return SiteRecord(url=url, country_code=country, **values)
-
-
-def fetch_signals(urls: Sequence[str], fetcher: SignalFetcher) -> list[SiteRecord]:
-    """Fetch signals for each url; failures yield missing fields, never aborts.
-
-    Output is ordered by url ascending, so downstream stages see a
-    deterministic batch.
-    """
-    normalized = [url.lower() for url in urls]
-    seen: set[str] = set()
-    for url in normalized:
-        if url in seen:
-            raise IntegrityError(f"duplicate url in fetch batch: {url}")
-        seen.add(url)
-    records = []
-    for url in normalized:
-        try:
-            raw = fetcher.fetch(url)
-        except Exception as exc:  # per-site failures degrade to missing signals
-            logger.warning("fetch failed for %s: %s", url, exc)
-            raw = {}
-        if not isinstance(raw, dict):
-            logger.warning("fetcher returned non-mapping for %s; treating as missing", url)
-            raw = {}
-        records.append(_coerce_fetched(url, raw))
-    return sorted(records, key=lambda rec: rec.url)
+                value = int(value) if name == "rank" else float(value)
+                _check_signal(name, value)
+            except (TypeError, ValueError, OverflowError):
+                logger.warning(
+                    "discarding unusable %s=%r fetched for %s", name, raw.get(name), record.url
+                )
+                continue
+            values[name] = value
+        replayed.append(SiteRecord(url=record.url, country_code=country, **values))
+    return sorted(replayed, key=lambda rec: rec.url)
 
 
 def _parse_cell(token: str, name: str, line_no: int, caster):
@@ -531,17 +501,22 @@ def read_records_json(path) -> list[SiteRecord]:
     if not isinstance(entries, list):
         raise ParseError(f"records must be a list, got {type(entries).__name__}")
     records = []
-    for entry in entries:
+    seen: dict[str, int] = {}
+    for position, entry in enumerate(entries, start=1):
         try:
-            records.append(
-                SiteRecord(
-                    url=entry["url"],
-                    country_code=entry["country"],
-                    rank=entry.get("rank"),
-                    trend=entry.get("trend"),
-                    traffic=entry.get("traffic"),
-                )
+            record = SiteRecord(
+                url=entry["url"],
+                country_code=entry["country"],
+                rank=entry.get("rank"),
+                trend=entry.get("trend"),
+                traffic=entry.get("traffic"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed record entry {entry!r}: {exc}") from exc
+        if record.url in seen:
+            raise IntegrityError(
+                f"duplicate url {record.url!r} (records {seen[record.url]} and {position})"
+            )
+        seen[record.url] = position
+        records.append(record)
     return records

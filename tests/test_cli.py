@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import pytest
@@ -28,6 +29,9 @@ NL,4.4
 SE,7.9
 PL,11.2
 """
+
+
+BIG_RANK = "1" + "0" * 400  # an integer beyond the float range
 
 
 @pytest.fixture
@@ -140,6 +144,34 @@ class TestPipelineCommand:
         report = (out / "report.txt").read_text(encoding="utf-8")
         assert "Number of web sites" in report
 
+    def test_rank_beyond_float_range_exit_2(self, small_inputs, tmp_path, capsys):
+        sites, indicators = small_inputs
+        sites.write_text(SITES_BODY.replace("jobs.b.de,DE,2500,", f"jobs.b.de,DE,{BIG_RANK},"), encoding="utf-8")
+        rc = run(["pipeline", "--sites", sites, "--indicators", indicators, "--out", tmp_path / "o"])
+        assert rc == 2
+        assert "line 3: rank is too large to convert to a float" in capsys.readouterr().err
+
+    def test_fetched_rank_beyond_float_range_becomes_missing(self, small_inputs, tmp_path, caplog):
+        sites, indicators = small_inputs
+        fixture = {}
+        for line in SITES_BODY.splitlines()[1:]:
+            url, _, rank, trend, traffic = line.split(",")
+            fixture[url] = {"rank": int(rank or 1), "trend": float(trend), "traffic": float(traffic)}
+        fixture["jobs.a.de"]["rank"] = int(BIG_RANK)
+        fixture_path = tmp_path / "fixture.json"
+        fixture_path.write_text(json.dumps(fixture), encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="jobsignal.pipeline"):
+            rc = run([
+                "pipeline", "--sites", sites, "--indicators", indicators,
+                "--fetch-fixture", fixture_path, "--out", out,
+            ])
+        assert rc == 0
+        assert caplog.text.count("discarding unusable rank=") == 1
+        panel = (out / "panel.csv").read_text(encoding="utf-8")
+        assert "jobs.a.de" not in panel
+        assert len(panel.strip().splitlines()) == 1 + 11
+
 
 class TestStagedCommands:
     def test_ingest_clean_score_fit_evaluate_chain(self, small_inputs, tmp_path):
@@ -166,6 +198,52 @@ class TestStagedCommands:
         assert run(["evaluate", "--panel", work / "panel.csv", "--out", work]) == 0
         report = json.loads((work / "report.json").read_text(encoding="utf-8"))
         assert report["n"] == 11
+
+    def test_ingest_fetch_fixture_edge_cases(self, small_inputs, tmp_path, caplog):
+        sites, _ = small_inputs
+        fixture = {
+            "jobs.k.pl": {"country": "DE", "rank": 5, "trend": 1.0, "traffic": 2.0},
+            "jobs.a.de": {"country": "ZZ", "rank": 10, "trend": 5.5, "traffic": 100},
+            "JOBS.C.FR": {"country": "fr", "rank": 30.0, "trend": 7, "traffic": "250.5"},
+            "jobs.d.fr": {"country": 5, "rank": 2.7, "trend": math.inf, "traffic": 400},
+            "jobs.e.at": {"country": "NL", "rank": True, "trend": -1, "traffic": "abc"},
+        }
+        fixture_path = tmp_path / "fixture.json"
+        fixture_path.write_text(json.dumps(fixture), encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="jobsignal.pipeline"):
+            rc = run(["ingest", "--sites", sites, "--fetch-fixture", fixture_path, "--out", out])
+        assert rc == 0
+        records = json.loads((out / "records.json").read_text(encoding="utf-8"))["records"]
+        # Ordered by url; only a valid, non-ZZ fixture country replaces the file's.
+        assert [(r["url"], r["country"]) for r in records] == [
+            ("jobs.a.de", "DE"), ("jobs.b.de", "DE"), ("jobs.c.fr", "FR"), ("jobs.d.fr", "FR"),
+            ("jobs.e.at", "NL"), ("jobs.f.at", "AT"), ("jobs.g.nl", "NL"), ("jobs.h.nl", "NL"),
+            ("jobs.i.se", "SE"), ("jobs.j.se", "SE"), ("jobs.k.pl", "DE"), ("jobs.l.pl", "PL"),
+        ]
+        by_url = {r["url"]: r for r in records}
+        assert by_url["jobs.c.fr"] == {
+            "url": "jobs.c.fr", "country": "FR", "rank": 30, "trend": 7.0, "traffic": 250.5
+        }
+        assert by_url["jobs.b.de"] == {
+            "url": "jobs.b.de", "country": "DE", "rank": None, "trend": None, "traffic": None
+        }
+        assert caplog.text.count("discarding unusable") == 5
+
+    def test_score_duplicate_records_exit_3(self, small_inputs, tmp_path, capsys):
+        _, indicators = small_inputs
+        entry = {"url": "jobs.a.de", "country": "DE", "rank": 1, "trend": 1.0, "traffic": 1.0}
+        other = dict(entry, url="jobs.b.de", rank=2)
+        records = tmp_path / "dup.json"
+        records.write_text(
+            json.dumps({"schema": "site-records/1", "records": [entry, other, entry]}),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        rc = run(["score", "--records", records, "--indicators", indicators, "--out", out])
+        assert rc == 3
+        assert "duplicate url 'jobs.a.de'" in capsys.readouterr().err
+        assert not (out / "panel.csv").exists()
 
     def test_fit_error_exit_4(self, tmp_path):
         # Identical scores make the constant and linear trend columns collinear.

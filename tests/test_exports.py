@@ -22,7 +22,9 @@ def test_all_names_resolve(name):
 
 
 def test_removed_names_stay_gone():
+    package = importlib.import_module("jobsignal")
     gpr = importlib.import_module("jobsignal.gpr")
+    pipeline = importlib.import_module("jobsignal.pipeline")
     cli = importlib.import_module("jobsignal.cli")
     for module, attr in [
         (gpr, "log_marginal_likelihood"),
@@ -30,5 +32,13 @@ def test_removed_names_stay_gone():
         (gpr, "_squared_distances"),
         (gpr, "_cholesky_with_escalation"),
         (cli, "_fit_model"),
+        (pipeline, "SignalFetcher"),
+        (pipeline, "ReplayFetcher"),
+        (pipeline, "fetch_signals"),
+        (pipeline, "_coerce_fetched"),
+        (pipeline, "UNKNOWN_COUNTRY"),
+        (package, "ReplayFetcher"),
+        (package, "fetch_signals"),
+        (cli, "_refetch"),
     ]:
         assert not hasattr(module, attr), f"{module.__name__}.{attr}"

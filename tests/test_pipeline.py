@@ -13,7 +13,6 @@ from jobsignal import (
     SiteRecord,
     build_panel,
     describe_panel,
-    fetch_signals,
     ingest_sites,
     listwise_delete,
     normalize_and_score,
@@ -22,11 +21,11 @@ from jobsignal.datasets import bundled_indicators_path, bundled_sites_path
 from jobsignal.pipeline import (
     PanelDataset,
     PanelRow,
-    ReplayFetcher,
     format_panel_summary,
     read_indicators,
     read_panel_csv,
     read_records_json,
+    replay_signals,
     write_panel_csv,
     write_records_json,
 )
@@ -132,41 +131,43 @@ class TestFetchSignals:
                 "jobs.b.fr": {"country": "FR", "rank": 20, "trend": 7.5, "traffic": 200},
             },
         )
-        records = fetch_signals(["jobs.b.fr", "jobs.a.de"], ReplayFetcher(path))
+        records = replay_signals([site("jobs.b.fr", "FR"), site("jobs.a.de", "AT")], path)
         assert [r.url for r in records] == ["jobs.a.de", "jobs.b.fr"]
         assert all(not r.missing_signals() for r in records)
         assert records[0].country_code == "DE"
+        assert (records[0].rank, records[0].trend, records[0].traffic) == (10, 5.5, 100.0)
+
+    def test_values_beyond_float_range_become_missing(self, tmp_path, caplog):
+        path = self.fixture_file(
+            tmp_path, {"jobs.a.de": {"rank": 10**400, "trend": 10**400, "traffic": 2}}
+        )
+        with caplog.at_level("WARNING", logger="jobsignal.pipeline"):
+            (record,) = replay_signals([site("jobs.a.de")], path)
+        assert record.missing_signals() == ("rank", "trend")
+        assert caplog.text.count("discarding unusable") == 2
 
     def test_partial_failure_keeps_record(self, tmp_path):
         path = self.fixture_file(
             tmp_path, {"jobs.a.de": {"country": "DE", "rank": 10, "trend": 5.5, "traffic": None}}
         )
-        (record,) = fetch_signals(["jobs.a.de"], ReplayFetcher(path))
+        (record,) = replay_signals([site("jobs.a.de")], path)
         assert record.missing_signals() == ("traffic",)
 
     def test_unknown_url_all_missing(self, tmp_path):
         path = self.fixture_file(tmp_path, {})
-        (record,) = fetch_signals(["jobs.x.de"], ReplayFetcher(path))
+        (record,) = replay_signals([site("jobs.x.de", "AT")], path)
         assert record.missing_signals() == ("rank", "trend", "traffic")
-        assert record.country_code == "ZZ"
+        assert record.country_code == "AT"
 
     def test_empty_url_list(self, tmp_path):
         path = self.fixture_file(tmp_path, {})
-        assert fetch_signals([], ReplayFetcher(path)) == []
-
-    def test_fetcher_exception_degrades_to_missing(self):
-        class Exploding:
-            def fetch(self, url):
-                raise RuntimeError("boom")
-
-        (record,) = fetch_signals(["jobs.a.de"], Exploding())
-        assert record.missing_signals() == ("rank", "trend", "traffic")
+        assert replay_signals([], path) == []
 
     def test_missing_fixture_is_config_error(self, tmp_path):
         from jobsignal import ConfigError
 
         with pytest.raises(ConfigError, match="not found"):
-            ReplayFetcher(tmp_path / "absent.json")
+            replay_signals([site("jobs.a.de")], tmp_path / "absent.json")
 
     def test_corrupt_fixture_is_config_error(self, tmp_path):
         from jobsignal import ConfigError
@@ -174,12 +175,7 @@ class TestFetchSignals:
         path = tmp_path / "fixture.json"
         path.write_text("[1, 2, 3]", encoding="utf-8")
         with pytest.raises(ConfigError, match="map url"):
-            ReplayFetcher(path)
-
-    def test_duplicate_urls_rejected(self, tmp_path):
-        path = self.fixture_file(tmp_path, {})
-        with pytest.raises(IntegrityError, match="duplicate"):
-            fetch_signals(["jobs.a.de", "JOBS.A.DE"], ReplayFetcher(path))
+            replay_signals([site("jobs.a.de")], path)
 
     def test_invalid_fetched_value_becomes_missing(self, tmp_path, caplog):
         path = self.fixture_file(
@@ -193,9 +189,9 @@ class TestFetchSignals:
                 "jobs.e.de": {"country": "DE", "rank": 3.0, "trend": 2, "traffic": "4.5"},
             },
         )
-        urls = ["jobs.a.de", "jobs.b.de", "jobs.c.de", "jobs.d.de", "jobs.e.de"]
+        records = [site(f"jobs.{c}.de") for c in "abcde"]
         with caplog.at_level("WARNING", logger="jobsignal.pipeline"):
-            a, b, c, d, e = fetch_signals(urls, ReplayFetcher(path))
+            a, b, c, d, e = replay_signals(records, path)
         assert a.missing_signals() == ("rank", "trend")
         assert b.missing_signals() == ("rank", "trend")
         assert c.missing_signals() == ("rank", "traffic")
@@ -435,6 +431,19 @@ class TestRecordsJson:
         with pytest.raises(ParseError, match="must be a list"):
             read_records_json(path)
 
+    def test_duplicate_url_rejected(self, tmp_path):
+        path = tmp_path / "records.json"
+        write_records_json([site("jobs.a.de"), site("jobs.b.de"), site("jobs.a.de")], path)
+        with pytest.raises(IntegrityError, match=r"duplicate url 'jobs.a.de' \(records 1 and 3\)"):
+            read_records_json(path)
+
+    def test_rank_beyond_float_range_is_parse_error(self, tmp_path):
+        path = tmp_path / "records.json"
+        entry = {"url": "jobs.a.de", "country": "DE", "rank": 10**400}
+        path.write_text(json.dumps({"schema": "site-records/1", "records": [entry]}), encoding="utf-8")
+        with pytest.raises(ParseError, match="too large"):
+            read_records_json(path)
+
 
 class TestSiteRecordValidation:
     def test_rejects_uppercase_url(self):
@@ -453,6 +462,12 @@ class TestSiteRecordValidation:
     def test_rejects_boolean_signal(self, name):
         with pytest.raises(ValueError, match=name):
             SiteRecord(url="jobs.a.de", country_code="DE", **{name: True})
+
+    def test_rejects_rank_beyond_float_range(self):
+        with pytest.raises(ValueError, match="rank is too large"):
+            SiteRecord(url="jobs.a.de", country_code="DE", rank=10**400)
+        # The largest finite float is still accepted as a rank.
+        SiteRecord(url="jobs.a.de", country_code="DE", rank=int(1.7976931348623157e308))
 
     def test_rejects_negative_trend(self):
         with pytest.raises(ValueError, match="trend"):
