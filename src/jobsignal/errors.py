@@ -27,7 +27,7 @@ class JoinError(JobSignalError):
 
 
 class ConfigError(JobSignalError):
-    """Invalid runtime configuration (empty grids, bad fetcher setup)."""
+    """Invalid runtime configuration (empty grids, an unreadable replay fixture)."""
 
 
 class FitError(JobSignalError):

@@ -22,14 +22,13 @@ mean-predictor baseline), in either prediction direction.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import _lapack, gpr
+from ._documents import read_document, write_document
 from .errors import EvaluationError, ParseError
 from .pipeline import PanelDataset
 
@@ -43,8 +42,6 @@ __all__ = [
     "fit_panel",
     "format_report",
     "rae",
-    "report_from_dict",
-    "report_to_dict",
     "rmse",
     "load_report",
     "save_report",
@@ -244,64 +241,37 @@ def evaluate_model(
     )
 
 
-def report_to_dict(report: EvaluationReport) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
+def save_report(report: EvaluationReport, path) -> None:
+    body = {
         "direction": report.direction.value,
         "n": report.n,
         "correlation_rate": report.correlation_rate,
         "rmse": report.rmse,
         "rae": report.rae,
-        "kernel": {
-            "sigma_sq": float(report.kernel.sigma_sq),
-            "theta": report.kernel.theta.tolist(),
-            "jitter": float(report.kernel.jitter),
-        },
+        "kernel": gpr._kernel_to_dict(report.kernel),
         "basis": report.basis.degree,
         "in_sample": report.in_sample,
         "per_fold": [[actual, predicted] for actual, predicted in report.per_fold],
     }
+    write_document(REPORT_SCHEMA, body, path)
 
 
-def report_from_dict(payload: dict) -> EvaluationReport:
-    if not isinstance(payload, dict) or payload.get("schema") != REPORT_SCHEMA:
-        raise ParseError(f"unsupported report document (expected schema {REPORT_SCHEMA!r})")
+def load_report(path) -> EvaluationReport:
+    payload = read_document(path, REPORT_SCHEMA, "report")
     try:
-        kern = payload["kernel"]
         return EvaluationReport(
             direction=Direction(payload["direction"]),
             n=int(payload["n"]),
             correlation_rate=float(payload["correlation_rate"]),
             rmse=float(payload["rmse"]),
             rae=float(payload["rae"]),
-            kernel=gpr.Kernel(
-                sigma_sq=kern["sigma_sq"],
-                theta=np.asarray(kern["theta"]),
-                jitter=kern["jitter"],
-            ),
+            kernel=gpr._kernel_from_dict(payload["kernel"]),
             basis=gpr.BasisExpansion(payload["basis"]),
             in_sample=bool(payload["in_sample"]),
             per_fold=tuple((float(a), float(p)) for a, p in payload["per_fold"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed report document: {exc}") from exc
-
-
-def save_report(report: EvaluationReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
-
-
-def load_report(path) -> EvaluationReport:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ParseError(f"report file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"report file is not valid JSON: {exc}") from exc
-    return report_from_dict(payload)
 
 
 def format_report(report: EvaluationReport) -> str:

@@ -19,11 +19,12 @@ a logarithmic theta grid with the process variance profiled out in closed
 form; the winning cell's factor becomes the fitted model, so the search
 is also the fit. A fitted model holds no mutable state: predict logs at
 DEBUG, on the jobsignal.gpr logger, how many variances it clamped to 0.
+save_model and load_model keep a model in a versioned JSON document, whose
+file format jobsignal._documents owns.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -31,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _lapack
+from ._documents import read_document, write_document
 from .errors import ConfigError, FitError, ParseError
 
 __all__ = [
@@ -44,8 +46,6 @@ __all__ = [
     "fit",
     "fit_hyperparameters",
     "load_model",
-    "model_from_dict",
-    "model_to_dict",
     "predict",
     "save_model",
 ]
@@ -461,37 +461,44 @@ def fit_hyperparameters(
     return _model_from_factor(training, basis, design, best[1], best_chol)
 
 
-def model_to_dict(model: GprModel) -> dict:
-    """Versioned JSON-ready form: kernel, basis degree, beta, training data."""
+def _kernel_to_dict(kernel: Kernel) -> dict:
+    """The kernel block of the model and report documents."""
     return {
-        "schema": MODEL_SCHEMA,
-        "kernel": {
-            "sigma_sq": float(model.kernel.sigma_sq),
-            "theta": model.kernel.theta.tolist(),
-            "jitter": float(model.kernel.jitter),
-        },
+        "sigma_sq": float(kernel.sigma_sq),
+        "theta": kernel.theta.tolist(),
+        "jitter": float(kernel.jitter),
+    }
+
+
+def _kernel_from_dict(block) -> Kernel:
+    return Kernel(
+        sigma_sq=block["sigma_sq"], theta=np.asarray(block["theta"]), jitter=block["jitter"]
+    )
+
+
+def save_model(model: GprModel, path) -> None:
+    """Write the versioned model document: kernel, basis degree, beta, training data."""
+    body = {
+        "kernel": _kernel_to_dict(model.kernel),
         "basis": model.basis.degree,
         "beta": model.beta.tolist(),
         "inputs": model.training.inputs.tolist(),
         "targets": model.training.targets.tolist(),
     }
+    write_document(MODEL_SCHEMA, body, path)
 
 
-def model_from_dict(payload: dict) -> GprModel:
-    """Rebuild a fitted model from its serialized form.
+def load_model(path) -> GprModel:
+    """Rebuild a fitted model from the document save_model wrote.
 
     Refits deterministically from the stored training data and kernel (the
     stored jitter already includes any escalation, so the factorization is
     reproduced bit for bit under the same numpy build) and
     cross-checks the stored coefficients.
     """
-    if not isinstance(payload, dict) or payload.get("schema") != MODEL_SCHEMA:
-        raise ParseError(f"unsupported model document (expected schema {MODEL_SCHEMA!r})")
+    payload = read_document(path, MODEL_SCHEMA, "model")
     try:
-        kern = payload["kernel"]
-        kernel = Kernel(
-            sigma_sq=kern["sigma_sq"], theta=np.asarray(kern["theta"]), jitter=kern["jitter"]
-        )
+        kernel = _kernel_from_dict(payload["kernel"])
         basis = BasisExpansion(payload["basis"])
         training = TrainingSet(
             inputs=np.asarray(payload["inputs"]), targets=np.asarray(payload["targets"])
@@ -505,20 +512,3 @@ def model_from_dict(payload: dict) -> GprModel:
     ):
         raise ParseError("stored trend coefficients do not match the refit model")
     return model
-
-
-def save_model(model: GprModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
-
-
-def load_model(path) -> GprModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"model file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"model file is not valid JSON: {exc}") from exc
-    return model_from_dict(payload)

@@ -13,8 +13,10 @@ modeling panel.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._documents import read_document, write_document
 from .errors import ConfigError, IntegrityError, JoinError, NormalizationError, ParseError
 
 __all__ = [
@@ -68,8 +71,13 @@ def _check_signal(name: str, value) -> None:
             raise ValueError(f"rank must be a positive integer: {value!r}")
         if value > sys.float_info.max:
             raise ValueError("rank is too large to convert to a float")
-    elif type(value) is bool or not np.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be non-negative and finite: {value!r}")
+    else:
+        try:
+            usable = type(value) is not bool and math.isfinite(value) and value >= 0
+        except (TypeError, OverflowError):  # a string, or an int beyond the float range
+            usable = False
+        if not usable:
+            raise ValueError(f"{name} must be non-negative and finite: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -179,7 +187,7 @@ def replay_signals(records: Sequence[SiteRecord], fixture) -> list[SiteRecord]:
         raise ConfigError(f"replay fixture not found: {path}")
     try:
         table = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"replay fixture is not valid JSON: {path}: {exc}") from exc
     if not isinstance(table, dict) or not all(isinstance(v, dict) for v in table.values()):
         raise ConfigError(f"replay fixture must map url -> signal object: {path}")
@@ -230,19 +238,25 @@ def _parse_cell(token: str, name: str, line_no: int, caster):
 
 def _read_table(path, header: list[str], what: str):
     """Yield (line_no, cells) for each data row of a CSV with this exact
-    header; ParseError on a missing file, another header or a short row."""
+    header; ParseError on a missing file, bytes that are not UTF-8, another
+    header or a short row."""
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"{what} file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ParseError(f"{path}: expected header {','.join(header)!r}, got {found!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-            yield line_no, row
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line_no} is not valid UTF-8 ({exc.reason})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    found = next(reader, None)
+    if found != header:
+        raise ParseError(f"{path}: expected header {','.join(header)!r}, got {found!r}")
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ParseError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
+        yield line_no, row
 
 
 def ingest_sites(path) -> list[SiteRecord]:
@@ -469,34 +483,21 @@ def read_panel_csv(path) -> PanelDataset:
 
 
 def write_records_json(records: Sequence[SiteRecord], path) -> None:
-    payload = {
-        "schema": RECORDS_SCHEMA,
-        "records": [
-            {
-                "url": rec.url,
-                "country": rec.country_code,
-                "rank": rec.rank,
-                "trend": rec.trend,
-                "traffic": rec.traffic,
-            }
-            for rec in records
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    entries = [
+        {
+            "url": rec.url,
+            "country": rec.country_code,
+            "rank": rec.rank,
+            "trend": rec.trend,
+            "traffic": rec.traffic,
+        }
+        for rec in records
+    ]
+    write_document(RECORDS_SCHEMA, {"records": entries}, path)
 
 
 def read_records_json(path) -> list[SiteRecord]:
-    path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"records file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"records file is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != RECORDS_SCHEMA:
-        raise ParseError(f"unsupported records document (expected schema {RECORDS_SCHEMA!r})")
+    payload = read_document(path, RECORDS_SCHEMA, "records")
     entries = payload.get("records", [])
     if not isinstance(entries, list):
         raise ParseError(f"records must be a list, got {type(entries).__name__}")

@@ -325,6 +325,12 @@ class TestStagedCommands:
             assert rc == 2
             assert "jitter" in capsys.readouterr().err
 
+    def test_non_utf8_panel_exit_2_names_file(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_bytes(b"url,country,score,unemployment_rate\na.test,ZZ,0.0,4.0\xff\n")
+        assert run(["evaluate", "--panel", panel, "--out", tmp_path / "o"]) == 2
+        assert f"error: {panel}: line 2 is not valid UTF-8" in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_minimum_rows(self, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,8 +23,6 @@ from jobsignal.evaluation import (
     fit_panel,
     format_report,
     load_report,
-    report_from_dict,
-    report_to_dict,
     save_report,
     split_panel,
 )
@@ -351,12 +350,14 @@ class TestEvaluate:
         assert rmse(report.per_fold) == report.rmse
         assert rae(report.per_fold) == report.rae
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         rng = np.random.default_rng(6)
         panel = panel_from(rng.standard_normal(8), 8.0 + rng.standard_normal(8))
         first = evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
         second = evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
-        assert report_to_dict(first) == report_to_dict(second)
+        save_report(first, tmp_path / "first.json")
+        save_report(second, tmp_path / "second.json")
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
 
     def test_in_sample_mode(self):
         rng = np.random.default_rng(8)
@@ -396,14 +397,21 @@ class TestReportSerialization:
         path = tmp_path / "report.json"
         save_report(report, path)
         restored = load_report(path)
-        assert report_to_dict(restored) == report_to_dict(report)
+        resaved = tmp_path / "resaved.json"
+        save_report(restored, resaved)
+        assert json.loads(resaved.read_text(encoding="utf-8")) == json.loads(
+            path.read_text(encoding="utf-8")
+        )
+        assert resaved.read_bytes() == path.read_bytes()
         assert restored.per_fold == report.per_fold
 
-    def test_schema_checked(self):
+    def test_schema_checked(self, tmp_path):
         from jobsignal import ParseError
 
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"schema": "bogus/1"}), encoding="utf-8")
         with pytest.raises(ParseError, match="schema"):
-            report_from_dict({"schema": "bogus/1"})
+            load_report(path)
 
     def test_text_table_labels(self):
         report = self.make_report()

@@ -1,8 +1,13 @@
-"""Every public export resolves, and removed API stays removed."""
+"""Every public export resolves, removed API stays removed, and JSON
+documents have one reader and one writer."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import jobsignal
 
 MODULES = [
     "jobsignal",
@@ -24,6 +29,7 @@ def test_all_names_resolve(name):
 def test_removed_names_stay_gone():
     package = importlib.import_module("jobsignal")
     gpr = importlib.import_module("jobsignal.gpr")
+    evaluation = importlib.import_module("jobsignal.evaluation")
     pipeline = importlib.import_module("jobsignal.pipeline")
     cli = importlib.import_module("jobsignal.cli")
     for module, attr in [
@@ -40,5 +46,40 @@ def test_removed_names_stay_gone():
         (package, "ReplayFetcher"),
         (package, "fetch_signals"),
         (cli, "_refetch"),
+        (gpr, "model_to_dict"),
+        (gpr, "model_from_dict"),
+        (evaluation, "report_to_dict"),
+        (evaluation, "report_from_dict"),
     ]:
         assert not hasattr(module, attr), f"{module.__name__}.{attr}"
+
+
+# (file, enclosing top-level function or None) allowed to call each json function
+JSON_CALLERS = {
+    "dump": {("_documents.py", None)},
+    "dumps": {("_documents.py", None)},
+    "load": {("_documents.py", None), ("pipeline.py", "replay_signals")},
+    "loads": {("_documents.py", None), ("pipeline.py", "replay_signals")},
+}
+
+
+def test_json_is_read_and_written_only_through_documents():
+    stray = []
+    for path in sorted(Path(jobsignal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "json":
+                    stray.append((path.name, owner, "from json import"))
+                if not (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"
+                    and node.attr in JSON_CALLERS
+                ):
+                    continue
+                allowed = JSON_CALLERS[node.attr]
+                if (path.name, owner) not in allowed and (path.name, None) not in allowed:
+                    stray.append((path.name, owner, f"json.{node.attr}"))
+    assert stray == []

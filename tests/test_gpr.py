@@ -26,8 +26,6 @@ from jobsignal.gpr import (
     correlation,
     _profile_log_likelihood,
     load_model,
-    model_from_dict,
-    model_to_dict,
     save_model,
 )
 from jobsignal.pipeline import (
@@ -705,16 +703,20 @@ class TestSerialization:
             x = rng.uniform(-1, 5, size=2)
             assert predict(model, x) == predict(restored, x)
 
-    def test_round_trip_preserves_escalated_jitter(self):
+    def test_round_trip_preserves_escalated_jitter(self, tmp_path):
         inputs = np.array([[0.0], [0.0], [1.0]])
         training = TrainingSet(inputs=inputs, targets=np.array([0.0, 0.5, 1.0]))
         model = fit(training, BasisExpansion("const"), kernel_1d())
-        restored = model_from_dict(model_to_dict(model))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        restored = load_model(path)
         assert restored.kernel.jitter == model.kernel.jitter
 
-    def test_rejects_unknown_schema(self):
+    def test_rejects_unknown_schema(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"schema": "something-else/9"}), encoding="utf-8")
         with pytest.raises(ParseError, match="schema"):
-            model_from_dict({"schema": "something-else/9"})
+            load_model(path)
 
     def test_rejects_corrupt_file(self, tmp_path):
         path = tmp_path / "model.json"
@@ -726,18 +728,23 @@ class TestSerialization:
         with pytest.raises(ParseError, match="model file not found"):
             load_model(tmp_path / "absent.json")
 
-    def test_rejects_theta_of_wrong_dimension(self, rng):
-        payload = model_to_dict(random_fitted_model(rng, n=6, d=2))
+    def test_rejects_theta_of_wrong_dimension(self, rng, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(random_fitted_model(rng, n=6, d=2), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
         payload["kernel"]["theta"] = payload["kernel"]["theta"][:1]
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ParseError, match="malformed model document: dimension mismatch"):
-            model_from_dict(payload)
+            load_model(path)
 
     def test_rejects_tampered_beta(self, rng, tmp_path):
-        model = random_fitted_model(rng, n=6, d=1)
-        payload = model_to_dict(model)
+        path = tmp_path / "model.json"
+        save_model(random_fitted_model(rng, n=6, d=1), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
         payload["beta"] = [value + 1.0 for value in payload["beta"]]
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ParseError, match="coefficients"):
-            model_from_dict(payload)
+            load_model(path)
 
     def test_document_is_versioned_json(self, rng, tmp_path):
         model = random_fitted_model(rng, n=5, d=1)

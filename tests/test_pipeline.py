@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,14 @@ class TestFetchSignals:
         path = tmp_path / "fixture.json"
         path.write_text("[1, 2, 3]", encoding="utf-8")
         with pytest.raises(ConfigError, match="map url"):
+            replay_signals([site("jobs.a.de")], path)
+
+    def test_non_utf8_fixture_is_config_error(self, tmp_path):
+        from jobsignal import ConfigError
+
+        path = tmp_path / "fixture.json"
+        path.write_bytes(b'{"jobs.a.de": {"rank": 1\xff}}')
+        with pytest.raises(ConfigError, match=re.escape(f"not valid JSON: {path}")):
             replay_signals([site("jobs.a.de")], path)
 
     def test_invalid_fetched_value_becomes_missing(self, tmp_path, caplog):
@@ -411,6 +420,12 @@ class TestPanelCsv:
         with pytest.raises(ParseError, match="header"):
             read_panel_csv(path)
 
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"url,country,score,unemployment_rate\na.test,ZZ,0.0,4.0\nb.test,ZZ,1.0,5\xff\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: line 3 is not valid UTF-8")):
+            read_panel_csv(path)
+
 
 class TestRecordsJson:
     def test_round_trip(self, tmp_path):
@@ -442,6 +457,16 @@ class TestRecordsJson:
         entry = {"url": "jobs.a.de", "country": "DE", "rank": 10**400}
         path.write_text(json.dumps({"schema": "site-records/1", "records": [entry]}), encoding="utf-8")
         with pytest.raises(ParseError, match="too large"):
+            read_records_json(path)
+
+    @pytest.mark.parametrize(
+        "name, value", [("trend", "3"), ("traffic", 10**400)], ids=["string", "beyond-float-range"]
+    )
+    def test_unusable_signal_fails_signal_rule(self, tmp_path, name, value):
+        path = tmp_path / "records.json"
+        entry = {"url": "jobs.a.de", "country": "DE", name: value}
+        path.write_text(json.dumps({"schema": "site-records/1", "records": [entry]}), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{name} must be non-negative and finite"):
             read_records_json(path)
 
 
