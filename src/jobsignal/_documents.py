@@ -23,15 +23,16 @@ def read_document(path, schema: str, what: str) -> dict:
     """The object in path, checked to carry this schema.
 
     Raises ParseError naming `what` when the file is missing, is not UTF-8
-    JSON, or is not an object of this schema.
+    JSON that Python can hold (too deep a nesting, an integer beyond
+    Python's digit limit), or is not an object of this schema.
     """
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"{what} file not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{what} file is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # ValueError covers the decode errors
+        raise ParseError(f"{what} file is not valid JSON: {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("schema") != schema:
         raise ParseError(f"unsupported {what} document (expected schema {schema!r})")
     return payload

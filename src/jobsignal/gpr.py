@@ -6,18 +6,24 @@ zero-mean stationary process Z whose covariance between two points is
 
     sigma_sq * exp(-sum_i (x_i - x'_i)**2 / theta_i).
 
-Every correlation is exp(-D / scale) of one distance function,
-_scaled_distances, and every linear solve goes through one Cholesky factor
-made by _factorize: it rebuilds R on every rung of its jitter ladder and
-factorizes R + jitter*I with LAPACK dpotrf in place, in an N x N
-Fortran-ordered buffer that becomes the model's factor. LAPACK is numpy's
-own OpenBLAS, called through jobsignal._lapack. Nothing here inverts a
-matrix (the dense inverse lives only in the test oracle). A saved model
-refits to the same bits under the same numpy build.
+Every correlation is exp(-D) of one distance function, _scaled_distances,
+and every linear solve goes through one Cholesky factor made by _factorize:
+on every rung of its jitter ladder it fills the lower triangle of
+R + jitter*I from the inputs, a block of columns at a time, and factorizes
+it with LAPACK dpotrf in place, in an N x N Fortran-ordered buffer that
+becomes the model's factor. No N x N distance matrix is held. LAPACK is
+numpy's own OpenBLAS, called through jobsignal._lapack. Nothing here
+inverts a matrix (the dense inverse lives only in the test oracle). A saved
+model refits to the same bits under the same numpy build.
 Hyperparameters are selected by maximizing the log marginal likelihood over
 a logarithmic theta grid with the process variance profiled out in closed
-form; the winning cell's factor becomes the fitted model, so the search
-is also the fit. A fitted model holds no mutable state: predict logs at
+form. Two grid cells are in flight at once, on the calling thread and one
+helper thread, each in its own factor buffer, when the available CPUs hold
+two BLAS calls' threads (OpenBLAS on one thread and two CPUs); otherwise
+one. The winner is
+picked after the scan and its factor becomes the fitted model, factorized
+once more only if a later cell reused its buffer, so the search is also
+the fit. A fitted model holds no mutable state: predict logs at
 DEBUG, on the jobsignal.gpr logger, how many variances it clamped to 0.
 save_model and load_model keep a model in a versioned JSON document, whose
 file format jobsignal._documents owns.
@@ -27,6 +33,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +64,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_JITTER = 1e-10
 MAX_JITTER = 1e-4
 SIGMA_SQ_FLOOR = 1e-30  # keeps log(sigma_sq) finite on zero-residual data
+_FILL_COLUMNS = 128  # columns of R that _factorize fills per block
 
 MODEL_SCHEMA = "gpr-model/1"
 
@@ -184,10 +194,15 @@ class GprModel:
     trend_r: np.ndarray  # upper QR factor of trend_whitened
 
 
-def _scaled_distances(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """D[j, k] = sum_i (a[j, i] - b[k, i])**2 / theta_i, points as rows.
+def _scaled_distances(
+    a: np.ndarray, b: np.ndarray, theta: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """D[j, k] = sum_i (a[j, i] - b[k, i])**2 / theta_i, points as rows,
+    written into out when given.
 
-    The only code that forms coordinate differences.
+    The only code that forms coordinate differences. It sums dimension by
+    dimension, so it holds no N x N x d temporary, and on one dimension it
+    needs no buffer but out.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -197,11 +212,17 @@ def _scaled_distances(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.nda
             f"dimension mismatch: points of size {a.shape[1]}/{b.shape[1]}, "
             f"{theta.size} correlation lengths"
         )
-    # In place after the one difference buffer: no more N x N x d temporaries.
-    diff = a[:, None, :] - b[None, :, :]
-    np.square(diff, out=diff)
-    diff /= theta
-    return diff.sum(axis=-1)
+    shape = (a.shape[0], b.shape[0])
+    out = np.empty(shape) if out is None else out
+    term = np.empty(shape) if theta.size > 1 else None
+    for i, length in enumerate(theta):
+        target = out if i == 0 else term
+        np.subtract(a[:, i, None], b[None, :, i], out=target)
+        np.square(target, out=target)
+        target /= length
+        if i > 0:
+            out += term
+    return out
 
 
 def correlation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -210,25 +231,39 @@ def correlation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
     a and b hold points as rows (a 1-d array is one point); the result has
     one row per point of a and one column per point of b.
     """
-    dist = _scaled_distances(a, b, theta)
-    np.negative(dist, out=dist)
-    return np.exp(dist, out=dist)
+    # Dividing by -theta gives exactly -D, so exp follows with no negation.
+    neg_dist = _scaled_distances(a, b, -np.asarray(theta, dtype=float))
+    return np.exp(neg_dist, out=neg_dist)
 
 
-def _factorize(buf: np.ndarray, dist_t: np.ndarray, scale: float, jitter: float) -> float:
+def _factorize(buf: np.ndarray, inputs: np.ndarray, theta: np.ndarray, jitter: float) -> float:
     """Factorize R + jitter*I in place in buf, escalating jitter x10 up to
     MAX_JITTER; returns the jitter used.
 
-    dist_t holds symmetric distances in Fortran order, like buf. Each rung
-    fills buf with R = exp(-dist_t / scale), adds its jitter to the
-    diagonal and lets LAPACK dpotrf overwrite the lower triangle with the
-    factor; the strict upper triangle keeps R (zero it before using buf as
-    a dense factor).
+    R is correlation(inputs, inputs, theta) and buf is N x N in Fortran
+    order. dpotrf reads only the lower triangle, so each rung fills just
+    that, straight from the inputs, _FILL_COLUMNS columns at a time: no
+    N x N distance matrix is held, and every rung rebuilds R from scratch.
+    It then adds its jitter to the diagonal and lets LAPACK dpotrf
+    overwrite the lower triangle with the factor. The strict upper triangle
+    is left holding garbage (zero it before using buf as a dense factor).
     """
-    diag = buf.reshape(-1, order="F")[:: buf.shape[0] + 1]  # a view into buf
+    n = buf.shape[0]
+    flat = buf.reshape(-1, order="F")  # a view into buf
+    diag = flat[:: n + 1]
+    neg_theta = -np.asarray(theta, dtype=float)  # exactly -D, as in correlation
+    first = buf[:, :_FILL_COLUMNS]
     while True:
-        np.divide(dist_t, -scale, out=buf)
-        np.exp(buf, out=buf)
+        # Later blocks are built contiguously in the first block's columns,
+        # which no later block covers, and exponentiated into place; the
+        # first block, whole columns and so contiguous itself, goes last.
+        for j0 in range(_FILL_COLUMNS, n, _FILL_COLUMNS):
+            j1 = min(j0 + _FILL_COLUMNS, n)
+            block = flat[: (j1 - j0) * (n - j0)].reshape(j1 - j0, n - j0)
+            _scaled_distances(inputs[j0:j1], inputs[j0:], neg_theta, out=block)
+            np.exp(block, out=buf[j0:, j0:j1].T)
+        _scaled_distances(inputs, inputs[:_FILL_COLUMNS], neg_theta, out=first)
+        np.exp(first, out=first)
         diag += jitter
         info = _lapack.potrf(buf)
         if info == 0:
@@ -326,11 +361,8 @@ def fit(training: TrainingSet, basis: BasisExpansion, kernel: Kernel) -> GprMode
     escalation needed to make the factorization succeed.
     """
     design = _trend_design(training, basis)
-    # The distances are symmetric, so the transpose is the same matrix in
-    # Fortran order and fills a Fortran-ordered buffer without transposing.
-    dist_t = _scaled_distances(training.inputs, training.inputs, kernel.theta).T
-    chol = np.empty_like(dist_t)
-    jitter = _factorize(chol, dist_t, 1.0, kernel.jitter)
+    chol = np.empty((training.n, training.n), order="F")
+    jitter = _factorize(chol, training.inputs, kernel.theta, kernel.jitter)
     return _model_from_factor(training, basis, design, replace(kernel, jitter=jitter), chol)
 
 
@@ -421,6 +453,12 @@ class SearchConfig:
         return np.geomspace(self.theta_min, self.theta_max, self.steps)
 
 
+def _cells_in_flight() -> int:
+    """How many grid cells the search factorizes at once: two when the CPUs
+    this process may run on leave each BLAS call its threads, else one."""
+    return max(1, min(2, len(os.sched_getaffinity(0)) // _lapack.blas_threads()))
+
+
 def fit_hyperparameters(
     training: TrainingSet, basis: BasisExpansion, search: SearchConfig
 ) -> GprModel:
@@ -428,37 +466,75 @@ def fit_hyperparameters(
     and return the model fitted at them.
 
     For each grid theta the process variance is profiled out in closed form
-    by _profile_log_likelihood. Every cell's correlation is exp(-D / theta)
-    of one distance matrix D, computed once per search with unit theta by
-    the distance function fit uses. _factorize rebuilds it on every jitter
-    rung and factorizes it in one of two buffers, which swap whenever a
-    cell wins, so the winner's factor becomes the model's without a second
-    factorization. The model's kernel carries the jitter that factor used.
-    On 1-d inputs the model equals fit(training, basis, model.kernel) bit
-    for bit. The scan runs in ascending theta order and only a strictly larger
-    likelihood replaces the incumbent, so ties resolve toward the smallest
-    theta and then the smallest sigma_sq.
+    by _profile_log_likelihood on the factor _factorize makes at that theta,
+    which fit makes too. Up to two cells are in flight, each factorizing
+    into its own N x N buffer: the calling thread runs one, a helper thread
+    the other, and each takes the next cell of the grid when it is done.
+    Two run only when the available CPUs hold two BLAS calls' threads
+    (OpenBLAS on one thread and two CPUs); otherwise the calling thread
+    runs every cell. The winner is chosen after the scan, in ascending
+    theta order, and only a strictly larger likelihood replaces the
+    incumbent, so ties resolve toward the smallest theta and then the
+    smallest sigma_sq. Its factor becomes the model's; if a later cell has
+    reused its buffer, the winner is factorized again at the jitter it
+    used, which rebuilds the same matrix and so the same bits. The model's
+    kernel carries that jitter, and the model equals
+    fit(training, basis, model.kernel) bit for bit. A FitError in a cell
+    skips it; any other error stops the scan and propagates.
     """
     design = _trend_design(training, basis)
-    d = training.ndim
-    dist_t = _scaled_distances(training.inputs, training.inputs, np.ones(d)).T
-    work = np.empty_like(dist_t)
-    best_chol = np.empty_like(dist_t)
-    best: tuple[float, Kernel] | None = None  # (loglik, kernel)
-    for theta_scalar in search.grid():
+    n, d = training.n, training.ndim
+    grid = search.grid()
+    # Per grid cell: (loglik, sigma_sq, jitter), or None when the cell failed.
+    cells: list[tuple[float, float, float] | None] = [None] * grid.size
+    pending = iter(range(grid.size))
+    lock = threading.Lock()
+
+    def scan(buf: np.ndarray) -> int | None:
+        """Run grid cells in buf until none is left; returns the last cell
+        run, whose factor buf holds if that cell succeeded."""
+        held = None
         try:
-            jitter = _factorize(work, dist_t, float(theta_scalar), search.jitter)
-            loglik, sigma_sq = _profile_log_likelihood(work, design, training.targets)
-        except FitError:
-            logger.debug("skipping theta=%g: not factorizable", theta_scalar)
-            continue
-        if best is None or loglik > best[0]:
-            kernel = Kernel(sigma_sq=sigma_sq, theta=np.full(d, float(theta_scalar)), jitter=jitter)
-            best = (loglik, kernel)
-            work, best_chol = best_chol, work
+            while True:
+                with lock:
+                    i = next(pending, None)
+                if i is None:
+                    return held
+                held = i
+                try:
+                    jitter = _factorize(buf, training.inputs, np.full(d, grid[i]), search.jitter)
+                    loglik, sigma_sq = _profile_log_likelihood(buf, design, training.targets)
+                except FitError:
+                    logger.debug("skipping theta=%g: not factorizable", grid[i])
+                    continue
+                cells[i] = (loglik, sigma_sq, jitter)
+        except BaseException:
+            with lock:
+                for _ in pending:  # the other scan stops after its current cell
+                    pass
+            raise
+
+    buffers = [np.empty((n, n), order="F") for _ in range(_cells_in_flight())]
+    # The helper thread starts on the first submit: with one cell in flight
+    # there is none, and no thread starts.
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        others = [helper.submit(scan, buf) for buf in buffers[1:]]
+        held = [scan(buffers[0])] + [other.result() for other in others]
+
+    best = None
+    for i, cell in enumerate(cells):
+        if cell is not None and (best is None or cell[0] > cells[best][0]):
+            best = i
     if best is None:
         raise FitError("no admissible theta grid cell: every candidate failed to factorize")
-    return _model_from_factor(training, basis, design, best[1], best_chol)
+    _, sigma_sq, jitter = cells[best]
+    kernel = Kernel(sigma_sq=sigma_sq, theta=np.full(d, grid[best]), jitter=jitter)
+    if best in held:
+        chol = buffers[held.index(best)]
+    else:
+        chol = buffers[0]
+        _factorize(chol, training.inputs, kernel.theta, jitter)
+    return _model_from_factor(training, basis, design, kernel, chol)
 
 
 def _kernel_to_dict(kernel: Kernel) -> dict:

@@ -187,7 +187,7 @@ def replay_signals(records: Sequence[SiteRecord], fixture) -> list[SiteRecord]:
         raise ConfigError(f"replay fixture not found: {path}")
     try:
         table = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers the decode errors
         raise ConfigError(f"replay fixture is not valid JSON: {path}: {exc}") from exc
     if not isinstance(table, dict) or not all(isinstance(v, dict) for v in table.values()):
         raise ConfigError(f"replay fixture must map url -> signal object: {path}")

@@ -33,6 +33,12 @@ PL,11.2
 
 BIG_RANK = "1" + "0" * 400  # an integer beyond the float range
 
+# JSON that json.loads fails on with RecursionError or a bare ValueError.
+UNPARSABLE_JSON = {
+    "deep-nesting": b"[" * 100_000,
+    "huge-integer": b'{"jobs.a.de": {"rank": 1' + b"0" * 4300 + b"}}",
+}
+
 
 @pytest.fixture
 def small_inputs(tmp_path):
@@ -144,6 +150,18 @@ class TestPipelineCommand:
         report = (out / "report.txt").read_text(encoding="utf-8")
         assert "Number of web sites" in report
 
+    @pytest.mark.parametrize("case", list(UNPARSABLE_JSON))
+    def test_unparsable_fetch_fixture_exit_2(self, small_inputs, tmp_path, capsys, case):
+        sites, indicators = small_inputs
+        fixture_path = tmp_path / "fixture.json"
+        fixture_path.write_bytes(UNPARSABLE_JSON[case])
+        rc = run([
+            "pipeline", "--sites", sites, "--indicators", indicators,
+            "--fetch-fixture", fixture_path, "--out", tmp_path / "o",
+        ])
+        assert rc == 2
+        assert f"replay fixture is not valid JSON: {fixture_path}" in capsys.readouterr().err
+
     def test_rank_beyond_float_range_exit_2(self, small_inputs, tmp_path, capsys):
         sites, indicators = small_inputs
         sites.write_text(SITES_BODY.replace("jobs.b.de,DE,2500,", f"jobs.b.de,DE,{BIG_RANK},"), encoding="utf-8")
@@ -174,6 +192,13 @@ class TestPipelineCommand:
 
 
 class TestStagedCommands:
+    @pytest.mark.parametrize("case", list(UNPARSABLE_JSON))
+    def test_unparsable_records_exit_2(self, tmp_path, capsys, case):
+        records = tmp_path / "records.json"
+        records.write_bytes(UNPARSABLE_JSON[case])
+        assert run(["clean", "--records", records, "--out", tmp_path / "o"]) == 2
+        assert f"records file is not valid JSON: {records}" in capsys.readouterr().err
+
     def test_ingest_clean_score_fit_evaluate_chain(self, small_inputs, tmp_path):
         sites, indicators = small_inputs
         work = tmp_path / "work"

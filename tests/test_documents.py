@@ -1,6 +1,7 @@
 """Every reader of a versioned JSON document rejects an unreadable file the same way."""
 
 import json
+import re
 
 import pytest
 
@@ -11,12 +12,22 @@ from jobsignal.pipeline import read_records_json
 
 READERS = [(load_model, "model"), (load_report, "report"), (read_records_json, "records")]
 
+# JSON that the standard parser cannot hold in Python objects: a RecursionError
+# and a ValueError (Python's 4300-digit limit on int conversion) respectively.
+DEEP_NESTING = b"[" * 100_000
+HUGE_INTEGER = b'{"schema": "x", "n": 1' + b"0" * 4300 + b"}"
+
+NOT_FOUND = "{what} file not found: {path}"
+NOT_JSON = "{what} file is not valid JSON: {path}"
+
 # name -> (make the input under tmp_path and return its path, expected message)
 INPUTS = {
-    "missing": (lambda tmp: tmp / "absent.json", "{what} file not found"),
-    "directory": (lambda tmp: tmp, "{what} file not found"),
-    "non-utf8": (lambda tmp: write(tmp, b'{"schema": "\xff"}'), "{what} file is not valid JSON"),
-    "invalid-json": (lambda tmp: write(tmp, b"{not json"), "{what} file is not valid JSON"),
+    "missing": (lambda tmp: tmp / "absent.json", NOT_FOUND),
+    "directory": (lambda tmp: tmp, NOT_FOUND),
+    "non-utf8": (lambda tmp: write(tmp, b'{"schema": "\xff"}'), NOT_JSON),
+    "invalid-json": (lambda tmp: write(tmp, b"{not json"), NOT_JSON),
+    "deep-nesting": (lambda tmp: write(tmp, DEEP_NESTING), NOT_JSON),
+    "huge-integer": (lambda tmp: write(tmp, HUGE_INTEGER), NOT_JSON),
     "array": (lambda tmp: write(tmp, b"[]"), "unsupported {what} document"),
     "wrong-schema": (
         lambda tmp: write(tmp, json.dumps({"schema": "other/1"}).encode()),
@@ -35,5 +46,6 @@ def write(tmp_path, data: bytes):
 @pytest.mark.parametrize("reader, what", READERS, ids=[what for _, what in READERS])
 def test_unreadable_document_is_parse_error(tmp_path, reader, what, case):
     make, message = INPUTS[case]
-    with pytest.raises(ParseError, match=message.format(what=what)):
-        reader(make(tmp_path))
+    path = make(tmp_path)
+    with pytest.raises(ParseError, match=message.format(what=what, path=re.escape(str(path)))):
+        reader(path)

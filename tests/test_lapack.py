@@ -112,6 +112,24 @@ class TestSolveTriangular:
             _lapack.solve_triangular(buf, np.ones(5), lower=True)
 
 
+class TestBlasThreads:
+    def test_pinned_to_one_thread(self):
+        # conftest pins OPENBLAS_NUM_THREADS=1 before numpy loads OpenBLAS.
+        assert _lapack.blas_threads() == 1
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS caps its threads at the CPUs"
+    )
+    def test_follows_openblas_num_threads(self):
+        code = "from jobsignal import _lapack\nprint(_lapack.blas_threads())\n"
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="2")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "2"
+
+
 def test_missing_symbol_is_import_error():
     class Handle:
         """A library handle that exports nothing, as ctypes.CDLL reports it."""

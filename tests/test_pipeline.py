@@ -186,6 +186,20 @@ class TestFetchSignals:
         with pytest.raises(ConfigError, match=re.escape(f"not valid JSON: {path}")):
             replay_signals([site("jobs.a.de")], path)
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"[" * 100_000, b'{"jobs.a.de": {"rank": 1' + b"0" * 4300 + b"}}"],
+        ids=["deep-nesting", "huge-integer"],
+    )
+    def test_unparsable_fixture_is_config_error(self, tmp_path, data):
+        # json.loads raises RecursionError and a bare ValueError on these.
+        from jobsignal import ConfigError
+
+        path = tmp_path / "fixture.json"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=re.escape(f"not valid JSON: {path}")):
+            replay_signals([site("jobs.a.de")], path)
+
     def test_invalid_fetched_value_becomes_missing(self, tmp_path, caplog):
         path = self.fixture_file(
             tmp_path,
