@@ -1,9 +1,11 @@
 """Command-line entry point for the nowcasting pipeline.
 
 Stages are runnable standalone on intermediate files (ingest -> clean ->
-score -> fit/evaluate) or end to end via `pipeline`; `synth` generates
-panels with a known score/rate coupling. Every subcommand is deterministic
-given its flags; outputs contain no wall-clock or locale-dependent bytes.
+score -> fit/evaluate) or end to end via `pipeline`; ingest and clean write
+records in the site-listing CSV format that clean and score read back.
+`synth` generates panels with a known score/rate coupling. Every subcommand
+is deterministic given its flags; outputs contain no wall-clock or
+locale-dependent bytes.
 
 Exit codes: 0 success, 2 parse/configuration failure, 3 data-integrity
 failure, 4 fit failure, 5 evaluation failure.
@@ -69,22 +71,22 @@ def cmd_ingest(args) -> int:
     if args.fetch_fixture:
         records = pipeline.replay_signals(records, args.fetch_fixture)
     out = _out_dir(args)
-    pipeline.write_records_json(records, out / "records.json")
-    logger.info("ingested %d records -> %s", len(records), out / "records.json")
+    pipeline.write_sites_csv(records, out / "records.csv")
+    logger.info("ingested %d records -> %s", len(records), out / "records.csv")
     return EXIT_OK
 
 
 def cmd_clean(args) -> int:
-    records = pipeline.read_records_json(args.records)
+    records = pipeline.ingest_sites(args.records)
     kept, dropped = pipeline.listwise_delete(records)
     out = _out_dir(args)
-    pipeline.write_records_json(kept, out / "records_clean.json")
+    pipeline.write_sites_csv(kept, out / "records_clean.csv")
     logger.info("kept %d records, dropped %d", len(kept), dropped)
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
-    records = pipeline.read_records_json(args.records)
+    records = pipeline.ingest_sites(args.records)
     kept, _ = pipeline.listwise_delete(records)
     scored = pipeline.normalize_and_score(kept)
     indicators = pipeline.read_indicators(args.indicators)
@@ -209,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ingest = sub.add_parser("ingest", help="validate a site listing into records.json")
+    p_ingest = sub.add_parser("ingest", help="validate a site listing into records.csv")
     p_ingest.add_argument("--sites", required=True, help="site listing CSV")
     p_ingest.add_argument(
         "--fetch-fixture", help="JSON fixture of recorded signals; replaces file signals"
@@ -218,12 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_clean = sub.add_parser("clean", help="apply listwise deletion to ingested records")
-    p_clean.add_argument("--records", required=True, help="records.json from ingest")
+    p_clean.add_argument("--records", required=True, help="a site listing CSV, e.g. records.csv")
     p_clean.add_argument("--out", required=True, help="output directory")
     p_clean.set_defaults(func=cmd_clean)
 
     p_score = sub.add_parser("score", help="standardize signals and build the panel")
-    p_score.add_argument("--records", required=True, help="records.json from ingest")
+    p_score.add_argument("--records", required=True, help="a site listing CSV, e.g. records.csv")
     p_score.add_argument("--indicators", required=True, help="country indicator CSV")
     p_score.add_argument("--out", required=True, help="output directory")
     p_score.set_defaults(func=cmd_score)

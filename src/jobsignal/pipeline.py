@@ -7,7 +7,8 @@ fixture, standing in for the third-party ranking services. The pipeline
 keeps complete records only (listwise deletion), z-scores each signal
 column, averages them into a single attractiveness score per site, and
 joins the origin country's unemployment rate to produce the two-column
-modeling panel.
+modeling panel. The staged commands hand records from one stage to the
+next as site listings: write_sites_csv writes what ingest_sites reads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._documents import read_document, write_document
 from .errors import ConfigError, IntegrityError, JoinError, NormalizationError, ParseError
 
 __all__ = [
@@ -43,10 +43,9 @@ __all__ = [
     "normalize_and_score",
     "read_indicators",
     "read_panel_csv",
-    "read_records_json",
     "replay_signals",
     "write_panel_csv",
-    "write_records_json",
+    "write_sites_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -55,9 +54,8 @@ SIGNAL_FIELDS = ("rank", "trend", "traffic")
 SITES_HEADER = ["url", "country", "rank", "trend", "traffic"]
 INDICATORS_HEADER = ["country", "unemployment_rate"]
 PANEL_HEADER = ["url", "country", "score", "unemployment_rate"]
-RECORDS_SCHEMA = "site-records/1"
 
-_COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
+_COUNTRY_RE = re.compile(r"[A-Z]{2}\Z")  # \Z: "$" would accept a trailing newline
 # Only the empty cell means missing; explicit placeholder tokens are rejected.
 _FORBIDDEN_MISSING_TOKENS = {"na", "n/a", "null", "none", "nan"}
 
@@ -143,26 +141,27 @@ class PanelRow:
 
 @dataclass(frozen=True)
 class PanelDataset:
-    """The cleaned two-column panel plus provenance counts."""
+    """The cleaned two-column panel plus the count of raw records it came from."""
 
     rows: tuple[PanelRow, ...]
     raw_count: int
-    clean_count: int
-    dropped_count: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
-        if self.raw_count != self.clean_count + self.dropped_count:
-            raise ValueError(
-                f"provenance mismatch: raw {self.raw_count} != clean {self.clean_count} "
-                f"+ dropped {self.dropped_count}"
-            )
-        if min(self.raw_count, self.clean_count, self.dropped_count) < 0:
-            raise ValueError("provenance counts must be non-negative")
+        if self.raw_count < self.n:
+            raise ValueError(f"provenance mismatch: raw {self.raw_count} < clean {self.n}")
 
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    @property
+    def clean_count(self) -> int:
+        return self.n
+
+    @property
+    def dropped_count(self) -> int:
+        return self.raw_count - self.n
 
     def scores(self) -> np.ndarray:
         return np.array([row.score for row in self.rows])
@@ -259,11 +258,26 @@ def _read_table(path, header: list[str], what: str):
         yield line_no, row
 
 
+def _write_table(path, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write a CSV of this header and these rows of cells; the mirror of _read_table."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _check_new_url(seen: dict[str, int], url: str, line_no: int) -> None:
+    """Note url's line in seen; IntegrityError if an earlier line had it."""
+    if url in seen:
+        raise IntegrityError(f"duplicate url {url!r} (lines {seen[url]} and {line_no})")
+    seen[url] = line_no
+
+
 def ingest_sites(path) -> list[SiteRecord]:
     """Read the site listing CSV: header url,country,rank,trend,traffic.
 
     Blank cells become missing fields; urls are lowercase-normalized and
-    must be unique.
+    must be unique. write_sites_csv writes this format.
     """
     records: list[SiteRecord] = []
     seen: dict[str, int] = {}
@@ -279,11 +293,19 @@ def ingest_sites(path) -> list[SiteRecord]:
             )
         except ValueError as exc:
             raise ParseError(f"line {line_no}: {exc}") from exc
-        if url in seen:
-            raise IntegrityError(f"duplicate url {url!r} (lines {seen[url]} and {line_no})")
-        seen[url] = line_no
+        _check_new_url(seen, url, line_no)
         records.append(record)
     return records
+
+
+def write_sites_csv(records: Iterable[SiteRecord], path) -> None:
+    """Write records as a site listing that ingest_sites reads back equal:
+    a blank cell for a missing signal, ranks as integers, floats by repr."""
+    rows = []
+    for rec in records:
+        signals = [getattr(rec, name) for name in SIGNAL_FIELDS]
+        rows.append([rec.url, rec.country_code, *("" if v is None else repr(v) for v in signals)])
+    _write_table(path, SITES_HEADER, rows)
 
 
 def read_indicators(path) -> list[CountryIndicator]:
@@ -344,9 +366,12 @@ def normalize_and_score(records: Sequence[SiteRecord]) -> list[tuple[str, float]
         columns[name] = col
     z_cols = []
     for name, col in columns.items():
-        std = col.std(ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            std = col.std(ddof=1)
         if std == 0.0:
             raise NormalizationError(f"signal column {name!r} has zero variance")
+        if not np.isfinite(std):
+            raise NormalizationError(f"signal column {name!r} has a non-finite standard deviation")
         z_cols.append((col - col.mean()) / std)
     scores = np.mean(z_cols, axis=0)
     return [(record.url, float(score)) for record, score in zip(records, scores)]
@@ -384,12 +409,7 @@ def build_panel(
         for url, score in scored
     ]
     rows.sort(key=lambda row: row.url)
-    return PanelDataset(
-        rows=tuple(rows),
-        raw_count=len(sites),
-        clean_count=len(scored),
-        dropped_count=len(sites) - len(scored),
-    )
+    return PanelDataset(rows=tuple(rows), raw_count=len(sites))
 
 
 @dataclass(frozen=True)
@@ -452,21 +472,20 @@ def format_panel_summary(summary: PanelSummary) -> str:
 
 def write_panel_csv(panel: PanelDataset, path) -> None:
     """Write panel rows with full-precision decimal rendering (round-trips)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PANEL_HEADER)
-        for row in panel.rows:
-            writer.writerow(
-                [row.url, row.country_code, repr(row.score), repr(row.unemployment_rate)]
-            )
+    rows = (
+        [row.url, row.country_code, repr(row.score), repr(row.unemployment_rate)]
+        for row in panel.rows
+    )
+    _write_table(path, PANEL_HEADER, rows)
 
 
 def read_panel_csv(path) -> PanelDataset:
-    """Read a panel written by write_panel_csv.
+    """Read a panel written by write_panel_csv; urls must be unique.
 
     The file carries rows only, so provenance degenerates to raw == clean.
     """
     rows: list[PanelRow] = []
+    seen: dict[str, int] = {}
     for line_no, row in _read_table(path, PANEL_HEADER, "panel"):
         try:
             rows.append(
@@ -479,45 +498,6 @@ def read_panel_csv(path) -> PanelDataset:
             )
         except ValueError as exc:
             raise ParseError(f"line {line_no}: {exc}") from exc
-    return PanelDataset(rows=tuple(rows), raw_count=len(rows), clean_count=len(rows), dropped_count=0)
+        _check_new_url(seen, row[0], line_no)
+    return PanelDataset(rows=tuple(rows), raw_count=len(rows))
 
-
-def write_records_json(records: Sequence[SiteRecord], path) -> None:
-    entries = [
-        {
-            "url": rec.url,
-            "country": rec.country_code,
-            "rank": rec.rank,
-            "trend": rec.trend,
-            "traffic": rec.traffic,
-        }
-        for rec in records
-    ]
-    write_document(RECORDS_SCHEMA, {"records": entries}, path)
-
-
-def read_records_json(path) -> list[SiteRecord]:
-    payload = read_document(path, RECORDS_SCHEMA, "records")
-    entries = payload.get("records", [])
-    if not isinstance(entries, list):
-        raise ParseError(f"records must be a list, got {type(entries).__name__}")
-    records = []
-    seen: dict[str, int] = {}
-    for position, entry in enumerate(entries, start=1):
-        try:
-            record = SiteRecord(
-                url=entry["url"],
-                country_code=entry["country"],
-                rank=entry.get("rank"),
-                trend=entry.get("trend"),
-                traffic=entry.get("traffic"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed record entry {entry!r}: {exc}") from exc
-        if record.url in seen:
-            raise IntegrityError(
-                f"duplicate url {record.url!r} (records {seen[record.url]} and {position})"
-            )
-        seen[record.url] = position
-        records.append(record)
-    return records

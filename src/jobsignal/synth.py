@@ -49,4 +49,4 @@ def synthetic_panel(n: int, coupling: float, noise: float, seed: int) -> PanelDa
         )
         for i in range(n)
     )
-    return PanelDataset(rows=rows, raw_count=n, clean_count=n, dropped_count=0)
+    return PanelDataset(rows=rows, raw_count=n)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -194,27 +195,38 @@ class TestPipelineCommand:
 class TestStagedCommands:
     @pytest.mark.parametrize("case", list(UNPARSABLE_JSON))
     def test_unparsable_records_exit_2(self, tmp_path, capsys, case):
+        # --records takes a site listing CSV; a JSON file fails its header check.
         records = tmp_path / "records.json"
         records.write_bytes(UNPARSABLE_JSON[case])
         assert run(["clean", "--records", records, "--out", tmp_path / "o"]) == 2
-        assert f"records file is not valid JSON: {records}" in capsys.readouterr().err
+        assert f"{records}: expected header 'url,country,rank,trend,traffic'" in capsys.readouterr().err
+
+    def test_missing_records_exit_2(self, tmp_path, capsys):
+        records = tmp_path / "absent.csv"
+        assert run(["clean", "--records", records, "--out", tmp_path / "o"]) == 2
+        assert f"not found: {records}" in capsys.readouterr().err
 
     def test_ingest_clean_score_fit_evaluate_chain(self, small_inputs, tmp_path):
         sites, indicators = small_inputs
         work = tmp_path / "work"
         assert run(["ingest", "--sites", sites, "--out", work]) == 0
-        records = json.loads((work / "records.json").read_text(encoding="utf-8"))
-        assert len(records["records"]) == 12
+        records = (work / "records.csv").read_text(encoding="utf-8").splitlines()
+        assert len(records) == 1 + 12
 
-        assert run(["clean", "--records", work / "records.json", "--out", work]) == 0
-        cleaned = json.loads((work / "records_clean.json").read_text(encoding="utf-8"))
-        assert len(cleaned["records"]) == 11
+        assert run(["clean", "--records", work / "records.csv", "--out", work]) == 0
+        cleaned = (work / "records_clean.csv").read_text(encoding="utf-8").splitlines()
+        assert cleaned == [line for line in records if not line.startswith("jobs.l.pl,")]
 
         assert run([
-            "score", "--records", work / "records.json", "--indicators", indicators, "--out", work,
+            "score", "--records", work / "records.csv", "--indicators", indicators, "--out", work,
         ]) == 0
         panel_lines = (work / "panel.csv").read_text(encoding="utf-8").strip().splitlines()
         assert len(panel_lines) == 1 + 11
+
+        # A raw listing is a valid records file too.
+        raw = tmp_path / "raw"
+        assert run(["score", "--records", sites, "--indicators", indicators, "--out", raw]) == 0
+        assert (raw / "panel.csv").read_bytes() == (work / "panel.csv").read_bytes()
 
         assert run(["fit", "--panel", work / "panel.csv", "--out", work]) == 0
         model = json.loads((work / "model.json").read_text(encoding="utf-8"))
@@ -223,6 +235,36 @@ class TestStagedCommands:
         assert run(["evaluate", "--panel", work / "panel.csv", "--out", work]) == 0
         report = json.loads((work / "report.json").read_text(encoding="utf-8"))
         assert report["n"] == 11
+
+    def test_staged_chain_matches_pipeline(self, small_inputs, tmp_path):
+        sites, indicators = small_inputs
+        fixture = {
+            "jobs.a.de": {"rank": 3, "trend": 0.1 + 0.2, "traffic": 2.0 / 3.0},
+            "JOBS.B.DE": {"rank": 40.0, "trend": 5e-324, "traffic": 9.876543210987654e120},
+            "jobs.c.fr": {"rank": 7, "trend": 2.2250738585072e-308, "traffic": 123456.789},
+            "jobs.d.fr": {"rank": 2.5, "trend": 1.0, "traffic": 1.0},
+            "jobs.e.at": {"rank": 9, "trend": -1, "traffic": "x"},
+            "Jobs.F.At": {"rank": 1e6, "trend": 1e-300, "traffic": 3.141592653589793},
+            "jobs.g.nl": {"rank": 12, "trend": 42.0, "traffic": 1e-5},
+            "jobs.h.nl": {"rank": 5, "trend": 0.5, "traffic": 9.999999999999999e22},
+        }
+        fixture_path = tmp_path / "fixture.json"
+        fixture_path.write_text(json.dumps(fixture), encoding="utf-8")
+        pipe, work = tmp_path / "pipe", tmp_path / "work"
+        assert run([
+            "pipeline", "--sites", sites, "--indicators", indicators,
+            "--fetch-fixture", fixture_path, "--out", pipe,
+        ]) == 0
+        assert run(["ingest", "--sites", sites, "--fetch-fixture", fixture_path, "--out", work]) == 0
+        assert run(["clean", "--records", work / "records.csv", "--out", work]) == 0
+        assert run([
+            "score", "--records", work / "records_clean.csv", "--indicators", indicators,
+            "--out", work,
+        ]) == 0
+        assert run(["fit", "--panel", work / "panel.csv", "--out", work]) == 0
+        assert run(["evaluate", "--panel", work / "panel.csv", "--out", work]) == 0
+        for name in ("panel.csv", "model.json", "report.json"):
+            assert (work / name).read_bytes() == (pipe / name).read_bytes(), name
 
     def test_ingest_fetch_fixture_edge_cases(self, small_inputs, tmp_path, caplog):
         sites, _ = small_inputs
@@ -239,7 +281,8 @@ class TestStagedCommands:
         with caplog.at_level("WARNING", logger="jobsignal.pipeline"):
             rc = run(["ingest", "--sites", sites, "--fetch-fixture", fixture_path, "--out", out])
         assert rc == 0
-        records = json.loads((out / "records.json").read_text(encoding="utf-8"))["records"]
+        with open(out / "records.csv", newline="", encoding="utf-8") as fh:
+            records = list(csv.DictReader(fh))
         # Ordered by url; only a valid, non-ZZ fixture country replaces the file's.
         assert [(r["url"], r["country"]) for r in records] == [
             ("jobs.a.de", "DE"), ("jobs.b.de", "DE"), ("jobs.c.fr", "FR"), ("jobs.d.fr", "FR"),
@@ -248,27 +291,55 @@ class TestStagedCommands:
         ]
         by_url = {r["url"]: r for r in records}
         assert by_url["jobs.c.fr"] == {
-            "url": "jobs.c.fr", "country": "FR", "rank": 30, "trend": 7.0, "traffic": 250.5
+            "url": "jobs.c.fr", "country": "FR", "rank": "30", "trend": "7.0", "traffic": "250.5"
         }
         assert by_url["jobs.b.de"] == {
-            "url": "jobs.b.de", "country": "DE", "rank": None, "trend": None, "traffic": None
+            "url": "jobs.b.de", "country": "DE", "rank": "", "trend": "", "traffic": ""
         }
         assert caplog.text.count("discarding unusable") == 5
 
     def test_score_duplicate_records_exit_3(self, small_inputs, tmp_path, capsys):
         _, indicators = small_inputs
-        entry = {"url": "jobs.a.de", "country": "DE", "rank": 1, "trend": 1.0, "traffic": 1.0}
-        other = dict(entry, url="jobs.b.de", rank=2)
-        records = tmp_path / "dup.json"
+        records = tmp_path / "dup.csv"
         records.write_text(
-            json.dumps({"schema": "site-records/1", "records": [entry, other, entry]}),
+            "url,country,rank,trend,traffic\n"
+            "jobs.a.de,DE,1,1.0,1.0\njobs.b.de,DE,2,1.0,1.0\njobs.a.de,DE,1,1.0,1.0\n",
             encoding="utf-8",
         )
         out = tmp_path / "o"
         rc = run(["score", "--records", records, "--indicators", indicators, "--out", out])
         assert rc == 3
-        assert "duplicate url 'jobs.a.de'" in capsys.readouterr().err
+        assert "duplicate url 'jobs.a.de' (lines 2 and 4)" in capsys.readouterr().err
         assert not (out / "panel.csv").exists()
+
+    def test_score_overflowing_signal_std_exit_3(self, small_inputs, tmp_path, capsys):
+        _, indicators = small_inputs
+        records = tmp_path / "big.csv"
+        records.write_text(
+            "url,country,rank,trend,traffic\n"
+            "jobs.a.de,DE,1,1e200,1.0\njobs.b.de,DE,2,2e200,2.0\n"
+            "jobs.c.fr,FR,3,3e200,3.0\njobs.d.fr,FR,4,5e200,4.0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        rc = run(["score", "--records", records, "--indicators", indicators, "--out", out])
+        assert rc == 3
+        assert "signal column 'trend'" in capsys.readouterr().err
+        assert not (out / "panel.csv").exists()
+
+    def test_duplicate_panel_url_exit_3(self, tmp_path, capsys):
+        synth = tmp_path / "synth"
+        assert run([
+            "synth", "--n", 40, "--coupling", 0.8, "--noise", 0.3, "--seed", 1, "--out", synth,
+        ]) == 0
+        lines = (synth / "panel.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("".join(lines + lines[1:6]), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["evaluate", "--panel", panel, "--out", out]) == 3
+        url = lines[1].split(",")[0]
+        assert f"duplicate url {url!r} (lines 2 and 42)" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_fit_error_exit_4(self, tmp_path):
         # Identical scores make the constant and linear trend columns collinear.

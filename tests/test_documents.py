@@ -8,9 +8,8 @@ import pytest
 from jobsignal import ParseError
 from jobsignal.evaluation import load_report
 from jobsignal.gpr import load_model
-from jobsignal.pipeline import read_records_json
 
-READERS = [(load_model, "model"), (load_report, "report"), (read_records_json, "records")]
+READERS = [(load_model, "model"), (load_report, "report")]
 
 # JSON that the standard parser cannot hold in Python objects: a RecursionError
 # and a ValueError (Python's 4300-digit limit on int conversion) respectively.

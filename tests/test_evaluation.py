@@ -43,7 +43,7 @@ def panel_from(scores, rates):
         )
         for i, (s, r) in enumerate(zip(scores, rates))
     )
-    return PanelDataset(rows=rows, raw_count=len(rows), clean_count=len(rows), dropped_count=0)
+    return PanelDataset(rows=rows, raw_count=len(rows))
 
 
 class TestCorrelationRate:

@@ -50,6 +50,9 @@ def test_removed_names_stay_gone():
         (gpr, "model_from_dict"),
         (evaluation, "report_to_dict"),
         (evaluation, "report_from_dict"),
+        (pipeline, "read_records_json"),
+        (pipeline, "write_records_json"),
+        (pipeline, "RECORDS_SCHEMA"),
     ]:
         assert not hasattr(module, attr), f"{module.__name__}.{attr}"
 

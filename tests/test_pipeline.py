@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -25,10 +26,9 @@ from jobsignal.pipeline import (
     format_panel_summary,
     read_indicators,
     read_panel_csv,
-    read_records_json,
     replay_signals,
     write_panel_csv,
-    write_records_json,
+    write_sites_csv,
 )
 
 
@@ -95,6 +95,24 @@ class TestIngest:
         with pytest.raises(ParseError, match="line 2"):
             ingest_sites(path)
 
+    def test_rank_beyond_float_range_is_parse_error(self, tmp_path):
+        path = write_sites(tmp_path, "jobs.a.de,DE,1" + "0" * 400 + ",1.0,1.0\n")
+        with pytest.raises(ParseError, match="line 2: rank is too large"):
+            ingest_sites(path)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ("1,3x,1.0", "cannot parse trend from '3x'"),
+            ("1,1.0,1e400", "traffic must be non-negative and finite"),
+        ],
+        ids=["string", "beyond-float-range"],
+    )
+    def test_unusable_signal_is_parse_error(self, tmp_path, cells, message):
+        path = write_sites(tmp_path, f"jobs.a.de,DE,{cells}\n")
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            ingest_sites(path)
+
 
 class TestReadIndicators:
     def test_reads_rates(self, tmp_path):
@@ -158,6 +176,13 @@ class TestFetchSignals:
         path = self.fixture_file(tmp_path, {})
         (record,) = replay_signals([site("jobs.x.de", "AT")], path)
         assert record.missing_signals() == ("rank", "trend", "traffic")
+        assert record.country_code == "AT"
+
+    def test_country_with_trailing_newline_is_not_used(self, tmp_path):
+        # A CSV reader strips the newline, so accepting it here would let the
+        # staged commands join a country that `pipeline` cannot.
+        path = self.fixture_file(tmp_path, {"jobs.a.de": {"country": "FR\n", "rank": 1}})
+        (record,) = replay_signals([site("jobs.a.de", "AT")], path)
         assert record.country_code == "AT"
 
     def test_empty_url_list(self, tmp_path):
@@ -297,6 +322,16 @@ class TestNormalizeAndScore:
         with pytest.raises(NormalizationError, match="trend"):
             normalize_and_score(records)
 
+    def test_overflowing_std_names_column(self):
+        # Finite trends whose squared deviations overflow: the column must not
+        # silently score 0.0 for every site.
+        records = [
+            site(f"jobs.{i}.de", rank=i + 1, trend=trend, traffic=float(i + 1))
+            for i, trend in enumerate([1e200, 2e200, 3e200, 5e200])
+        ]
+        with pytest.raises(NormalizationError, match="'trend' has a non-finite standard deviation"):
+            normalize_and_score(records)
+
     def test_needs_two_records(self):
         with pytest.raises(ValueError, match="two"):
             normalize_and_score([site("jobs.a.de")])
@@ -368,6 +403,13 @@ class TestBuildPanel:
         assert panel.raw_count == 3
         assert panel.dropped_count == 1
 
+    def test_provenance_counts_derive_from_rows(self):
+        rows = (PanelRow(url="jobs.a.de", country_code="DE", score=0.0, unemployment_rate=5.0),)
+        panel = PanelDataset(rows=rows, raw_count=3)
+        assert (panel.clean_count, panel.dropped_count) == (1, 2)
+        with pytest.raises(ValueError, match="provenance"):
+            PanelDataset(rows=rows, raw_count=0)
+
     def test_unknown_scored_url(self):
         with pytest.raises(ValueError, match="missing from the site listing"):
             build_panel([("jobs.q.de", 0.0)], [site("jobs.a.de")], self.indicators())
@@ -379,7 +421,7 @@ class TestDescribePanel:
             PanelRow(url=f"jobs.{i}.de", country_code="DE", score=float(i), unemployment_rate=r)
             for i, r in enumerate(rates)
         )
-        return PanelDataset(rows=rows, raw_count=len(rows), clean_count=len(rows), dropped_count=0)
+        return PanelDataset(rows=rows, raw_count=len(rows))
 
     def test_single_row_std_not_applicable(self):
         summary = describe_panel(self.panel_from_rates([7.7]))
@@ -406,7 +448,7 @@ class TestDescribePanel:
         assert summary.rank_std == pytest.approx(ranks.std(ddof=1))
 
     def test_empty_panel_rejected(self):
-        panel = PanelDataset(rows=(), raw_count=0, clean_count=0, dropped_count=0)
+        panel = PanelDataset(rows=(), raw_count=0)
         with pytest.raises(ValueError, match="empty"):
             describe_panel(panel)
 
@@ -422,11 +464,21 @@ class TestPanelCsv:
             )
             for i in range(10)
         )
-        panel = PanelDataset(rows=rows, raw_count=10, clean_count=10, dropped_count=0)
+        panel = PanelDataset(rows=rows, raw_count=10)
         path = tmp_path / "panel.csv"
         write_panel_csv(panel, path)
         restored = read_panel_csv(path)
         assert restored.rows == panel.rows
+
+    def test_duplicate_url_rejected(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text(
+            "url,country,score,unemployment_rate\n"
+            "a.test,ZZ,0.0,4.0\nb.test,ZZ,1.0,5.0\na.test,ZZ,2.0,6.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IntegrityError, match=r"duplicate url 'a.test' \(lines 2 and 4\)"):
+            read_panel_csv(path)
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "panel.csv"
@@ -441,47 +493,27 @@ class TestPanelCsv:
             read_panel_csv(path)
 
 
-class TestRecordsJson:
-    def test_round_trip(self, tmp_path):
-        records = [site("jobs.a.de"), SiteRecord(url="jobs.b.fr", country_code="FR", trend=3.0)]
-        path = tmp_path / "records.json"
-        write_records_json(records, path)
-        assert read_records_json(path) == records
-
-    def test_schema_checked(self, tmp_path):
-        path = tmp_path / "records.json"
-        path.write_text(json.dumps({"schema": "other/1", "records": []}), encoding="utf-8")
-        with pytest.raises(ParseError, match="schema"):
-            read_records_json(path)
-
-    def test_records_not_a_list(self, tmp_path):
-        path = tmp_path / "records.json"
-        path.write_text(json.dumps({"schema": "site-records/1", "records": 5}), encoding="utf-8")
-        with pytest.raises(ParseError, match="must be a list"):
-            read_records_json(path)
-
-    def test_duplicate_url_rejected(self, tmp_path):
-        path = tmp_path / "records.json"
-        write_records_json([site("jobs.a.de"), site("jobs.b.de"), site("jobs.a.de")], path)
-        with pytest.raises(IntegrityError, match=r"duplicate url 'jobs.a.de' \(records 1 and 3\)"):
-            read_records_json(path)
-
-    def test_rank_beyond_float_range_is_parse_error(self, tmp_path):
-        path = tmp_path / "records.json"
-        entry = {"url": "jobs.a.de", "country": "DE", "rank": 10**400}
-        path.write_text(json.dumps({"schema": "site-records/1", "records": [entry]}), encoding="utf-8")
-        with pytest.raises(ParseError, match="too large"):
-            read_records_json(path)
-
-    @pytest.mark.parametrize(
-        "name, value", [("trend", "3"), ("traffic", 10**400)], ids=["string", "beyond-float-range"]
-    )
-    def test_unusable_signal_fails_signal_rule(self, tmp_path, name, value):
-        path = tmp_path / "records.json"
-        entry = {"url": "jobs.a.de", "country": "DE", name: value}
-        path.write_text(json.dumps({"schema": "site-records/1", "records": [entry]}), encoding="utf-8")
-        with pytest.raises(ParseError, match=f"{name} must be non-negative and finite"):
-            read_records_json(path)
+class TestWriteSitesCsv:
+    def test_round_trip_is_exact(self, tmp_path):
+        records = [
+            site("jobs.a.de"),
+            SiteRecord(url="jobs.b.fr", country_code="FR", trend=3.0),
+            SiteRecord(url="jobs.c.at", country_code="AT"),
+            site("jobs.d.nl", "NL", rank=int(sys.float_info.max), trend=5e-324,
+                 traffic=1.7976931348623157e308),
+            site("jobs.e.se", "SE", rank=2**53 + 1, trend=2.2250738585072e-308,
+                 traffic=0.1 + 0.2),
+            site("jobs.f.pl", "PL", rank=1, trend=-0.0, traffic=1e-300),
+        ]
+        path = tmp_path / "records.csv"
+        write_sites_csv(records, path)
+        restored = ingest_sites(path)
+        assert restored == records
+        for name in ("trend", "traffic"):
+            assert [getattr(r, name).hex() for r in restored if getattr(r, name) is not None] == [
+                getattr(r, name).hex() for r in records if getattr(r, name) is not None
+            ]
+        assert all(type(r.rank) is int for r in restored if r.rank is not None)
 
 
 class TestSiteRecordValidation:
