@@ -34,7 +34,6 @@ from .pipeline import (
     PanelRow,
     SiteRecord,
     build_panel,
-    describe_panel,
     ingest_sites,
     listwise_delete,
     normalize_and_score,
@@ -67,7 +66,6 @@ __all__ = [
     "__version__",
     "build_panel",
     "correlation_rate",
-    "describe_panel",
     "evaluate",
     "fit",
     "fit_hyperparameters",

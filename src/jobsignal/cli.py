@@ -7,8 +7,12 @@ records in the site-listing CSV format that clean and score read back.
 is deterministic given its flags; outputs contain no wall-clock or
 locale-dependent bytes.
 
-Exit codes: 0 success, 2 parse/configuration failure, 3 data-integrity
-failure, 4 fit failure, 5 evaluation failure.
+`evaluate` and `pipeline` write report.json and report.txt through
+evaluation; only `pipeline` has the complete records, so only its
+report.txt gives rank statistics.
+
+Exit codes: 0 success, 2 parse/configuration failure (an unusable --out
+included), 3 data-integrity failure, 4 fit failure, 5 evaluation failure.
 """
 
 from __future__ import annotations
@@ -57,13 +61,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_report_files(report, summary, out: Path) -> None:
+def _write_report_files(report, panel, complete_sites, out: Path) -> None:
     evaluation.save_report(report, out / "report.json")
-    blocks = []
-    if summary is not None:
-        blocks.append(pipeline.format_panel_summary(summary))
-    blocks.append(evaluation.format_report(report))
-    (out / "report.txt").write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+    text = evaluation.format_report(report, panel, complete_sites)
+    (out / "report.txt").write_text(text, encoding="utf-8")
 
 
 def cmd_ingest(args) -> int:
@@ -123,7 +124,7 @@ def cmd_evaluate(args) -> int:
         in_sample=args.in_sample,
     )
     out = _out_dir(args)
-    _write_report_files(report, pipeline.describe_panel(panel), out)
+    _write_report_files(report, panel, (), out)
     logger.info("report -> %s", out / "report.json")
     return EXIT_OK
 
@@ -152,11 +153,11 @@ def cmd_pipeline(args) -> int:
         gpr.save_model(model, out / "model.json")
         stage = "evaluate"
         report = evaluation.evaluate_model(model, panel, direction, in_sample=args.in_sample)
-        _write_report_files(report, pipeline.describe_panel(panel, complete_sites=kept), out)
+        _write_report_files(report, panel, kept, out)
     except Exception as exc:
         print(f"pipeline failed at stage {stage}: {exc}", file=sys.stderr)
         raise
-    logger.info("pipeline complete: %d raw -> %d clean rows", panel.raw_count, panel.clean_count)
+    logger.info("pipeline complete: %d raw -> %d clean rows", panel.raw_count, panel.n)
     return EXIT_OK
 
 
@@ -279,7 +280,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError, ValueError) as exc:
+    except (ParseError, ConfigError, ValueError, OSError) as exc:
+        # OSError: an --out that is a file, or an output path that is a directory.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (IntegrityError, NormalizationError, JoinError) as exc:

@@ -16,7 +16,10 @@ with the jitter the fit actually used.
 
 The report carries the correlation rate (Pearson correlation of actual vs
 predicted), RMSE, and RAE (sum of absolute errors relative to the
-mean-predictor baseline), in either prediction direction.
+mean-predictor baseline), in either prediction direction. This module owns
+both report files: save_report writes report.json, and format_report renders
+the whole of report.txt, the panel's descriptive statistics above the
+metrics.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import _lapack, gpr
 from ._documents import read_document, write_document
 from .errors import EvaluationError, ParseError
-from .pipeline import PanelDataset
+from .pipeline import PanelDataset, SiteRecord
 
 __all__ = [
     "Direction",
@@ -274,8 +278,35 @@ def load_report(path) -> EvaluationReport:
         raise ParseError(f"malformed report document: {exc}") from exc
 
 
-def format_report(report: EvaluationReport) -> str:
-    lines = [
+def _block(lines: list[tuple[str, str]]) -> str:
+    width = max(len(label) for label, _ in lines)
+    return "\n".join(f"{label:<{width}}  {value}" for label, value in lines)
+
+
+def format_report(
+    report: EvaluationReport, panel: PanelDataset, complete_sites: Sequence[SiteRecord] = ()
+) -> str:
+    """The text of report.txt: panel statistics, a blank line, the metrics.
+
+    Rank statistics come from complete_sites, the records that fed the
+    panel's scores; without them (panel.csv carries no ranks) they read n/a.
+    """
+    if panel.n != report.n:
+        raise ValueError(f"report of {report.n} rows does not match a panel of {panel.n} rows")
+    rates = panel.rates()
+    rank_mean = rank_std = "n/a"
+    if complete_sites:
+        ranks = np.array([float(site.rank) for site in complete_sites])
+        rank_mean, rank_std = f"{ranks.mean():.1f}", f"{ranks.std(ddof=1):.1f}"
+    panel_lines = [
+        ("Number of web sites", str(panel.raw_count)),
+        ("Number of web sites after listwise deletion", str(panel.n)),
+        ("Average unemployment rate", f"{rates.mean():.4f}"),
+        ("Std. deviation of unemployment rate", f"{rates.std(ddof=1):.4f}"),
+        ("Average web site ranking", rank_mean),
+        ("Std. deviation of web site ranking", rank_std),
+    ]
+    metric_lines = [
         ("Prediction direction", report.direction.flag()),
         ("Validation", "in-sample" if report.in_sample else "leave-one-out"),
         ("Observations", str(report.n)),
@@ -283,5 +314,4 @@ def format_report(report: EvaluationReport) -> str:
         ("RMSE", f"{report.rmse:.4f}"),
         ("RAE", f"{report.rae:.4f}"),
     ]
-    width = max(len(label) for label, _ in lines)
-    return "\n".join(f"{label:<{width}}  {value}" for label, value in lines)
+    return f"{_block(panel_lines)}\n\n{_block(metric_lines)}\n"

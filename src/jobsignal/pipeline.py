@@ -9,6 +9,8 @@ column, averages them into a single attractiveness score per site, and
 joins the origin country's unemployment rate to produce the two-column
 modeling panel. The staged commands hand records from one stage to the
 next as site listings: write_sites_csv writes what ingest_sites reads.
+This module owns panel.csv and the record CSVs; the panel's descriptive
+statistics are part of report.txt, which evaluation.format_report renders.
 """
 
 from __future__ import annotations
@@ -32,12 +34,9 @@ __all__ = [
     "CountryIndicator",
     "PanelDataset",
     "PanelRow",
-    "PanelSummary",
     "SiteRecord",
     "SIGNAL_FIELDS",
     "build_panel",
-    "describe_panel",
-    "format_panel_summary",
     "ingest_sites",
     "listwise_delete",
     "normalize_and_score",
@@ -58,6 +57,7 @@ PANEL_HEADER = ["url", "country", "score", "unemployment_rate"]
 _COUNTRY_RE = re.compile(r"[A-Z]{2}\Z")  # \Z: "$" would accept a trailing newline
 # Only the empty cell means missing; explicit placeholder tokens are rejected.
 _FORBIDDEN_MISSING_TOKENS = {"na", "n/a", "null", "none", "nan"}
+_ECHO_LIMIT = 80  # characters of a wrong header that an error message repeats
 
 
 def _check_signal(name: str, value) -> None:
@@ -155,14 +155,6 @@ class PanelDataset:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
-    def clean_count(self) -> int:
-        return self.n
-
-    @property
-    def dropped_count(self) -> int:
-        return self.raw_count - self.n
-
     def scores(self) -> np.ndarray:
         return np.array([row.score for row in self.rows])
 
@@ -170,27 +162,38 @@ class PanelDataset:
         return np.array([row.unemployment_rate for row in self.rows])
 
 
+def _unique_keys(pairs) -> dict:
+    """The dict of these (key, value) pairs; IntegrityError if a key repeats,
+    where json.loads and a dict would keep the last value."""
+    table = {}
+    for key, value in pairs:
+        if key in table:
+            raise IntegrityError(f"replay fixture names {key!r} twice")
+        table[key] = value
+    return table
+
+
 def replay_signals(records: Sequence[SiteRecord], fixture) -> list[SiteRecord]:
     """Replace each record's signals with those recorded in a JSON fixture.
 
     The fixture maps url -> {rank, trend, traffic[, country]}, with null for
-    a missing value; its keys match case-insensitively. A url absent from
-    the fixture gets all three signals missing, and a value that is not a
-    usable signal becomes missing with a warning. The fixture's country
-    replaces the record's only when it is two uppercase letters other than
-    ZZ. Output is ordered by url, so downstream stages see a deterministic
-    batch.
+    a missing value; its keys match case-insensitively, and a url named
+    twice, in any case, raises IntegrityError. A url absent from the fixture
+    gets all three signals missing, and a value that is not a usable signal
+    becomes missing with a warning. The fixture's country replaces the
+    record's only when it is two uppercase letters other than ZZ. Output is
+    ordered by url, so downstream stages see a deterministic batch.
     """
     path = Path(fixture)
     if not path.is_file():
         raise ConfigError(f"replay fixture not found: {path}")
     try:
-        table = json.loads(path.read_text(encoding="utf-8"))
+        table = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # ValueError covers the decode errors
         raise ConfigError(f"replay fixture is not valid JSON: {path}: {exc}") from exc
     if not isinstance(table, dict) or not all(isinstance(v, dict) for v in table.values()):
         raise ConfigError(f"replay fixture must map url -> signal object: {path}")
-    table = {url.lower(): entry for url, entry in table.items()}
+    table = _unique_keys((url.lower(), entry) for url, entry in table.items())
     replayed = []
     for record in records:
         raw = table.get(record.url, {})
@@ -251,7 +254,10 @@ def _read_table(path, header: list[str], what: str):
     reader = csv.reader(io.StringIO(text, newline=""))
     found = next(reader, None)
     if found != header:
-        raise ParseError(f"{path}: expected header {','.join(header)!r}, got {found!r}")
+        got = repr(found)
+        if len(got) > _ECHO_LIMIT:  # the first line may be a whole file of data
+            got = got[:_ECHO_LIMIT] + "..."
+        raise ParseError(f"{path}: expected header {','.join(header)!r}, got {got}")
     for line_no, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise ParseError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
@@ -410,64 +416,6 @@ def build_panel(
     ]
     rows.sort(key=lambda row: row.url)
     return PanelDataset(rows=tuple(rows), raw_count=len(sites))
-
-
-@dataclass(frozen=True)
-class PanelSummary:
-    """Descriptive statistics block for a panel; None marks not-applicable."""
-
-    site_count_raw: int
-    site_count_clean: int
-    rate_mean: float
-    rate_std: float | None
-    rank_mean: float | None
-    rank_std: float | None
-
-
-def describe_panel(
-    panel: PanelDataset, complete_sites: Sequence[SiteRecord] | None = None
-) -> PanelSummary:
-    """Counts plus mean/sample-std of the rate column and the raw rank column.
-
-    Rank statistics come from the complete (post-deletion) records whose
-    columns fed normalization; when those are not supplied the rank fields
-    are reported as not-applicable.
-    """
-    if panel.n == 0:
-        raise ValueError("cannot describe an empty panel")
-    rates = panel.rates()
-    rate_std = float(rates.std(ddof=1)) if rates.size >= 2 else None
-    rank_mean = rank_std = None
-    if complete_sites:
-        ranks = np.array([float(site.rank) for site in complete_sites if site.rank is not None])
-        if ranks.size:
-            rank_mean = float(ranks.mean())
-            rank_std = float(ranks.std(ddof=1)) if ranks.size >= 2 else None
-    return PanelSummary(
-        site_count_raw=panel.raw_count,
-        site_count_clean=panel.clean_count,
-        rate_mean=float(rates.mean()),
-        rate_std=rate_std,
-        rank_mean=rank_mean,
-        rank_std=rank_std,
-    )
-
-
-def _fmt_stat(value: float | None, digits: int = 4) -> str:
-    return "n/a" if value is None else f"{value:.{digits}f}"
-
-
-def format_panel_summary(summary: PanelSummary) -> str:
-    lines = [
-        ("Number of web sites", str(summary.site_count_raw)),
-        ("Number of web sites after listwise deletion", str(summary.site_count_clean)),
-        ("Average unemployment rate", _fmt_stat(summary.rate_mean)),
-        ("Std. deviation of unemployment rate", _fmt_stat(summary.rate_std)),
-        ("Average web site ranking", _fmt_stat(summary.rank_mean, digits=1)),
-        ("Std. deviation of web site ranking", _fmt_stat(summary.rank_std, digits=1)),
-    ]
-    width = max(len(label) for label, _ in lines)
-    return "\n".join(f"{label:<{width}}  {value}" for label, value in lines)
 
 
 def write_panel_csv(panel: PanelDataset, path) -> None:

@@ -41,6 +41,15 @@ UNPARSABLE_JSON = {
 }
 
 
+BUNDLED_PANEL_BLOCK = """\
+Number of web sites                          427
+Number of web sites after listwise deletion  382
+Average unemployment rate                    10.7050
+Std. deviation of unemployment rate          4.7770
+Average web site ranking                     5061031.0
+Std. deviation of web site ranking           8450323.4"""
+
+
 @pytest.fixture
 def small_inputs(tmp_path):
     sites = tmp_path / "sites.csv"
@@ -114,7 +123,8 @@ class TestPipelineCommand:
         rc = run(["pipeline", "--out", out])
         assert rc == 0
         text = (out / "report.txt").read_text(encoding="utf-8")
-        assert "427" in text and "382" in text
+        # The panel block depends on counts, rates and ranks only, not on the fit.
+        assert text.startswith(BUNDLED_PANEL_BLOCK + "\n\nPrediction direction  score-to-rate\n")
         for label in ("Correlation rate", "RMSE", "RAE"):
             assert label in text
 
@@ -235,6 +245,9 @@ class TestStagedCommands:
         assert run(["evaluate", "--panel", work / "panel.csv", "--out", work]) == 0
         report = json.loads((work / "report.json").read_text(encoding="utf-8"))
         assert report["n"] == 11
+        # panel.csv carries no ranks.
+        text = (work / "report.txt").read_text(encoding="utf-8")
+        assert "Average web site ranking                     n/a\n" in text
 
     def test_staged_chain_matches_pipeline(self, small_inputs, tmp_path):
         sites, indicators = small_inputs
@@ -297,6 +310,32 @@ class TestStagedCommands:
             "url": "jobs.b.de", "country": "DE", "rank": "", "trend": "", "traffic": ""
         }
         assert caplog.text.count("discarding unusable") == 5
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"JOBS.A.DE": {"rank": 5}, "jobs.a.de": {"rank": 9}}',
+            '{"jobs.a.de": {"rank": 5}, "jobs.a.de": {"rank": 9}}',
+        ],
+        ids=["case-variant", "verbatim"],
+    )
+    def test_ingest_fixture_naming_a_url_twice_exit_3(self, small_inputs, tmp_path, capsys, text):
+        sites, _ = small_inputs
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["ingest", "--sites", sites, "--fetch-fixture", fixture, "--out", out]) == 3
+        assert "replay fixture names 'jobs.a.de' twice" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
+    def test_long_wrong_header_is_echoed_in_part(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text("x" * 100_000 + "\n", encoding="utf-8")
+        assert run(["clean", "--records", records, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert f"{records}: expected header 'url,country,rank,trend,traffic', got ['xxx" in err
+        assert "xxx..." in err
+        assert len(err.encode("utf-8")) < 1024
 
     def test_score_duplicate_records_exit_3(self, small_inputs, tmp_path, capsys):
         _, indicators = small_inputs
@@ -426,6 +465,34 @@ class TestStagedCommands:
         panel.write_bytes(b"url,country,score,unemployment_rate\na.test,ZZ,0.0,4.0\xff\n")
         assert run(["evaluate", "--panel", panel, "--out", tmp_path / "o"]) == 2
         assert f"error: {panel}: line 2 is not valid UTF-8" in capsys.readouterr().err
+
+
+class TestUnusableOut:
+    """An --out that cannot be written exits 2 with one error line naming the path."""
+
+    def check(self, capsys, args, path):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(path)) in err
+
+    def test_synth_out_is_a_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        self.check(capsys, ["synth", "--n", 5, "--out", afile], afile)
+
+    def test_pipeline_out_is_a_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        self.check(capsys, ["pipeline", "--out", afile], afile)
+
+    def test_evaluate_report_path_is_a_directory(self, tmp_path, capsys):
+        assert run(["synth", "--n", 5, "--out", tmp_path / "s"]) == 0
+        out = tmp_path / "o-dir"
+        (out / "report.json").mkdir(parents=True)
+        args = ["evaluate", "--panel", tmp_path / "s" / "panel.csv", "--out", out]
+        self.check(capsys, args, out / "report.json")
 
 
 class TestSynthCommand:

@@ -387,9 +387,12 @@ class TestEvaluate:
 
 
 class TestReportSerialization:
-    def make_report(self):
+    def make_panel(self):
         rng = np.random.default_rng(12)
-        panel = panel_from(rng.standard_normal(8), 8.0 + rng.standard_normal(8))
+        return panel_from(rng.standard_normal(8), 8.0 + rng.standard_normal(8))
+
+    def make_report(self):
+        panel = self.make_panel()
         return evaluate(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), SearchConfig())
 
     def test_json_round_trip_bit_exact(self, tmp_path):
@@ -414,10 +417,13 @@ class TestReportSerialization:
             load_report(path)
 
     def test_text_table_labels(self):
-        report = self.make_report()
-        text = format_report(report)
-        for label in ("Correlation rate", "RMSE", "RAE", "Observations"):
-            assert label in text
+        text = format_report(self.make_report(), self.make_panel())
+        panel_block, metrics_block = text.split("\n\n")
+        assert panel_block.startswith("Number of web sites ")
+        assert "Observations          8\n" in metrics_block
+        for label in ("Correlation rate", "RMSE", "RAE"):
+            assert f"\n{label}" in metrics_block
+        assert text.endswith("\n") and not text.endswith("\n\n")
 
 
 class TestSyntheticPanel:

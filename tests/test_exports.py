@@ -53,6 +53,13 @@ def test_removed_names_stay_gone():
         (pipeline, "read_records_json"),
         (pipeline, "write_records_json"),
         (pipeline, "RECORDS_SCHEMA"),
+        (pipeline, "PanelSummary"),
+        (pipeline, "describe_panel"),
+        (pipeline, "format_panel_summary"),
+        (pipeline, "_fmt_stat"),
+        (package, "describe_panel"),
+        (pipeline.PanelDataset, "clean_count"),
+        (pipeline.PanelDataset, "dropped_count"),
     ]:
         assert not hasattr(module, attr), f"{module.__name__}.{attr}"
 

@@ -14,16 +14,16 @@ from jobsignal import (
     ParseError,
     SiteRecord,
     build_panel,
-    describe_panel,
     ingest_sites,
     listwise_delete,
     normalize_and_score,
 )
 from jobsignal.datasets import bundled_indicators_path, bundled_sites_path
+from jobsignal.evaluation import Direction, EvaluationReport, format_report
+from jobsignal.gpr import BasisExpansion, Kernel
 from jobsignal.pipeline import (
     PanelDataset,
     PanelRow,
-    format_panel_summary,
     read_indicators,
     read_panel_csv,
     replay_signals,
@@ -194,6 +194,27 @@ class TestFetchSignals:
 
         with pytest.raises(ConfigError, match="not found"):
             replay_signals([site("jobs.a.de")], tmp_path / "absent.json")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"JOBS000.EXAMPLE.AT": {"rank": 5}, "jobs000.example.at": {"rank": 9}}',
+            '{"jobs000.example.at": {"rank": 9}, "JOBS000.EXAMPLE.AT": {"rank": 5}}',
+            '{"jobs000.example.at": {"rank": 5}, "jobs000.example.at": {"rank": 9}}',
+        ],
+        ids=["upper-first", "lower-first", "verbatim"],
+    )
+    def test_url_named_twice_is_integrity_error(self, tmp_path, text):
+        path = tmp_path / "fixture.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IntegrityError, match="names 'jobs000.example.at' twice"):
+            replay_signals([site("jobs000.example.at", "AT")], path)
+
+    def test_signal_named_twice_is_integrity_error(self, tmp_path):
+        path = tmp_path / "fixture.json"
+        path.write_text('{"jobs.a.de": {"rank": 5, "rank": 9}}', encoding="utf-8")
+        with pytest.raises(IntegrityError, match="names 'rank' twice"):
+            replay_signals([site("jobs.a.de")], path)
 
     def test_corrupt_fixture_is_config_error(self, tmp_path):
         from jobsignal import ConfigError
@@ -381,9 +402,7 @@ class TestBuildPanel:
     def test_empty_scored_list(self):
         panel = build_panel([], [site("jobs.a.de")], self.indicators())
         assert panel.n == 0
-        assert panel.clean_count == 0
         assert panel.raw_count == 1
-        assert panel.dropped_count == 1
 
     def test_rows_sorted_by_url(self):
         sites = [site("jobs.z.de"), site("jobs.a.de")]
@@ -399,14 +418,13 @@ class TestBuildPanel:
         kept, dropped = listwise_delete(sites)
         scored = normalize_and_score(kept)
         panel = build_panel(scored, sites, self.indicators())
-        assert panel.raw_count == panel.clean_count + panel.dropped_count
-        assert panel.raw_count == 3
-        assert panel.dropped_count == 1
+        assert (panel.raw_count, panel.n) == (3, 2)
+        assert panel.raw_count - panel.n == dropped
 
     def test_provenance_counts_derive_from_rows(self):
         rows = (PanelRow(url="jobs.a.de", country_code="DE", score=0.0, unemployment_rate=5.0),)
         panel = PanelDataset(rows=rows, raw_count=3)
-        assert (panel.clean_count, panel.dropped_count) == (1, 2)
+        assert (panel.n, panel.raw_count) == (1, 3)
         with pytest.raises(ValueError, match="provenance"):
             PanelDataset(rows=rows, raw_count=0)
 
@@ -416,6 +434,15 @@ class TestBuildPanel:
 
 
 class TestDescribePanel:
+    """The panel block of report.txt, which evaluation.format_report renders."""
+
+    def report_for(self, n):
+        return EvaluationReport(
+            direction=Direction.SCORE_TO_RATE, n=n, correlation_rate=0.5, rmse=1.0, rae=0.9,
+            kernel=Kernel(sigma_sq=1.0, theta=[1.0]), basis=BasisExpansion("const"),
+            in_sample=False, per_fold=(),
+        )
+
     def panel_from_rates(self, rates):
         rows = tuple(
             PanelRow(url=f"jobs.{i}.de", country_code="DE", score=float(i), unemployment_rate=r)
@@ -423,16 +450,21 @@ class TestDescribePanel:
         )
         return PanelDataset(rows=rows, raw_count=len(rows))
 
-    def test_single_row_std_not_applicable(self):
-        summary = describe_panel(self.panel_from_rates([7.7]))
-        assert summary.rate_mean == 7.7
-        assert summary.rate_std is None
-        assert "n/a" in format_panel_summary(summary)
+    def panel_block(self, panel, complete_sites=()):
+        """The first block of report.txt as a {label: value} dict."""
+        text = format_report(self.report_for(panel.n), panel, complete_sites)
+        pairs = (line.rsplit("  ", 1) for line in text.split("\n\n")[0].splitlines())
+        return {label.rstrip(): value for label, value in pairs}
+
+    def test_rank_lines_not_applicable_without_sites(self):
+        block = self.panel_block(self.panel_from_rates([7.7, 7.7, 9.0]))
+        assert block["Average web site ranking"] == "n/a"
+        assert block["Std. deviation of web site ranking"] == "n/a"
 
     def test_hand_computed_stats(self):
-        summary = describe_panel(self.panel_from_rates([4.0, 6.0, 8.0, 10.0]))
-        assert summary.rate_mean == pytest.approx(7.0, abs=1e-12)
-        assert summary.rate_std == pytest.approx(2.5819888975, abs=1e-9)
+        block = self.panel_block(self.panel_from_rates([4.0, 6.0, 8.0, 10.0]))
+        assert block["Average unemployment rate"] == "7.0000"
+        assert block["Std. deviation of unemployment rate"] == "2.5820"
 
     def test_bundled_fixture_counts(self):
         records = ingest_sites(bundled_sites_path())
@@ -440,17 +472,17 @@ class TestDescribePanel:
         scored = normalize_and_score(kept)
         indicators = read_indicators(bundled_indicators_path())
         panel = build_panel(scored, records, indicators)
-        summary = describe_panel(panel, complete_sites=kept)
-        assert summary.site_count_raw == 427
-        assert summary.site_count_clean == 382
+        block = self.panel_block(panel, complete_sites=kept)
+        assert block["Number of web sites"] == "427"
+        assert block["Number of web sites after listwise deletion"] == "382"
         ranks = np.array([float(r.rank) for r in kept])
-        assert summary.rank_mean == pytest.approx(ranks.mean())
-        assert summary.rank_std == pytest.approx(ranks.std(ddof=1))
+        assert block["Average web site ranking"] == f"{ranks.mean():.1f}"
+        assert block["Std. deviation of web site ranking"] == f"{ranks.std(ddof=1):.1f}"
 
-    def test_empty_panel_rejected(self):
-        panel = PanelDataset(rows=(), raw_count=0)
-        with pytest.raises(ValueError, match="empty"):
-            describe_panel(panel)
+    def test_row_count_mismatch_rejected(self):
+        panel = self.panel_from_rates([4.0, 6.0, 8.0, 10.0])
+        with pytest.raises(ValueError, match="report of 3 rows does not match a panel of 4"):
+            format_report(self.report_for(3), panel)
 
 
 class TestPanelCsv:
