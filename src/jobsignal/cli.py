@@ -7,12 +7,15 @@ records in the site-listing CSV format that clean and score read back.
 is deterministic given its flags; outputs contain no wall-clock or
 locale-dependent bytes.
 
-`evaluate` and `pipeline` write report.json and report.txt through
-evaluation; only `pipeline` has the complete records, so only its
-report.txt gives rank statistics.
+`pipeline` runs the staged commands' steps in one process. `evaluate` and
+`pipeline` write report.txt and then report.json through evaluation, so
+report.json exists only for a finished verdict; only `pipeline` has the
+complete records, so only its report.txt gives rank statistics.
 
 Exit codes: 0 success, 2 parse/configuration failure (an unusable --out
 included), 3 data-integrity failure, 4 fit failure, 5 evaluation failure.
+Each error class in `errors` carries its code as `exit_code`; `main` maps
+ValueError and OSError to 2.
 """
 
 from __future__ import annotations
@@ -23,27 +26,18 @@ import sys
 from pathlib import Path
 
 from . import __version__, datasets, evaluation, gpr, pipeline, synth
-from .errors import (
-    ConfigError,
-    EvaluationError,
-    FitError,
-    IntegrityError,
-    JoinError,
-    NormalizationError,
-    ParseError,
-)
+from .errors import JobSignalError
 
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_INTEGRITY = 3
-EXIT_FIT = 4
-EXIT_EVALUATION = 5
 
 
-def _search_config(args) -> gpr.SearchConfig:
-    """Build the theta grid from --theta-grid LO:HI:STEPS plus --jitter."""
+def _model_options(args) -> tuple[evaluation.Direction, gpr.BasisExpansion, gpr.SearchConfig]:
+    """fit_panel's (direction, basis, search) from --direction, --basis, --theta-grid, --jitter."""
+    direction = evaluation.Direction.from_flag(args.direction)
+    basis = gpr.BasisExpansion(args.basis)
     text = args.theta_grid
     parts = text.split(":")
     if len(parts) != 3:
@@ -52,7 +46,16 @@ def _search_config(args) -> gpr.SearchConfig:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"--theta-grid expects LO:HI:STEPS numbers, got {text!r}") from None
-    return gpr.SearchConfig(theta_min=lo, theta_max=hi, steps=steps, jitter=args.jitter)
+    search = gpr.SearchConfig(theta_min=lo, theta_max=hi, steps=steps, jitter=args.jitter)
+    return direction, basis, search
+
+
+def _panel_from_records(records, indicators_path):
+    """Clean, score and join records; returns the panel and the complete records."""
+    kept, _ = pipeline.listwise_delete(records)
+    scored = pipeline.normalize_and_score(kept)
+    indicators = pipeline.read_indicators(indicators_path)
+    return pipeline.build_panel(scored, records, indicators), kept
 
 
 def _out_dir(args) -> Path:
@@ -62,47 +65,39 @@ def _out_dir(args) -> Path:
 
 
 def _write_report_files(report, panel, complete_sites, out: Path) -> None:
-    evaluation.save_report(report, out / "report.json")
+    # report.json goes last: it exists only once the verdict is complete.
     text = evaluation.format_report(report, panel, complete_sites)
     (out / "report.txt").write_text(text, encoding="utf-8")
+    evaluation.save_report(report, out / "report.json")
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> None:
     records = pipeline.ingest_sites(args.sites)
     if args.fetch_fixture:
         records = pipeline.replay_signals(records, args.fetch_fixture)
     out = _out_dir(args)
     pipeline.write_sites_csv(records, out / "records.csv")
     logger.info("ingested %d records -> %s", len(records), out / "records.csv")
-    return EXIT_OK
 
 
-def cmd_clean(args) -> int:
+def cmd_clean(args) -> None:
     records = pipeline.ingest_sites(args.records)
     kept, dropped = pipeline.listwise_delete(records)
     out = _out_dir(args)
     pipeline.write_sites_csv(kept, out / "records_clean.csv")
     logger.info("kept %d records, dropped %d", len(kept), dropped)
-    return EXIT_OK
 
 
-def cmd_score(args) -> int:
-    records = pipeline.ingest_sites(args.records)
-    kept, _ = pipeline.listwise_delete(records)
-    scored = pipeline.normalize_and_score(kept)
-    indicators = pipeline.read_indicators(args.indicators)
-    panel = pipeline.build_panel(scored, records, indicators)
+def cmd_score(args) -> None:
+    panel, _ = _panel_from_records(pipeline.ingest_sites(args.records), args.indicators)
     out = _out_dir(args)
     pipeline.write_panel_csv(panel, out / "panel.csv")
     logger.info("panel of %d rows -> %s", panel.n, out / "panel.csv")
-    return EXIT_OK
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     panel = pipeline.read_panel_csv(args.panel)
-    direction = evaluation.Direction.from_flag(args.direction)
-    basis = gpr.BasisExpansion(args.basis)
-    model = evaluation.fit_panel(panel, direction, basis, _search_config(args))
+    model = evaluation.fit_panel(panel, *_model_options(args))
     out = _out_dir(args)
     gpr.save_model(model, out / "model.json")
     logger.info(
@@ -111,27 +106,19 @@ def cmd_fit(args) -> int:
         model.kernel.sigma_sq,
         out / "model.json",
     )
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     panel = pipeline.read_panel_csv(args.panel)
-    report = evaluation.evaluate(
-        panel,
-        evaluation.Direction.from_flag(args.direction),
-        gpr.BasisExpansion(args.basis),
-        _search_config(args),
-        in_sample=args.in_sample,
-    )
+    report = evaluation.evaluate(panel, *_model_options(args), in_sample=args.in_sample)
     out = _out_dir(args)
     _write_report_files(report, panel, (), out)
     logger.info("report -> %s", out / "report.json")
-    return EXIT_OK
 
 
-def cmd_pipeline(args) -> int:
-    sites_path = args.sites if args.sites else datasets.bundled_sites_path()
-    indicators_path = args.indicators if args.indicators else datasets.bundled_indicators_path()
+def cmd_pipeline(args) -> None:
+    sites_path = args.sites or datasets.bundled_sites_path()
+    indicators_path = args.indicators or datasets.bundled_indicators_path()
     out = _out_dir(args)
     stage = "ingest"
     try:
@@ -139,17 +126,12 @@ def cmd_pipeline(args) -> int:
         if args.fetch_fixture:
             stage = "fetch"
             records = pipeline.replay_signals(records, args.fetch_fixture)
-        stage = "clean"
-        kept, dropped = pipeline.listwise_delete(records)
         stage = "score"
-        scored = pipeline.normalize_and_score(kept)
-        indicators = pipeline.read_indicators(indicators_path)
-        panel = pipeline.build_panel(scored, records, indicators)
+        panel, kept = _panel_from_records(records, indicators_path)
         pipeline.write_panel_csv(panel, out / "panel.csv")
         stage = "fit"
-        direction = evaluation.Direction.from_flag(args.direction)
-        basis = gpr.BasisExpansion(args.basis)
-        model = evaluation.fit_panel(panel, direction, basis, _search_config(args))
+        direction, basis, search = _model_options(args)
+        model = evaluation.fit_panel(panel, direction, basis, search)
         gpr.save_model(model, out / "model.json")
         stage = "evaluate"
         report = evaluation.evaluate_model(model, panel, direction, in_sample=args.in_sample)
@@ -158,22 +140,21 @@ def cmd_pipeline(args) -> int:
         print(f"pipeline failed at stage {stage}: {exc}", file=sys.stderr)
         raise
     logger.info("pipeline complete: %d raw -> %d clean rows", panel.raw_count, panel.n)
-    return EXIT_OK
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     panel = synth.synthetic_panel(args.n, args.coupling, args.noise, args.seed)
     out = _out_dir(args)
     pipeline.write_panel_csv(panel, out / "panel.csv")
     logger.info("synthetic panel of %d rows -> %s", panel.n, out / "panel.csv")
-    return EXIT_OK
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
+    grid = gpr.SearchConfig()
     parser.add_argument(
         "--direction",
-        choices=["score-to-rate", "rate-to-score"],
-        default="score-to-rate",
+        choices=[d.flag() for d in evaluation.Direction],
+        default=evaluation.Direction.SCORE_TO_RATE.flag(),
         help="which column is predicted from which (default: %(default)s)",
     )
     parser.add_argument(
@@ -184,7 +165,7 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--theta-grid",
-        default="0.1:10:13",
+        default=f"{grid.theta_min:g}:{grid.theta_max:g}:{grid.steps}",
         metavar="LO:HI:STEPS",
         help="logarithmic correlation-length grid (default: %(default)s)",
     )
@@ -279,20 +260,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, ConfigError, ValueError, OSError) as exc:
+        args.func(args)
+    except (JobSignalError, ValueError, OSError) as exc:
         # OSError: an --out that is a file, or an output path that is a directory.
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (IntegrityError, NormalizationError, JoinError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIT
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
+        return getattr(exc, "exit_code", EXIT_PARSE)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -32,6 +32,15 @@ PL,11.2
 """
 
 
+# Every complete site is in DE, so the rates are constant.
+ONE_COUNTRY_SITES = """url,country,rank,trend,traffic
+jobs.a.de,DE,100,60.0,30000
+jobs.b.de,DE,2500,40.0,9000
+jobs.c.de,DE,400,75.0,22000
+jobs.d.de,DE,9000,20.0,1500
+jobs.e.fr,FR,,75.0,22000
+"""
+
 BIG_RANK = "1" + "0" * 400  # an integer beyond the float range
 
 # JSON that json.loads fails on with RecursionError or a bare ValueError.
@@ -117,6 +126,29 @@ class TestPipelineCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "FR" in err and "score" in err  # offending country and stage
+
+    @pytest.mark.parametrize(
+        "stage, code", [("ingest", 2), ("fetch", 2), ("score", 3), ("fit", 2), ("evaluate", 5)]
+    )
+    def test_failure_names_its_stage(self, small_inputs, tmp_path, capsys, stage, code):
+        sites, indicators = small_inputs
+        extra = []
+        if stage == "ingest":
+            sites = tmp_path / "absent.csv"
+        elif stage == "fetch":
+            extra = ["--fetch-fixture", tmp_path / "absent.json"]
+        elif stage == "score":
+            indicators.write_text("country,unemployment_rate\nDE,5.0\n", encoding="utf-8")
+        elif stage == "fit":
+            extra = ["--theta-grid", "oops"]
+        else:  # constant rates leave the correlation undefined
+            sites.write_text(ONE_COUNTRY_SITES, encoding="utf-8")
+        args = ["pipeline", "--sites", sites, "--indicators", indicators, *extra]
+        assert run([*args, "--out", tmp_path / "o"]) == code
+        first, second = capsys.readouterr().err.splitlines()
+        prefix = f"pipeline failed at stage {stage}: "
+        assert first.startswith(prefix)
+        assert second == "error: " + first[len(prefix):]
 
     def test_bundled_fixture_is_default(self, tmp_path):
         out = tmp_path / "out"
@@ -493,6 +525,14 @@ class TestUnusableOut:
         (out / "report.json").mkdir(parents=True)
         args = ["evaluate", "--panel", tmp_path / "s" / "panel.csv", "--out", out]
         self.check(capsys, args, out / "report.json")
+
+    def test_evaluate_report_txt_is_a_directory_leaves_no_report_json(self, tmp_path, capsys):
+        assert run(["synth", "--n", 5, "--out", tmp_path / "s"]) == 0
+        out = tmp_path / "o-dir"
+        (out / "report.txt").mkdir(parents=True)
+        args = ["evaluate", "--panel", tmp_path / "s" / "panel.csv", "--out", out]
+        self.check(capsys, args, out / "report.txt")
+        assert not (out / "report.json").exists()
 
 
 class TestSynthCommand:

@@ -60,6 +60,10 @@ def test_removed_names_stay_gone():
         (package, "describe_panel"),
         (pipeline.PanelDataset, "clean_count"),
         (pipeline.PanelDataset, "dropped_count"),
+        (cli, "_search_config"),
+        (cli, "EXIT_INTEGRITY"),
+        (cli, "EXIT_FIT"),
+        (cli, "EXIT_EVALUATION"),
     ]:
         assert not hasattr(module, attr), f"{module.__name__}.{attr}"
 
