@@ -5,9 +5,11 @@ row is then predicted by the model fitted on all other rows. That
 prediction is computed exactly in closed form from the one full-data fit
 (Dubrule 1983, Math. Geology 15(6); Rasmussen & Williams, GPML 5.4.2):
 with P = C^-1 - C^-1 F (F' C^-1 F)^-1 F' C^-1, the held-out residual of
-row i is (P t)_i / P_ii, and P t is the fit's alpha. Frozen hyperparameters
-include the jitter: if the full-data factorization had to escalate it,
-every fold uses the escalated value, and the report records it.
+row i is (P t)_i / P_ii, and P t is the fit's alpha. The fit's factor is
+over the u distinct inputs (see jobsignal.gpr), and diag(P) follows from
+the u x u one in O(N + u^3). Frozen hyperparameters include the jitter: if
+the full-data factorization had to escalate it, every fold uses the
+escalated value, and the report records it.
 
 In-sample predictions need no solve at all. On the training rows the
 cross-covariance is K = C - jitter * sigma_sq * I and C alpha = t - F beta,
@@ -132,11 +134,14 @@ def rae(pairs) -> float:
 def _loo_pairs(model: gpr.GprModel, labels) -> list[tuple[float, float]]:
     """(actual, predicted) per row, each predicted by the fit without that row.
 
-    With C = L L', diag(C^-1) is the column sums of squares of L^-1, and the
-    trend term of diag(P) is the row sums of squares of L^-T Q, where
-    Q = trend_whitened trend_r^-1 has orthonormal columns.
+    The fit's factor L is over the u distinct inputs, C_u = L L'. There
+    diag(C_u^-1) is the column sums of squares of L^-1, and the trend term
+    of diag(P_u) is the row sums of squares of L^-T Q, where
+    Q = trend_whitened trend_r^-1 has orthonormal columns. Row i of a group
+    k of n_k rows then has P_ii = (1 - 1/n_k) / (sigma_sq*jitter) + (P_u)_kk / n_k^2,
+    and diag(C^-1)_ii likewise, so no N x N matrix is formed.
     """
-    # L^-1 is the one N x N temporary, inverted in a copy of the factor as
+    # L^-1 is the one u x u temporary, inverted in a copy of the factor as
     # stored. dtrtri leaves the strict upper triangle as it finds it, and L
     # has zeros there, so whole-column sums are valid. Its transpose view
     # is L^-T in C order, whose rows are those columns.
@@ -149,6 +154,12 @@ def _loo_pairs(model: gpr.GprModel, labels) -> list[tuple[float, float]]:
     trend = chol_inv_t @ q
     inv_diag = np.einsum("ij,ij->i", chol_inv_t, chol_inv_t)
     p_diag = inv_diag - np.einsum("ij,ij->i", trend, trend)
+    groups = model.groups
+    if groups.tied:
+        within = (1.0 - 1.0 / groups.counts) / (model.kernel.sigma_sq * model.kernel.jitter)
+        squares = groups.counts**2
+        inv_diag = (within + inv_diag / squares)[groups.index]
+        p_diag = (within + p_diag / squares)[groups.index]
     degenerate = ~np.isfinite(p_diag) | (p_diag <= FOLD_RTOL * inv_diag)
     if degenerate.any():
         i = int(np.argmax(degenerate))

@@ -7,21 +7,30 @@ zero-mean stationary process Z whose covariance between two points is
     sigma_sq * exp(-sum_i (x_i - x'_i)**2 / theta_i).
 
 Every correlation is exp(-D) of one distance function, _scaled_distances,
-and every linear solve goes through one Cholesky factor made by _factorize:
-on every rung of its jitter ladder it fills the lower triangle of
-R + jitter*I from the inputs, a block of columns at a time, and factorizes
-it with LAPACK dpotrf in place, in an N x N Fortran-ordered buffer that
-becomes the model's factor. No N x N distance matrix is held. LAPACK is
-numpy's own OpenBLAS, called through jobsignal._lapack. Nothing here
-inverts a matrix (the dense inverse lives only in the test oracle). A saved
-model refits to the same bits under the same numpy build.
+and every linear solve goes through one Cholesky factor made by _factorize,
+over the u distinct input rows. Rows with identical inputs have identical
+rows of R, so with Z the N x u incidence matrix and n_k the rows of
+distinct input k, R + jitter*I = Z R_u Z' + jitter*I, and the fit follows
+exactly from R_u + jitter*diag(1/n_k), the group means of the targets and
+the residual within the groups (Binois, Gramacy & Ludkovski 2018, JCGS
+27(4), section 3; Ankenman, Nelson & Staum 2010, Oper. Res. 58(2)). The
+compression is exact and needs no setting; when every input is distinct
+(u = N) it is the identity, with the arithmetic of the plain N x N
+factorization. On every rung of its jitter ladder _factorize fills the
+lower triangle of that matrix from the distinct inputs, a block of columns
+at a time, and factorizes it with LAPACK dpotrf in place, in a u x u
+Fortran-ordered buffer that becomes the model's factor. No distance matrix
+and no matrix larger than u x u is held. LAPACK is numpy's own OpenBLAS,
+called through jobsignal._lapack. Nothing here inverts a matrix (the dense
+inverse lives only in the test oracle). A saved model refits to the same
+bits under the same numpy build.
 Hyperparameters are selected by maximizing the log marginal likelihood over
 a logarithmic theta grid with the process variance profiled out in closed
 form. Two grid cells are in flight at once, on the calling thread and one
-helper thread, each in its own factor buffer, when the available CPUs hold
-two BLAS calls' threads (OpenBLAS on one thread and two CPUs); otherwise
-one. The winner is
-picked after the scan and its factor becomes the fitted model, factorized
+helper thread, each in its own factor buffer, when the factor has at least
+_SHARED_MIN_ORDER rows and the available CPUs hold two BLAS calls' threads
+(OpenBLAS on one thread and two CPUs); otherwise one. The winner is picked
+after the scan and its factor becomes the fitted model, factorized
 once more only if a later cell reused its buffer, so the search is also
 the fit. A fitted model holds no mutable state: predict logs at
 DEBUG, on the jobsignal.gpr logger, how many variances it clamped to 0.
@@ -65,6 +74,7 @@ DEFAULT_JITTER = 1e-10
 MAX_JITTER = 1e-4
 SIGMA_SQ_FLOOR = 1e-30  # keeps log(sigma_sq) finite on zero-residual data
 _FILL_COLUMNS = 128  # columns of R that _factorize fills per block
+_SHARED_MIN_ORDER = 256  # smallest factor the search splits across two threads
 
 MODEL_SCHEMA = "gpr-model/1"
 
@@ -176,12 +186,56 @@ class Prediction:
 
 
 @dataclass(frozen=True, eq=False)
+class _Groups:
+    """The training rows grouped by identical inputs, groups in order of
+    first occurrence: inputs[index[i]] is row i's input, counts holds n_k,
+    means the group means of the targets and residual each target less its
+    group mean. When no input repeats, inputs and means are the training
+    arrays themselves and residual is never read."""
+
+    inputs: np.ndarray
+    index: np.ndarray
+    counts: np.ndarray
+    means: np.ndarray
+    residual: np.ndarray
+
+    @property
+    def tied(self) -> bool:
+        return self.counts.size < self.index.size
+
+
+def _group_rows(training: TrainingSet) -> _Groups:
+    inputs, targets, n = training.inputs, training.targets, training.n
+    # A stable sort of the rows, so each run of equal rows starts at its
+    # first occurrence; -0.0 and 0.0 compare equal, as their distances do.
+    order = np.lexsort(inputs.T[::-1])
+    ordered = inputs[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    if starts.all():
+        return _Groups(inputs, np.arange(n), np.ones(n), targets, np.zeros(n))
+    first = order[starts]
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    index = np.empty(n, dtype=np.intp)
+    index[order] = rank[np.cumsum(starts) - 1]
+    counts = np.bincount(index).astype(float)
+    means = np.bincount(index, weights=targets) / counts
+    return _Groups(inputs[np.sort(first)], index, counts, means, targets - means[index])
+
+
+@dataclass(frozen=True, eq=False)
 class GprModel:
     """Fitted state; immutable after fit and safe to share across threads:
     predict reads it and never writes to it.
 
-    kernel.jitter reflects any diagonal escalation applied during fitting,
-    so chol always factorizes covariance + kernel.jitter * sigma_sq * I.
+    chol, trend_whitened and group_alpha live on the u distinct inputs of
+    groups (see the module docstring): chol factorizes the compressed
+    covariance sigma_sq * (R_u + kernel.jitter * diag(1/n_k)), and
+    group_alpha is Z' alpha, C_u^-1 (ybar - F_u beta). alpha is N-long,
+    C^-1 (t - F beta) for the full covariance C. kernel.jitter reflects any
+    diagonal escalation applied during fitting.
     """
 
     training: TrainingSet
@@ -190,8 +244,10 @@ class GprModel:
     beta: np.ndarray
     chol: np.ndarray
     alpha: np.ndarray
-    trend_whitened: np.ndarray  # chol^-1 F, reused by the variance solves
+    trend_whitened: np.ndarray  # chol^-1 F_u, reused by the variance solves
     trend_r: np.ndarray  # upper QR factor of trend_whitened
+    groups: _Groups
+    group_alpha: np.ndarray
 
 
 def _scaled_distances(
@@ -236,23 +292,31 @@ def correlation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.exp(neg_dist, out=neg_dist)
 
 
-def _factorize(buf: np.ndarray, inputs: np.ndarray, theta: np.ndarray, jitter: float) -> float:
-    """Factorize R + jitter*I in place in buf, escalating jitter x10 up to
-    MAX_JITTER; returns the jitter used.
+def _factorize(buf: np.ndarray, groups: _Groups, theta: np.ndarray, jitter: float) -> float:
+    """Factorize R_u + jitter*diag(1/n_k) in place in buf, escalating jitter
+    x10 up to MAX_JITTER; returns the jitter used.
 
-    R is correlation(inputs, inputs, theta) and buf is N x N in Fortran
-    order. dpotrf reads only the lower triangle, so each rung fills just
-    that, straight from the inputs, _FILL_COLUMNS columns at a time: no
-    N x N distance matrix is held, and every rung rebuilds R from scratch.
-    It then adds its jitter to the diagonal and lets LAPACK dpotrf
-    overwrite the lower triangle with the factor. The strict upper triangle
-    is left holding garbage (zero it before using buf as a dense factor).
+    R_u is correlation(groups.inputs, groups.inputs, theta), n_k are
+    groups.counts and buf is u x u in Fortran order; with no repeated input
+    the matrix is R + jitter*I. dpotrf reads only the lower triangle, so
+    each rung fills just that, straight from the inputs, _FILL_COLUMNS
+    columns at a time: no distance matrix is held, and every rung rebuilds
+    R_u from scratch. It then adds jitter/n_k to the diagonal and lets
+    LAPACK dpotrf overwrite the lower triangle with the factor. The strict
+    upper triangle is left holding garbage (zero it before using buf as a
+    dense factor). On a tied panel (u < N) R + 0*I is singular and the
+    likelihood's (N - u) log(jitter) term -inf, so there every rung must
+    factorize R_u + jitter*diag(1/n_k) with jitter > 0: a ladder given
+    jitter 0 starts at DEFAULT_JITTER.
     """
     n = buf.shape[0]
     flat = buf.reshape(-1, order="F")  # a view into buf
     diag = flat[:: n + 1]
+    inputs = groups.inputs
     neg_theta = -np.asarray(theta, dtype=float)  # exactly -D, as in correlation
     first = buf[:, :_FILL_COLUMNS]
+    if jitter == 0.0 and groups.tied:
+        jitter = DEFAULT_JITTER
     while True:
         # Later blocks are built contiguously in the first block's columns,
         # which no later block covers, and exponentiated into place; the
@@ -264,7 +328,7 @@ def _factorize(buf: np.ndarray, inputs: np.ndarray, theta: np.ndarray, jitter: f
             np.exp(block, out=buf[j0:, j0:j1].T)
         _scaled_distances(inputs, inputs[:_FILL_COLUMNS], neg_theta, out=first)
         np.exp(first, out=first)
-        diag += jitter
+        diag += jitter / groups.counts
         info = _lapack.potrf(buf)
         if info == 0:
             return jitter
@@ -277,14 +341,15 @@ def _factorize(buf: np.ndarray, inputs: np.ndarray, theta: np.ndarray, jitter: f
         jitter = nxt
 
 
-def _trend_design(training: TrainingSet, basis: BasisExpansion) -> np.ndarray:
-    """The N x p trend design; FitError when p exceeds N."""
+def _trend_design(training: TrainingSet, basis: BasisExpansion, groups: _Groups) -> np.ndarray:
+    """The u x p trend design F_u of the distinct inputs (F = Z F_u);
+    FitError when p exceeds N."""
     p = basis.size(training.ndim)
     if p > training.n:
         raise FitError(
             f"trend system is underdetermined: {p} basis functions for {training.n} observations"
         )
-    return basis.design_matrix(training.inputs)
+    return basis.design_matrix(groups.inputs)
 
 
 def _gls(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
@@ -297,26 +362,32 @@ def _gls(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
     yt = _lapack.solve_triangular(chol, targets, lower=True)
     q, r_qr = np.linalg.qr(ft)
     diag = np.abs(np.diag(r_qr))
-    tol = max(ft.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    if diag.size == 0 or diag.min() <= tol:
+    tol = max(ft.shape) * np.finfo(float).eps * diag.max()
+    if diag.size < ft.shape[1] or diag.min() <= tol:
         raise FitError("trend system is singular (collinear or duplicate basis functions)")
     beta = _lapack.solve_triangular(r_qr, q.T @ yt, lower=False)
     rho = yt - ft @ beta
     return ft, r_qr, beta, rho
 
 
-def _profile_log_likelihood(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
+def _profile_log_likelihood(chol: np.ndarray, groups: _Groups, design: np.ndarray, jitter: float):
     """(loglik, sigma_sq) with the trend at its GLS value and the process
     variance profiled out: sigma_sq = quad / N, floored so the likelihood
     stays finite on zero-residual data. chol is the lower factor of
-    R + jitter*I (its strict upper triangle is not read). Raises FitError
-    when the whitened design is rank deficient.
+    R_u + jitter*diag(1/n_k) (its strict upper triangle is not read) and
+    design is F_u. GLS runs on the group means; on a tied panel the
+    log-determinant of R + jitter*I gains sum(log n_k) + (N - u) log(jitter)
+    and the quadratic form r'r / jitter, r the residual within the groups.
+    Raises FitError when the whitened design is rank deficient.
     """
-    _, _, _, rho = _gls(chol, design, targets)
-    n = targets.shape[0]
+    _, _, _, rho = _gls(chol, design, groups.means)
+    n, u = groups.index.size, groups.counts.size
     quad = float(rho @ rho)
-    sigma_sq = max(quad / n, SIGMA_SQ_FLOOR)
     logdet_corr = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    if groups.tied:
+        quad += float(groups.residual @ groups.residual) / jitter
+        logdet_corr += float(np.sum(np.log(groups.counts))) + (n - u) * math.log(jitter)
+    sigma_sq = max(quad / n, SIGMA_SQ_FLOOR)
     loglik = -0.5 * (
         n * math.log(2.0 * math.pi) + n * math.log(sigma_sq) + logdet_corr + quad / sigma_sq
     )
@@ -325,21 +396,28 @@ def _profile_log_likelihood(chol: np.ndarray, design: np.ndarray, targets: np.nd
 
 def _model_from_factor(
     training: TrainingSet,
+    groups: _Groups,
     basis: BasisExpansion,
     design: np.ndarray,
     kernel: Kernel,
     chol: np.ndarray,
 ) -> GprModel:
-    """The fitted model around chol, the in-place factor of R + kernel.jitter*I.
+    """The fitted model around chol, the in-place factor of
+    R_u + kernel.jitter*diag(1/n_k).
 
-    Zeroes chol's strict upper triangle, scales it to the covariance's
-    factor and solves the trend and alpha against it.
+    Zeroes chol's strict upper triangle, scales it to the compressed
+    covariance's factor and solves the trend and group_alpha against it.
+    Row i of a group k gets alpha_i = r_i / (sigma_sq*jitter) + group_alpha_k / n_k.
     """
-    for j in range(1, training.n):
+    for j in range(1, chol.shape[0]):
         chol[:j, j] = 0.0  # contiguous in Fortran order
     chol *= math.sqrt(kernel.sigma_sq)
-    ft, r_qr, beta, rho = _gls(chol, design, training.targets)
-    alpha = _lapack.solve_triangular(chol.T, rho, lower=False)
+    ft, r_qr, beta, rho = _gls(chol, design, groups.means)
+    group_alpha = _lapack.solve_triangular(chol.T, rho, lower=False)
+    alpha = group_alpha
+    if groups.tied:
+        noise = kernel.sigma_sq * kernel.jitter
+        alpha = groups.residual / noise + (group_alpha / groups.counts)[groups.index]
     return GprModel(
         training=training,
         kernel=kernel,
@@ -349,6 +427,8 @@ def _model_from_factor(
         alpha=alpha,
         trend_whitened=ft,
         trend_r=r_qr,
+        groups=groups,
+        group_alpha=group_alpha,
     )
 
 
@@ -360,10 +440,12 @@ def fit(training: TrainingSet, basis: BasisExpansion, kernel: Kernel) -> GprMode
     The returned model records the jitter actually used, including any
     escalation needed to make the factorization succeed.
     """
-    design = _trend_design(training, basis)
-    chol = np.empty((training.n, training.n), order="F")
-    jitter = _factorize(chol, training.inputs, kernel.theta, kernel.jitter)
-    return _model_from_factor(training, basis, design, replace(kernel, jitter=jitter), chol)
+    groups = _group_rows(training)
+    design = _trend_design(training, basis, groups)
+    u = groups.counts.size
+    chol = np.empty((u, u), order="F")
+    jitter = _factorize(chol, groups, kernel.theta, kernel.jitter)
+    return _model_from_factor(training, groups, basis, design, replace(kernel, jitter=jitter), chol)
 
 
 def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
@@ -373,8 +455,11 @@ def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
     With K the N x M cross-covariance and F(X) the batch's design rows,
     mean = F(X) beta + K' alpha and variance = kappa - diag(K' C^-1 K) plus
     the trend-uncertainty term diag(U' (F' C^-1 F)^-1 U) with
-    U = F(X)' - F' C^-1 K. All M points share one triangular solve of the
-    stored Cholesky factor against K (Rasmussen & Williams, GPML Alg. 2.1).
+    U = F(X)' - F' C^-1 K. K = Z K_u repeats the cross-covariance K_u to
+    the u distinct inputs, and Z' C^-1 Z = C_u^-1, so every term is over
+    those: K' alpha = K_u' group_alpha, and all M points share one
+    triangular solve of the stored u x u Cholesky factor against K_u
+    (Rasmussen & Williams, GPML Alg. 2.1).
     Variances that round below zero are clamped to 0, their count logged at
     DEBUG and never stored. A 1-d x_new gives a Prediction of two floats.
     A point with a NaN or infinite coordinate raises ValueError.
@@ -398,11 +483,11 @@ def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
     design = model.basis.design_matrix(x)
     # M x N, so that its transpose is the Fortran-ordered right-hand side
     # the triangular solve overwrites without a copy.
-    k_t = correlation(x, model.training.inputs, model.kernel.theta)
+    k_t = correlation(x, model.groups.inputs, model.kernel.theta)
     k_t *= model.kernel.sigma_sq
     # The per-point sums below are einsums over contiguous rows, not BLAS
     # matrix-vector products, so each runs in the same order whatever M is.
-    mean = design @ model.beta + np.einsum("ij,j->i", k_t, model.alpha)
+    mean = design @ model.beta + np.einsum("ij,j->i", k_t, model.group_alpha)
     v_t = _lapack.solve_triangular(model.chol, k_t.T, lower=True, overwrite_b=True).T
     ft_t = np.ascontiguousarray(model.trend_whitened.T)
     u = design.T - np.einsum("ik,jk->ji", v_t, ft_t)
@@ -453,9 +538,15 @@ class SearchConfig:
         return np.geomspace(self.theta_min, self.theta_max, self.steps)
 
 
-def _cells_in_flight() -> int:
-    """How many grid cells the search factorizes at once: two when the CPUs
-    this process may run on leave each BLAS call its threads, else one."""
+def _cells_in_flight(order: int) -> int:
+    """How many grid cells the search factorizes at once: two when a cell's
+    factor has at least _SHARED_MIN_ORDER rows and the CPUs this process
+    may run on leave each BLAS call its threads, else one. A smaller
+    factorization is over before the interpreter lock changes hands, so a
+    second thread only waits for it (on two CPUs, 29 distinct inputs search
+    in 3.6 ms on one thread and 7.1 ms on two; order 256 breaks even)."""
+    if order < _SHARED_MIN_ORDER:
+        return 1
     return max(1, min(2, len(os.sched_getaffinity(0)) // _lapack.blas_threads()))
 
 
@@ -468,22 +559,24 @@ def fit_hyperparameters(
     For each grid theta the process variance is profiled out in closed form
     by _profile_log_likelihood on the factor _factorize makes at that theta,
     which fit makes too. Up to two cells are in flight, each factorizing
-    into its own N x N buffer: the calling thread runs one, a helper thread
+    into its own u x u buffer: the calling thread runs one, a helper thread
     the other, and each takes the next cell of the grid when it is done.
-    Two run only when the available CPUs hold two BLAS calls' threads
-    (OpenBLAS on one thread and two CPUs); otherwise the calling thread
-    runs every cell. The winner is chosen after the scan, in ascending
-    theta order, and only a strictly larger likelihood replaces the
-    incumbent, so ties resolve toward the smallest theta and then the
-    smallest sigma_sq. Its factor becomes the model's; if a later cell has
-    reused its buffer, the winner is factorized again at the jitter it
-    used, which rebuilds the same matrix and so the same bits. The model's
+    Two run only when the factor has at least _SHARED_MIN_ORDER rows and
+    the available CPUs hold two BLAS calls' threads (OpenBLAS on one
+    thread and two CPUs); otherwise the calling thread runs every cell.
+    The winner is chosen after the scan, in ascending theta order, and
+    only a strictly larger likelihood replaces the incumbent, so ties
+    resolve toward the smallest theta and then the smallest sigma_sq. Its
+    factor becomes the model's; if a later cell has reused its buffer, the
+    winner is factorized again at the jitter it used, which rebuilds the
+    same matrix and so the same bits. The model's
     kernel carries that jitter, and the model equals
     fit(training, basis, model.kernel) bit for bit. A FitError in a cell
     skips it; any other error stops the scan and propagates.
     """
-    design = _trend_design(training, basis)
-    n, d = training.n, training.ndim
+    groups = _group_rows(training)
+    design = _trend_design(training, basis, groups)
+    u, d = groups.counts.size, training.ndim
     grid = search.grid()
     # Per grid cell: (loglik, sigma_sq, jitter), or None when the cell failed.
     cells: list[tuple[float, float, float] | None] = [None] * grid.size
@@ -502,8 +595,8 @@ def fit_hyperparameters(
                     return held
                 held = i
                 try:
-                    jitter = _factorize(buf, training.inputs, np.full(d, grid[i]), search.jitter)
-                    loglik, sigma_sq = _profile_log_likelihood(buf, design, training.targets)
+                    jitter = _factorize(buf, groups, np.full(d, grid[i]), search.jitter)
+                    loglik, sigma_sq = _profile_log_likelihood(buf, groups, design, jitter)
                 except FitError:
                     logger.debug("skipping theta=%g: not factorizable", grid[i])
                     continue
@@ -514,7 +607,7 @@ def fit_hyperparameters(
                     pass
             raise
 
-    buffers = [np.empty((n, n), order="F") for _ in range(_cells_in_flight())]
+    buffers = [np.empty((u, u), order="F") for _ in range(_cells_in_flight(u))]
     # The helper thread starts on the first submit: with one cell in flight
     # there is none, and no thread starts.
     with ThreadPoolExecutor(max_workers=1) as helper:
@@ -533,8 +626,8 @@ def fit_hyperparameters(
         chol = buffers[held.index(best)]
     else:
         chol = buffers[0]
-        _factorize(chol, training.inputs, kernel.theta, jitter)
-    return _model_from_factor(training, basis, design, kernel, chol)
+        _factorize(chol, groups, kernel.theta, jitter)
+    return _model_from_factor(training, groups, basis, design, kernel, chol)
 
 
 def _kernel_to_dict(kernel: Kernel) -> dict:

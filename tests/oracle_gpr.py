@@ -95,22 +95,60 @@ def refit_loo_predictions(inputs, targets, basis, kernel) -> np.ndarray:
     return predicted
 
 
+def distinct_rows(inputs, targets):
+    """(distinct inputs in first-occurrence order, group of each row, group
+    counts, group mean targets), by a loop over the rows. The means are
+    sums in row order divided by the count, as the library forms them."""
+    inputs = np.asarray(inputs, dtype=float)
+    groups: dict[tuple, int] = {}
+    index = np.empty(len(inputs), dtype=np.intp)
+    sums: list[float] = []
+    counts: list[float] = []
+    for i, (row, target) in enumerate(zip(inputs, targets)):
+        k = groups.setdefault(tuple(row.tolist()), len(groups))
+        if k == len(sums):
+            sums.append(0.0)
+            counts.append(0.0)
+        sums[k] += float(target)
+        counts[k] += 1.0
+        index[i] = k
+    first = [int(np.argmax(index == k)) for k in range(len(groups))]
+    counts = np.array(counts)
+    return inputs[first], index, counts, np.array(sums) / counts
+
+
+def compressed_covariance(inputs, kernel):
+    """sigma_sq * (R_u + jitter * diag(1/n_k)) over the distinct rows of inputs:
+    the matrix whose Cholesky factor a model fitted on inputs holds."""
+    distinct, _, counts, _ = distinct_rows(inputs, np.zeros(len(inputs)))
+    corr = gpr.correlation(distinct, distinct, kernel.theta)
+    return kernel.sigma_sq * (corr + np.diag(kernel.jitter / counts))
+
+
 def reference_theta_search(training, basis, search) -> gpr.Kernel:
-    """The grid search with each cell built from scratch: gpr.correlation at
-    the cell's theta, then a fresh corr + jitter * I for every escalation
-    attempt, factorized by the same LAPACK dpotrf the library calls. On 1-d
-    inputs the kernel of the model gpr.fit_hyperparameters returns must
-    have the same sigma_sq and theta bit for bit; the jitter here is the
-    search's base jitter, before any escalation.
+    """The grid search with each cell built from scratch: the distinct rows
+    found by a loop, gpr.correlation over them at the cell's theta, then a
+    fresh corr + diag(jitter / n_k) for every escalation attempt (starting
+    at the default jitter when a row repeats and the base jitter is 0),
+    factorized by the same LAPACK dpotrf the library calls; the likelihood
+    adds the within-group terms of the full N x N matrix. On 1-d inputs the
+    kernel of the model gpr.fit_hyperparameters returns must have the same
+    sigma_sq and theta bit for bit; the jitter here is the search's base
+    jitter, before any escalation.
     """
     n, d = training.inputs.shape
-    design = basis.design_matrix(training.inputs)
+    distinct, index, counts, means = distinct_rows(training.inputs, training.targets)
+    u = len(distinct)
+    residual = training.targets - means[index]
+    design = basis.design_matrix(distinct)
     best = None  # (loglik, theta, sigma_sq)
     for theta_scalar in search.grid():
-        corr = gpr.correlation(training.inputs, training.inputs, np.full(d, float(theta_scalar)))
+        corr = gpr.correlation(distinct, distinct, np.full(d, float(theta_scalar)))
         jitter = search.jitter
+        if jitter == 0.0 and u < n:
+            jitter = gpr.DEFAULT_JITTER
         while True:
-            chol = np.asfortranarray(corr + jitter * np.eye(n))
+            chol = np.asfortranarray(corr + np.diag(jitter / counts))
             if _lapack.potrf(chol) == 0:  # the strict upper triangle keeps corr
                 break
             jitter = gpr.DEFAULT_JITTER if jitter == 0.0 else jitter * 10.0
@@ -120,12 +158,15 @@ def reference_theta_search(training, basis, search) -> gpr.Kernel:
         if chol is None:
             continue
         try:
-            _, _, _, rho = gpr._gls(chol, design, training.targets)
+            _, _, _, rho = gpr._gls(chol, design, means)
         except gpr.FitError:
             continue
         quad = float(rho @ rho)
-        sigma_sq = max(quad / n, gpr.SIGMA_SQ_FLOOR)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        if u < n:
+            quad += float(residual @ residual) / jitter
+            logdet += float(np.sum(np.log(counts))) + (n - u) * math.log(jitter)
+        sigma_sq = max(quad / n, gpr.SIGMA_SQ_FLOOR)
         loglik = -0.5 * (
             n * math.log(2.0 * math.pi) + n * math.log(sigma_sq) + logdet + quad / sigma_sq
         )

@@ -26,7 +26,16 @@ from jobsignal.evaluation import (
     save_report,
     split_panel,
 )
-from jobsignal.pipeline import PanelDataset, PanelRow
+from jobsignal.datasets import bundled_indicators_path, bundled_sites_path
+from jobsignal.pipeline import (
+    PanelDataset,
+    PanelRow,
+    build_panel,
+    ingest_sites,
+    listwise_delete,
+    normalize_and_score,
+    read_indicators,
+)
 from jobsignal.synth import RATE_CENTER, RATE_SCALE, synthetic_panel
 
 from conftest import separated_inputs
@@ -268,6 +277,35 @@ class TestClosedFormLoo:
         search = SearchConfig(theta_min=0.5, theta_max=0.5, steps=1, jitter=0.0)
         report = assert_loo_matches_refits(panel, Direction.SCORE_TO_RATE, BasisExpansion(degree), search)
         assert report.kernel.jitter == 1e-10
+
+    @pytest.mark.parametrize("degree", ["const", "linear"])
+    @pytest.mark.parametrize(
+        "case", ["bundled-rate-to-score", "synth-200-repeated", "synth-200-repeated-new-targets"]
+    )
+    def test_tied_panel_matches_refit_loo(self, case, degree):
+        # Tied inputs: the bundled panel's 382 rows carry 29 distinct rates,
+        # and every row of the synth panel appears twice (200 distinct
+        # scores in 400 rows), the second time with the same rate or with a
+        # fresh one. A refit without row i has one replicate less.
+        if case == "bundled-rate-to-score":
+            records = ingest_sites(bundled_sites_path())
+            kept, _ = listwise_delete(records)
+            panel = build_panel(
+                normalize_and_score(kept), records, read_indicators(bundled_indicators_path())
+            )
+            direction = Direction.RATE_TO_SCORE
+        else:
+            synth = synthetic_panel(200, 0.7, 0.5, seed=4)
+            rates = synth.rates()
+            if case.endswith("new-targets"):
+                again = rates + np.random.default_rng(4).normal(0.0, 0.5, size=rates.size)
+            else:
+                again = rates
+            panel = panel_from(np.tile(synth.scores(), 2), np.r_[rates, again])
+            direction = Direction.SCORE_TO_RATE
+        inputs, _ = split_panel(panel, direction)
+        assert len(np.unique(inputs)) < panel.n
+        assert_loo_matches_refits(panel, direction, BasisExpansion(degree), SearchConfig(jitter=1e-4))
 
 
 def in_sample_means(model, panel, direction):

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from jobsignal import (
 )
 from jobsignal import _lapack, gpr
 from jobsignal.datasets import bundled_indicators_path, bundled_sites_path
-from jobsignal.evaluation import Direction, split_panel
+from jobsignal.evaluation import Direction, _loo_pairs, split_panel
 from jobsignal.gpr import (
     correlation,
     _profile_log_likelihood,
@@ -40,6 +41,7 @@ from jobsignal.pipeline import (
 
 from conftest import random_fitted_model, random_instance, separated_inputs
 from oracle_gpr import (
+    compressed_covariance,
     dense_gls_beta,
     dense_gpr_predict,
     dense_log_marginal_likelihood,
@@ -261,11 +263,13 @@ class TestFit:
     def test_jitter_escalates_on_singular_covariance(self):
         # Exact duplicates with zero base jitter make the correlation matrix
         # exactly singular; the ladder must step up to the 1e-10 default.
+        # The factor is over the two distinct inputs: R_u + jitter*diag(1/2, 1).
         inputs = np.array([[0.0], [0.0], [1.0]])
         training = TrainingSet(inputs=inputs, targets=np.array([0.0, 0.5, 1.0]))
         model = fit(training, BasisExpansion("const"), kernel_1d(jitter=0.0))
         assert model.kernel.jitter == 1e-10
-        reg = regularized_covariance(inputs, model.kernel)
+        reg = compressed_covariance(inputs, model.kernel)
+        assert reg.shape == (2, 2) and reg[0, 0] == 1.0 + 0.5e-10
         err = np.linalg.norm(model.chol @ model.chol.T - reg) / np.linalg.norm(reg)
         assert err <= 1e-10
 
@@ -416,9 +420,27 @@ class TestPredict:
 
     @pytest.mark.parametrize("degree", ["const", "linear"])
     @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("m", [1, 7])
-    def test_batch_matches_per_point_and_oracle(self, rng, degree, d, m):
+    @pytest.mark.parametrize(
+        "m, tied",
+        [
+            pytest.param(1, False, id="1"),
+            pytest.param(7, False, id="7"),
+            pytest.param(1, True, id="1-tied"),
+            pytest.param(7, True, id="7-tied"),
+        ],
+    )
+    def test_batch_matches_per_point_and_oracle(self, rng, degree, d, m, tied):
         model = random_fitted_model(rng, n=10, d=d, degree=degree)
+        if tied:
+            # 16 rows over the 10 distinct inputs, one of them four times,
+            # each replicate with its own target.
+            repeat = np.r_[np.arange(10), 0, 0, 0, 3, 7, 7]
+            training = TrainingSet(
+                inputs=model.training.inputs[repeat],
+                targets=model.training.targets[repeat] + rng.normal(0.0, 0.3, size=repeat.size),
+            )
+            model = fit(training, model.basis, replace(model.kernel, jitter=1e-4))
+            assert model.chol.shape == (10, 10)
         training, kernel = model.training, model.kernel
         span = training.inputs.max(axis=0) - training.inputs.min(axis=0)
         points = training.inputs.min(axis=0) + rng.uniform(-0.2, 1.2, size=(m, d)) * span
@@ -468,13 +490,22 @@ class TestPredict:
 def profile_log_likelihood(training, basis, theta, jitter):
     """_profile_log_likelihood on the factor of a unit-variance fit at theta."""
     unit = fit(training, basis, Kernel(sigma_sq=1.0, theta=theta, jitter=jitter))
-    return _profile_log_likelihood(unit.chol, basis.design_matrix(training.inputs), training.targets)
+    design = basis.design_matrix(unit.groups.inputs)
+    return _profile_log_likelihood(unit.chol, unit.groups, design, unit.kernel.jitter)
 
 
 class TestLogMarginalLikelihood:
     def test_matches_dense_oracle(self, rng):
-        for _ in range(10):
+        for trial in range(20):
             training, basis, kernel = random_instance(rng, max_n=10, jitter=1e-8)
+            if trial >= 10:
+                # Repeat rows, with fresh targets: the per-cell likelihood of
+                # the compressed factor equals the N x N slogdet/solve one.
+                repeat = np.r_[np.arange(training.n), rng.integers(0, training.n, size=5)]
+                training = TrainingSet(
+                    inputs=training.inputs[repeat], targets=rng.normal(0.0, 1.0, size=repeat.size)
+                )
+                kernel = replace(kernel, jitter=1e-4)
             value, sigma_sq = profile_log_likelihood(training, basis, kernel.theta, kernel.jitter)
             oracle = dense_log_marginal_likelihood(
                 training.inputs, training.targets, sigma_sq, kernel.theta,
@@ -662,11 +693,11 @@ def spy_factorize(monkeypatch, before=None):
     factorize = gpr._factorize
     calls = []
 
-    def spy(buf, inputs, theta, jitter):
+    def spy(buf, groups, theta, jitter):
         calls.append((float(theta[0]), on_helper_thread()))
         if before is not None:
             before(float(theta[0]))
-        return factorize(buf, inputs, theta, jitter)
+        return factorize(buf, groups, theta, jitter)
 
     monkeypatch.setattr(gpr, "_factorize", spy)
     return calls
@@ -692,7 +723,7 @@ class TestCellsInFlight:
     """The search runs one or two grid cells at once and returns the same bits."""
 
     def search(self, monkeypatch, flight, training, basis=BasisExpansion("const"), **config):
-        monkeypatch.setattr(gpr, "_cells_in_flight", lambda: flight)
+        monkeypatch.setattr(gpr, "_cells_in_flight", lambda order: flight)
         return fit_hyperparameters(training, basis, SearchConfig(**config))
 
     def assert_same_model(self, got, expected):
@@ -794,20 +825,33 @@ class TestCellsInFlight:
     ):
         monkeypatch.setattr(gpr.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(_lapack, "blas_threads", lambda: blas_threads)
-        assert gpr._cells_in_flight() == flight
+        assert gpr._cells_in_flight(gpr._SHARED_MIN_ORDER) == flight
+        assert gpr._cells_in_flight(gpr._SHARED_MIN_ORDER - 1) == 1
 
-    def test_two_blas_threads_on_two_cpus_start_no_helper(self, monkeypatch):
+    def assert_no_helper(self, monkeypatch, blas_threads, training):
         monkeypatch.setattr(gpr.os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(_lapack, "blas_threads", lambda: 2)
+        monkeypatch.setattr(_lapack, "blas_threads", lambda: blas_threads)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a helper thread was started")
 
         monkeypatch.setattr(gpr.ThreadPoolExecutor, "submit", refuse)
         calls = spy_factorize(monkeypatch)
-        training = _sample_from_kernel(np.random.default_rng(5), n=30)
-        fit_hyperparameters(training, BasisExpansion("const"), SearchConfig())
+        fit_hyperparameters(training, BasisExpansion("const"), SearchConfig(jitter=1e-4))
         assert calls and not any(helper for _, helper in calls)
+
+    def test_two_blas_threads_on_two_cpus_start_no_helper(self, monkeypatch):
+        training = _sample_from_kernel(np.random.default_rng(5), n=gpr._SHARED_MIN_ORDER)
+        self.assert_no_helper(monkeypatch, 2, training)
+
+    @pytest.mark.parametrize("rows", [30, 600])
+    def test_small_factor_starts_no_helper(self, monkeypatch, rows):
+        # The factor has one row per distinct input, so a tied panel of 600
+        # rows over 30 inputs runs on the calling thread alone.
+        sample = _sample_from_kernel(np.random.default_rng(5), n=30)
+        repeat = np.arange(rows) % 30
+        training = TrainingSet(inputs=sample.inputs[repeat], targets=sample.targets[repeat])
+        self.assert_no_helper(monkeypatch, 1, training)
 
 
 class TestMemory:
@@ -828,6 +872,30 @@ class TestMemory:
 
         assert peak(lambda: fit_hyperparameters(training, basis, SearchConfig())) <= 2.25
         assert peak(lambda: fit(training, basis, kernel_1d())) <= 1.25
+
+    def test_tied_panel_peak_allocation_in_row_units(self):
+        # 20,000 rows over 40 distinct inputs. The search and closed-form
+        # LOO work on the 40 x 40 compressed matrix, so the peak traced
+        # allocation counts N-long arrays (the LOO's largest is the list of
+        # (actual, predicted) pairs it returns); one N x N buffer would be
+        # 20,000 of these units, and the search's two 6.4 GB.
+        rng = np.random.default_rng(21)
+        n, distinct = 20_000, 40
+        levels = rng.uniform(0.0, 6.0, size=(distinct, 1))
+        inputs = levels[np.arange(n) % distinct]
+        training = TrainingSet(inputs=inputs, targets=np.sin(inputs[:, 0]) + rng.normal(0.0, 0.3, n))
+        tracemalloc.start()
+        try:
+            model = fit_hyperparameters(training, BasisExpansion("const"), SearchConfig())
+            search_peak = tracemalloc.get_traced_memory()[1] / (n * 8)
+            tracemalloc.reset_peak()
+            pairs = _loo_pairs(model, range(n))
+            loo_peak = tracemalloc.get_traced_memory()[1] / (n * 8)
+        finally:
+            tracemalloc.stop()
+        assert model.chol.shape == (distinct, distinct) and len(pairs) == n
+        assert search_peak <= 8.0
+        assert loo_peak <= 32.0
 
 
 class TestTypes:
