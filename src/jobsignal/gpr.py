@@ -26,14 +26,26 @@ inverse lives only in the test oracle). A saved model refits to the same
 bits under the same numpy build.
 Hyperparameters are selected by maximizing the log marginal likelihood over
 a logarithmic theta grid with the process variance profiled out in closed
-form. Two grid cells are in flight at once, on the calling thread and one
+form. With at least _SHARED_MIN_ORDER distinct inputs, and a jitter large
+enough that rounding moves a likelihood by less than _SCREEN_WIDTH, a
+screen bounds every cell first: with G a partial pivoted Cholesky factor
+of R_u, grown until its residual trace t is small, and lam the smallest
+jitter/n_k, R_u + jitter*diag(1/n_k) lies between C = GG' +
+jitter*diag(1/n_k) and (1 + t/lam) C, which brackets the likelihood at a
+cost of O(u m^2) for rank m (see _screen). The cell with the best lower
+bound is factorized densely, and every cell whose upper bound, plus the
+rounding allowance, falls below that cell's likelihood is dropped; the
+others run as before. The selection and the model are the bits the full
+scan gives.
+Two grid cells are in flight at once, on the calling thread and one
 helper thread, each in its own factor buffer, when the factor has at least
-_SHARED_MIN_ORDER rows and the available CPUs hold two BLAS calls' threads
-(OpenBLAS on one thread and two CPUs); otherwise one. The winner is picked
-after the scan and its factor becomes the fitted model, factorized
-once more only if a later cell reused its buffer, so the search is also
-the fit. A fitted model holds no mutable state: predict logs at
-DEBUG, on the jobsignal.gpr logger, how many variances it clamped to 0.
+_SHARED_MIN_ORDER rows, two cells are left to run and the available CPUs
+hold two BLAS calls' threads (OpenBLAS on one thread and two CPUs);
+otherwise one. The winner is picked after the scan and its factor becomes
+the fitted model, factorized once more only if a later cell reused its
+buffer, so the search is also the fit. A fitted model holds no mutable
+state: predict logs at DEBUG, on the jobsignal.gpr logger, how many
+variances it clamped to 0.
 save_model and load_model keep a model in a versioned JSON document, whose
 file format jobsignal._documents owns.
 """
@@ -74,7 +86,8 @@ DEFAULT_JITTER = 1e-10
 MAX_JITTER = 1e-4
 SIGMA_SQ_FLOOR = 1e-30  # keeps log(sigma_sq) finite on zero-residual data
 _FILL_COLUMNS = 128  # columns of R that _factorize fills per block
-_SHARED_MIN_ORDER = 256  # smallest factor the search splits across two threads
+_SHARED_MIN_ORDER = 256  # smallest factor the search splits across two threads or screens
+_SCREEN_WIDTH = 0.25  # log-likelihood units: the widest bound a screened cell settles for
 
 MODEL_SCHEMA = "gpr-model/1"
 
@@ -370,28 +383,121 @@ def _gls(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
     return ft, r_qr, beta, rho
 
 
-def _profile_log_likelihood(chol: np.ndarray, groups: _Groups, design: np.ndarray, jitter: float):
-    """(loglik, sigma_sq) with the trend at its GLS value and the process
-    variance profiled out: sigma_sq = quad / N, floored so the likelihood
-    stays finite on zero-residual data. chol is the lower factor of
-    R_u + jitter*diag(1/n_k) (its strict upper triangle is not read) and
-    design is F_u. GLS runs on the group means; on a tied panel the
-    log-determinant of R + jitter*I gains sum(log n_k) + (N - u) log(jitter)
-    and the quadratic form r'r / jitter, r the residual within the groups.
-    Raises FitError when the whitened design is rank deficient.
+def _likelihood(groups: _Groups, jitter: float, quad: float, logdet: float):
+    """(loglik, sigma_sq) of the N-row panel from quad, the GLS quadratic
+    form of the group means against R_u + jitter*diag(1/n_k), and logdet,
+    that matrix's log-determinant, with the process variance profiled out:
+    sigma_sq = quad / N, floored so the likelihood stays finite on
+    zero-residual data. On a tied panel the log-determinant of R + jitter*I
+    gains sum(log n_k) + (N - u) log(jitter) and the quadratic form
+    r'r / jitter, r the residual within the groups. The value decreases in
+    both quad and logdet.
     """
-    _, _, _, rho = _gls(chol, design, groups.means)
     n, u = groups.index.size, groups.counts.size
-    quad = float(rho @ rho)
-    logdet_corr = 2.0 * float(np.sum(np.log(np.diag(chol))))
     if groups.tied:
         quad += float(groups.residual @ groups.residual) / jitter
-        logdet_corr += float(np.sum(np.log(groups.counts))) + (n - u) * math.log(jitter)
+        logdet += float(np.sum(np.log(groups.counts))) + (n - u) * math.log(jitter)
     sigma_sq = max(quad / n, SIGMA_SQ_FLOOR)
     loglik = -0.5 * (
-        n * math.log(2.0 * math.pi) + n * math.log(sigma_sq) + logdet_corr + quad / sigma_sq
+        n * math.log(2.0 * math.pi) + n * math.log(sigma_sq) + logdet + quad / sigma_sq
     )
     return loglik, sigma_sq
+
+
+def _profile_log_likelihood(chol: np.ndarray, groups: _Groups, design: np.ndarray, jitter: float):
+    """_likelihood with the trend at its GLS value, from chol, the lower
+    factor of R_u + jitter*diag(1/n_k) (its strict upper triangle is not
+    read), and design, F_u; GLS runs on the group means. Raises FitError
+    when the whitened design is rank deficient.
+    """
+    _, _, _, rho = _gls(chol, design, groups.means)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return _likelihood(groups, jitter, float(rho @ rho), logdet)
+
+
+def _rounding_allowance(groups: _Groups, jitter: float) -> float:
+    """How far rounding may move a cell's log-likelihood, dense or screened:
+    (N + u) u**2 eps / lam, lam = jitter / max(n_k) the smallest entry of
+    jitter*diag(1/n_k); inf at jitter 0.
+
+    A computed Cholesky factor L is exact for a matrix within
+    (u + 1) eps |L||L'| of the one factorized (Higham 2002, Thm 10.3),
+    whose 2-norm is at most about u**2 eps, as the diagonal of R_u is 1.
+    Against the smallest eigenvalue, at least lam, that moves the quadratic
+    form by a fraction u**2 eps / lam and the log-determinant by u times
+    as much; the likelihood weights the first by N/2 and the second by 1/2.
+    The screen's QR is no less accurate, so the sum bounds both to first
+    order. On sampled and synth panels of 300 to 1600 rows at jitter 1e-4
+    to 1e-10, the dense value and a screen run to a width of 1e-4 differed
+    by at most 1/200 of it.
+    """
+    lam = jitter / float(groups.counts.max())
+    if lam == 0.0:
+        return math.inf
+    n, u = groups.index.size, groups.counts.size
+    return (n + u) * u * u * np.finfo(float).eps / lam
+
+
+def _screen(groups: _Groups, design: np.ndarray, theta: np.ndarray, jitter: float):
+    """(lower, upper, rank): bounds on the log-likelihood that
+    _profile_log_likelihood gives at theta, each good up to
+    _rounding_allowance, from a partial pivoted Cholesky factor G of R_u
+    of that rank; (-inf, inf, rank) when the rank reaches u // 8 first.
+
+    G grows one column of R_u at a time, computed from the inputs at the
+    pivot (Harbrecht, Peters & Schneider 2012), so nothing u x u is held.
+    With Lambda = jitter*diag(1/n_k), lam its smallest entry and
+    C = GG' + Lambda, the residual E = R_u - GG' has 0 <= E <= t*I for its
+    trace t, so C <= R_u + Lambda <= (1 + t/lam) C: the log-determinant
+    lies in [log det C, log det C + t/lam] and the GLS quadratic form in
+    [Q/(1 + t/lam), Q], Q its value against C. G stops growing when that
+    leaves the interval at most _SCREEN_WIDTH wide. One QR of the
+    (u + m) x (m + p + 1) least-squares system
+        [Lambda^-1/2 G, Lambda^-1/2 F_u, Lambda^-1/2 ybar; I_m, 0, 0]
+    gives both: its leading m x m block of R factors I + G' Lambda^-1 G,
+    and its last diagonal entry squared is
+    Q = min over (z, beta) of |Lambda^-1/2 (ybar - F_u beta - G z)|^2 + |z|^2.
+    The likelihood decreases in both, so the bounds are _likelihood at the
+    two corners. Only upper ever drops a cell; lower picks the cell that
+    goes first.
+    """
+    n, u = groups.index.size, groups.counts.size
+    lam = jitter / float(groups.counts.max())
+    tol = 2.0 * _SCREEN_WIDTH * lam / (n + 1)  # width <= (N + 1) t / (2 lam)
+    cap = u // 8
+    inputs = groups.inputs
+    neg_theta = -np.asarray(theta, dtype=float)
+    residual = np.ones(u)  # the diagonal of E; R_u's is exactly 1
+    g_t = np.empty((cap, u))  # G', one contiguous row per column of G
+    rank = 0
+    while (trace := float(residual.sum())) > tol:
+        if rank == cap:
+            return -math.inf, math.inf, rank
+        pivot = int(np.argmax(residual))
+        column = g_t[rank]
+        _scaled_distances(inputs, inputs[pivot : pivot + 1], neg_theta, out=column[:, None])
+        np.exp(column, out=column)
+        column -= g_t[:rank, pivot] @ g_t[:rank]
+        column /= math.sqrt(residual[pivot])
+        residual -= column * column
+        np.maximum(residual, 0.0, out=residual)
+        residual[pivot] = 0.0
+        rank += 1
+    p = design.shape[1]
+    scale = np.sqrt(groups.counts / jitter)[:, None]
+    system = np.zeros((u + rank, rank + p + 1))
+    np.multiply(g_t[:rank].T, scale, out=system[:u, :rank])
+    np.multiply(design, scale, out=system[:u, rank:-1])
+    np.multiply(groups.means[:, None], scale, out=system[:u, -1:])
+    system[u:, :rank] = np.eye(rank)
+    r = np.linalg.qr(system, mode="r")
+    logdet = float(np.sum(np.log(jitter / groups.counts)))
+    logdet += 2.0 * float(np.sum(np.log(np.abs(np.diag(r)[:rank]))))
+    quad = float(r[-1, -1]) ** 2
+    spread = trace / lam
+    lower, _ = _likelihood(groups, jitter, quad, logdet + spread)
+    upper, _ = _likelihood(groups, jitter, quad / (1.0 + spread), logdet)
+    return lower, upper, rank
 
 
 def _model_from_factor(
@@ -558,19 +664,34 @@ def fit_hyperparameters(
 
     For each grid theta the process variance is profiled out in closed form
     by _profile_log_likelihood on the factor _factorize makes at that theta,
-    which fit makes too. Up to two cells are in flight, each factorizing
-    into its own u x u buffer: the calling thread runs one, a helper thread
-    the other, and each takes the next cell of the grid when it is done.
-    Two run only when the factor has at least _SHARED_MIN_ORDER rows and
-    the available CPUs hold two BLAS calls' threads (OpenBLAS on one
-    thread and two CPUs); otherwise the calling thread runs every cell.
-    The winner is chosen after the scan, in ascending theta order, and
-    only a strictly larger likelihood replaces the incumbent, so ties
-    resolve toward the smallest theta and then the smallest sigma_sq. Its
-    factor becomes the model's; if a later cell has reused its buffer, the
-    winner is factorized again at the jitter it used, which rebuilds the
-    same matrix and so the same bits. The model's
-    kernel carries that jitter, and the model equals
+    which fit makes too.
+
+    The grid is screened first when there are at least _SHARED_MIN_ORDER
+    distinct inputs, at least two cells, and _rounding_allowance, which
+    depends on N, u and jitter / max(n_k) alone, is below _SCREEN_WIDTH (so
+    never at jitter 0 or the default 1e-10 on a few hundred rows). _screen
+    bounds each cell's likelihood at a rank of at most u // 8. The cell
+    with the largest lower bound is then factorized densely; if that
+    succeeds, every cell whose upper bound plus the allowance is below its
+    likelihood is dropped, and a FitError there drops nothing. Cells the
+    screen could not bound survive. The search logs at DEBUG each cell's
+    screen rank and bounds, the cells dropped and those that survive.
+
+    Up to two of the remaining cells are in flight, each factorizing into
+    its own u x u buffer: the calling thread runs one, a helper thread the
+    other, and each takes the next cell of the grid when it is done. Two
+    run only when the factor has at least _SHARED_MIN_ORDER rows, at least
+    two cells remain and the available CPUs hold two BLAS calls' threads
+    (OpenBLAS on one thread and two CPUs); otherwise the calling thread
+    runs every cell. The helper's buffer is allocated when it takes its
+    first cell. The winner is chosen after the scan, in ascending theta
+    order, and only a strictly larger likelihood replaces the incumbent, so
+    ties resolve toward the smallest theta and then the smallest sigma_sq;
+    a dropped cell's likelihood is below the winner's, so the screen does
+    not change which cell wins. Its factor becomes the model's; if a later
+    cell has reused its buffer, the winner is factorized again at the
+    jitter it used, which rebuilds the same matrix and so the same bits.
+    The model's kernel carries that jitter, and the model equals
     fit(training, basis, model.kernel) bit for bit. A FitError in a cell
     skips it; any other error stops the scan and propagates.
     """
@@ -580,39 +701,65 @@ def fit_hyperparameters(
     grid = search.grid()
     # Per grid cell: (loglik, sigma_sq, jitter), or None when the cell failed.
     cells: list[tuple[float, float, float] | None] = [None] * grid.size
-    pending = iter(range(grid.size))
+
+    def run(buf: np.ndarray, i: int) -> None:
+        try:
+            jitter = _factorize(buf, groups, np.full(d, grid[i]), search.jitter)
+            cells[i] = (*_profile_log_likelihood(buf, groups, design, jitter), jitter)
+        except FitError:
+            logger.debug("skipping theta=%g: not factorizable", grid[i])
+
+    allowance = _rounding_allowance(groups, search.jitter)
+    bounds = None
+    if u >= _SHARED_MIN_ORDER and grid.size > 1 and allowance < _SCREEN_WIDTH:
+        bounds = [_screen(groups, design, np.full(d, theta), search.jitter) for theta in grid]
+        for theta, (*bound, rank) in zip(grid, bounds):
+            logger.debug("screened theta=%g: rank %d, loglik in [%g, %g]", theta, rank, *bound)
+    main = np.empty((u, u), order="F")  # after the screen has let go of its arrays
+    held = None  # the cell whose factor main holds
+    survivors = range(grid.size)
+    if bounds is not None:
+        held = max(survivors, key=lambda i: bounds[i][0])
+        run(main, held)
+        # Only a value that was computed can rule a cell out.
+        floor = -math.inf if cells[held] is None else cells[held][0]
+        survivors = [i for i in survivors if i != held and not bounds[i][1] + allowance < floor]
+        logger.debug(
+            "theta=%g factorized first; screened out theta: %s; surviving theta: %s",
+            grid[held],
+            " ".join(f"{grid[i]:g}" for i in range(grid.size) if i != held and i not in survivors)
+            or "none",
+            " ".join(f"{grid[i]:g}" for i in survivors) or "none",
+        )
+    pending = iter(survivors)
     lock = threading.Lock()
 
-    def scan(buf: np.ndarray) -> int | None:
-        """Run grid cells in buf until none is left; returns the last cell
-        run, whose factor buf holds if that cell succeeded."""
-        held = None
+    def scan(buf: np.ndarray | None, held: int | None):
+        """Run pending cells in buf, allocated at its first cell when None,
+        until none is left; returns buf and the last cell run in it (held
+        when none ran), whose factor buf holds if that cell succeeded."""
         try:
             while True:
                 with lock:
                     i = next(pending, None)
                 if i is None:
-                    return held
+                    return buf, held
+                if buf is None:
+                    buf = np.empty((u, u), order="F")
                 held = i
-                try:
-                    jitter = _factorize(buf, groups, np.full(d, grid[i]), search.jitter)
-                    loglik, sigma_sq = _profile_log_likelihood(buf, groups, design, jitter)
-                except FitError:
-                    logger.debug("skipping theta=%g: not factorizable", grid[i])
-                    continue
-                cells[i] = (loglik, sigma_sq, jitter)
+                run(buf, i)
         except BaseException:
             with lock:
                 for _ in pending:  # the other scan stops after its current cell
                     pass
             raise
 
-    buffers = [np.empty((u, u), order="F") for _ in range(_cells_in_flight(u))]
+    flight = min(_cells_in_flight(u), len(survivors))
     # The helper thread starts on the first submit: with one cell in flight
     # there is none, and no thread starts.
     with ThreadPoolExecutor(max_workers=1) as helper:
-        others = [helper.submit(scan, buf) for buf in buffers[1:]]
-        held = [scan(buffers[0])] + [other.result() for other in others]
+        others = [helper.submit(scan, None, None) for _ in range(flight - 1)]
+        scans = [scan(main, held)] + [other.result() for other in others]
 
     best = None
     for i, cell in enumerate(cells):
@@ -622,10 +769,9 @@ def fit_hyperparameters(
         raise FitError("no admissible theta grid cell: every candidate failed to factorize")
     _, sigma_sq, jitter = cells[best]
     kernel = Kernel(sigma_sq=sigma_sq, theta=np.full(d, grid[best]), jitter=jitter)
-    if best in held:
-        chol = buffers[held.index(best)]
-    else:
-        chol = buffers[0]
+    chol = next((buf for buf, last in scans if last == best), None)
+    if chol is None:
+        chol = main
         _factorize(chol, groups, kernel.theta, jitter)
     return _model_from_factor(training, groups, basis, design, kernel, chol)
 

@@ -125,7 +125,7 @@ def compressed_covariance(inputs, kernel):
     return kernel.sigma_sq * (corr + np.diag(kernel.jitter / counts))
 
 
-def reference_theta_search(training, basis, search) -> gpr.Kernel:
+def reference_theta_search(training, basis, search, failed=()) -> gpr.Kernel:
     """The grid search with each cell built from scratch: the distinct rows
     found by a loop, gpr.correlation over them at the cell's theta, then a
     fresh corr + diag(jitter / n_k) for every escalation attempt (starting
@@ -134,7 +134,8 @@ def reference_theta_search(training, basis, search) -> gpr.Kernel:
     adds the within-group terms of the full N x N matrix. On 1-d inputs the
     kernel of the model gpr.fit_hyperparameters returns must have the same
     sigma_sq and theta bit for bit; the jitter here is the search's base
-    jitter, before any escalation.
+    jitter, before any escalation. Cells whose theta is in failed are
+    skipped, as the search skips a cell that raises FitError.
     """
     n, d = training.inputs.shape
     distinct, index, counts, means = distinct_rows(training.inputs, training.targets)
@@ -143,6 +144,8 @@ def reference_theta_search(training, basis, search) -> gpr.Kernel:
     design = basis.design_matrix(distinct)
     best = None  # (loglik, theta, sigma_sq)
     for theta_scalar in search.grid():
+        if theta_scalar in failed:
+            continue
         corr = gpr.correlation(distinct, distinct, np.full(d, float(theta_scalar)))
         jitter = search.jitter
         if jitter == 0.0 and u < n:

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -31,6 +32,7 @@ from jobsignal.gpr import (
     load_model,
     save_model,
 )
+from jobsignal.synth import synthetic_panel
 from jobsignal.pipeline import (
     build_panel,
     ingest_sites,
@@ -602,11 +604,14 @@ class TestFitHyperparameters:
         assert first.sigma_sq == second.sigma_sq
         assert np.array_equal(first.theta, second.theta)
 
-    @pytest.mark.parametrize("jitter", [1e-10, 1e-4])
+    @pytest.mark.parametrize("jitter", [1e-10, 1e-6, 1e-4])
     @pytest.mark.parametrize("degree", ["const", "linear"])
-    def test_matches_cell_by_cell_reference(self, degree, jitter):
-        # One sampled panel plus both directions of the bundled panel, whose
-        # rate-to-score inputs are tied (29 distinct rates over 382 rows).
+    def test_matches_cell_by_cell_reference(self, monkeypatch, degree, jitter):
+        # A sampled panel, both directions of the bundled panel, whose
+        # rate-to-score inputs are tied (29 distinct rates over 382 rows),
+        # and three panels of 300 to 600 distinct inputs, one of them 2-d.
+        # The search screens the grid wherever there are at least
+        # _SHARED_MIN_ORDER distinct inputs and the jitter is 1e-6 or more.
         records = ingest_sites(bundled_sites_path())
         kept, _ = listwise_delete(records)
         panel = build_panel(
@@ -616,12 +621,22 @@ class TestFitHyperparameters:
         for direction in Direction:
             inputs, targets = split_panel(panel, direction)
             cases.append(TrainingSet(inputs=inputs, targets=targets))
+        cases.append(_sample_from_kernel(np.random.default_rng(5), n=300))
+        inputs, targets = split_panel(synthetic_panel(600, 0.7, 0.5, 3), Direction.SCORE_TO_RATE)
+        cases.append(TrainingSet(inputs=inputs, targets=targets))
+        rng = np.random.default_rng(8)
+        inputs = rng.uniform(0.0, 3.0, size=(300, 2))
+        cases.append(TrainingSet(inputs=inputs, targets=np.sin(inputs).sum(axis=1)))
         basis = BasisExpansion(degree)
         search = SearchConfig(jitter=jitter)
+        screens = spy_screen(monkeypatch)
         for training in cases:
+            screens.clear()
             model = fit_hyperparameters(training, basis, search)
             assert_same_selection(model.kernel, reference_theta_search(training, basis, search))
             assert_model_equals_fit(model)
+            distinct = model.groups.counts.size
+            assert bool(screens) == (distinct >= gpr._SHARED_MIN_ORDER and jitter >= 1e-6)
 
     @pytest.mark.parametrize("degree", ["const", "linear"])
     def test_two_dimensional_model_matches_fit_at_its_kernel(self, rng, degree):
@@ -700,6 +715,21 @@ def spy_factorize(monkeypatch, before=None):
         return factorize(buf, groups, theta, jitter)
 
     monkeypatch.setattr(gpr, "_factorize", spy)
+    return calls
+
+
+def spy_screen(monkeypatch):
+    """Wrap gpr._screen; returns the list of (theta, (lower, upper, rank))
+    of every call."""
+    screen = gpr._screen
+    calls = []
+
+    def spy(groups, design, theta, jitter):
+        bounds = screen(groups, design, theta, jitter)
+        calls.append((float(theta[0]), bounds))
+        return bounds
+
+    monkeypatch.setattr(gpr, "_screen", spy)
     return calls
 
 
@@ -817,6 +847,30 @@ class TestCellsInFlight:
         assert sorted(theta for theta, _ in calls[: grid.size]) == sorted(grid)
         self.assert_same_model(two, self.search(monkeypatch, 1, training, **config))
 
+    def test_screened_survivors_go_in_flight(self, monkeypatch):
+        # Neighbouring cells of a 200-step grid lie closer than the screen
+        # resolves, so cells around the first one survive it; the calling
+        # thread waits for the helper to take one of them.
+        training = _sample_from_kernel(np.random.default_rng(5), n=300)
+        config = dict(steps=200, jitter=1e-4)
+        helper_started = threading.Event()
+
+        def before(theta):
+            if on_helper_thread():
+                helper_started.set()
+            elif len(calls) > 1:  # past the first cell, which runs alone
+                helper_started.wait(timeout=30)
+
+        calls = spy_factorize(monkeypatch, before)
+        two = self.search(monkeypatch, 2, training, **config)
+        assert 3 <= len({theta for theta, _ in calls}) < config["steps"]
+        assert any(helper for _, helper in calls)
+        basis, search = BasisExpansion("const"), SearchConfig(**config)
+        assert_same_selection(two.kernel, reference_theta_search(training, basis, search))
+        assert_model_equals_fit(two)
+        spy_factorize(monkeypatch)
+        self.assert_same_model(two, self.search(monkeypatch, 1, training, **config))
+
     @pytest.mark.parametrize(
         "cpus, blas_threads, flight", [(2, 1, 2), (8, 1, 2), (1, 1, 1), (2, 2, 1), (2, 4, 1)]
     )
@@ -854,6 +908,94 @@ class TestCellsInFlight:
         self.assert_no_helper(monkeypatch, 1, training)
 
 
+class TestScreen:
+    """Where the search screens the grid, it factorizes only the cells whose
+    bound does not rule them out, and selects what the full scan selects."""
+
+    def search(self, training, jitter=1e-4):
+        return fit_hyperparameters(training, BasisExpansion("const"), SearchConfig(jitter=jitter))
+
+    def test_bounds_hold_the_dense_likelihood(self, monkeypatch):
+        training = _sample_from_kernel(np.random.default_rng(5), n=300)
+        screens = spy_screen(monkeypatch)
+        model = self.search(training)
+        allowance = gpr._rounding_allowance(model.groups, 1e-4)
+        bounded = [(theta, *bound) for theta, (*bound, _) in screens if bound[1] < math.inf]
+        assert 0 < len(bounded) < len(screens)
+        for theta, lower, upper in bounded:
+            value, _ = profile_log_likelihood(training, model.basis, [theta], 1e-4)
+            assert lower - allowance <= value <= upper + allowance
+            assert upper - lower <= gpr._SCREEN_WIDTH
+
+    @pytest.mark.parametrize(
+        "rows, jitter, every_cell",
+        [(600, 1e-10, True), (gpr._SHARED_MIN_ORDER - 1, 1e-4, True), (600, 1e-4, False)],
+    )
+    def test_factorizes_fewer_cells_only_where_it_screens(
+        self, monkeypatch, rows, jitter, every_cell
+    ):
+        # At jitter 1e-10 rounding could move a cell's likelihood further than
+        # the screen's bound is wide, and below _SHARED_MIN_ORDER distinct
+        # inputs a dense cell costs too little to screen.
+        training = _sample_from_kernel(np.random.default_rng(5), n=rows)
+        calls = spy_factorize(monkeypatch)
+        self.search(training, jitter)
+        factorized = {theta for theta, _ in calls}
+        assert (factorized == set(SearchConfig().grid())) == every_cell
+
+    def test_failed_first_cell_rules_out_nothing(self, monkeypatch):
+        training = _sample_from_kernel(np.random.default_rng(5), n=300)
+        failed = []
+
+        def fail_first(theta):
+            if not failed:
+                failed.append(theta)
+                raise FitError("injected")
+
+        calls = spy_factorize(monkeypatch, fail_first)
+        model = self.search(training)
+        search = SearchConfig(jitter=1e-4)
+        assert {theta for theta, _ in calls} == set(search.grid())
+        assert model.kernel.theta[0] != failed[0]
+        expected = reference_theta_search(training, BasisExpansion("const"), search, failed)
+        assert_same_selection(model.kernel, expected)
+        assert_model_equals_fit(model)
+
+    def test_cells_past_the_rank_cap_survive(self, monkeypatch):
+        # On inputs uniform over [0, 6] the smallest thetas need more than
+        # u // 8 pivots to bound, so those cells are factorized densely.
+        training = _sample_from_kernel(np.random.default_rng(5), n=300)
+        screens = spy_screen(monkeypatch)
+        calls = spy_factorize(monkeypatch)
+        model = self.search(training)
+        capped = {theta: rank for theta, (_, upper, rank) in screens if upper == math.inf}
+        assert capped and set(capped.values()) == {300 // 8}
+        factorized = {theta for theta, _ in calls}
+        assert capped.keys() <= factorized and len(factorized) < len(screens)
+        search = SearchConfig(jitter=1e-4)
+        assert_same_selection(model.kernel, reference_theta_search(training, model.basis, search))
+        assert_model_equals_fit(model)
+
+    def test_logs_ranks_and_survivors(self, monkeypatch, caplog):
+        training = _sample_from_kernel(np.random.default_rng(5), n=300)
+        calls = spy_factorize(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="jobsignal.gpr"):
+            self.search(training)
+        messages = [r.getMessage() for r in caplog.records if r.name == "jobsignal.gpr"]
+        ranks = [m for m in messages if m.startswith("screened theta=")]
+        assert len(ranks) == SearchConfig().steps and all(": rank " in m for m in ranks)
+        (summary,) = [m for m in messages if "screened out theta:" in m]
+        # Later calls are the survivors and maybe the first cell again, as the
+        # winner whose buffer a survivor reused.
+        first = calls[0][0]
+        rest = {theta for theta, _ in calls[1:]} - {first}
+        ruled_out = set(SearchConfig().grid()) - rest - {first}
+        head, out, surviving = re.split(r"; \w+ out theta: |; surviving theta: ", summary)
+        assert head == f"theta={first:g} factorized first"
+        assert set(out.split()) == {f"{theta:g}" for theta in ruled_out}
+        assert set(surviving.split()) == {f"{theta:g}" for theta in rest}
+
+
 class TestMemory:
     def test_peak_allocation_in_covariance_units(self):
         # Peak traced allocation over N x N doubles: the search holds one
@@ -872,6 +1014,10 @@ class TestMemory:
 
         assert peak(lambda: fit_hyperparameters(training, basis, SearchConfig())) <= 2.25
         assert peak(lambda: fit(training, basis, kernel_1d())) <= 1.25
+        # At jitter 1e-4 the screen rules out every cell but the first, so no
+        # second buffer is allocated; its own arrays are gone by then.
+        screened = SearchConfig(jitter=1e-4)
+        assert peak(lambda: fit_hyperparameters(training, basis, screened)) <= 1.25
 
     def test_tied_panel_peak_allocation_in_row_units(self):
         # 20,000 rows over 40 distinct inputs. The search and closed-form
