@@ -1,4 +1,4 @@
-"""The envelope of the versioned JSON artifacts, model.json and report.json.
+"""The envelope of the versioned JSON artifacts, such as report.json.
 
 A document is one JSON object whose first key, "schema", names its format
 and version, written as UTF-8 with a 2-space indent and a trailing newline.

@@ -1,7 +1,7 @@
 """Command-line entry point for the nowcasting pipeline.
 
 Stages are runnable standalone on intermediate files (ingest -> clean ->
-score -> fit/evaluate) or end to end via `pipeline`; ingest and clean write
+score -> evaluate) or end to end via `pipeline`; ingest and clean write
 records in the site-listing CSV format that clean and score read back.
 `synth` generates panels with a known score/rate coupling. Every subcommand
 is deterministic given its flags; outputs contain no wall-clock or
@@ -95,19 +95,6 @@ def cmd_score(args) -> None:
     logger.info("panel of %d rows -> %s", panel.n, out / "panel.csv")
 
 
-def cmd_fit(args) -> None:
-    panel = pipeline.read_panel_csv(args.panel)
-    model = evaluation.fit_panel(panel, *_model_options(args))
-    out = _out_dir(args)
-    gpr.save_model(model, out / "model.json")
-    logger.info(
-        "fitted model (theta=%s, sigma_sq=%g) -> %s",
-        model.kernel.theta.tolist(),
-        model.kernel.sigma_sq,
-        out / "model.json",
-    )
-
-
 def cmd_evaluate(args) -> None:
     panel = pipeline.read_panel_csv(args.panel)
     report = evaluation.evaluate(panel, *_model_options(args), in_sample=args.in_sample)
@@ -132,7 +119,6 @@ def cmd_pipeline(args) -> None:
         stage = "fit"
         direction, basis, search = _model_options(args)
         model = evaluation.fit_panel(panel, direction, basis, search)
-        gpr.save_model(model, out / "model.json")
         stage = "evaluate"
         report = evaluation.evaluate_model(model, panel, direction, in_sample=args.in_sample)
         _write_report_files(report, panel, kept, out)
@@ -211,12 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--indicators", required=True, help="country indicator CSV")
     p_score.add_argument("--out", required=True, help="output directory")
     p_score.set_defaults(func=cmd_score)
-
-    p_fit = sub.add_parser("fit", help="select hyperparameters and fit on a panel")
-    p_fit.add_argument("--panel", required=True, help="panel CSV")
-    _add_model_options(p_fit)
-    p_fit.add_argument("--out", required=True, help="output directory")
-    p_fit.set_defaults(func=cmd_fit)
 
     p_eval = sub.add_parser("evaluate", help="leave-one-out metrics over a panel")
     p_eval.add_argument("--panel", required=True, help="panel CSV")

@@ -257,13 +257,18 @@ def evaluate_model(
 
 
 def save_report(report: EvaluationReport, path) -> None:
+    kernel = report.kernel
     body = {
         "direction": report.direction.value,
         "n": report.n,
         "correlation_rate": report.correlation_rate,
         "rmse": report.rmse,
         "rae": report.rae,
-        "kernel": gpr._kernel_to_dict(report.kernel),
+        "kernel": {
+            "sigma_sq": kernel.sigma_sq,
+            "theta": kernel.theta.tolist(),
+            "jitter": kernel.jitter,
+        },
         "basis": report.basis.degree,
         "in_sample": report.in_sample,
         "per_fold": [[actual, predicted] for actual, predicted in report.per_fold],
@@ -271,21 +276,43 @@ def save_report(report: EvaluationReport, path) -> None:
     write_document(REPORT_SCHEMA, body, path)
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def load_report(path) -> EvaluationReport:
+    """The report save_report wrote; ParseError unless every field has its JSON type."""
     payload = read_document(path, REPORT_SCHEMA, "report")
     try:
+        kernel = payload["kernel"]
+        per_fold = payload["per_fold"]
+        if not isinstance(per_fold, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in per_fold
+        ):
+            raise TypeError("per_fold must be a list of [actual, predicted] pairs")
+        n = payload["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n != len(per_fold):
+            raise ValueError(f"n must be the integer count of per_fold pairs, got {n!r}")
+        if not isinstance(payload["in_sample"], bool):
+            raise TypeError(f"in_sample must be true or false, got {payload['in_sample']!r}")
         return EvaluationReport(
             direction=Direction(payload["direction"]),
-            n=int(payload["n"]),
-            correlation_rate=float(payload["correlation_rate"]),
-            rmse=float(payload["rmse"]),
-            rae=float(payload["rae"]),
-            kernel=gpr._kernel_from_dict(payload["kernel"]),
+            n=n,
+            correlation_rate=_number(payload["correlation_rate"]),
+            rmse=_number(payload["rmse"]),
+            rae=_number(payload["rae"]),
+            kernel=gpr.Kernel(
+                sigma_sq=_number(kernel["sigma_sq"]),
+                theta=[_number(value) for value in kernel["theta"]],
+                jitter=_number(kernel["jitter"]),
+            ),
             basis=gpr.BasisExpansion(payload["basis"]),
-            in_sample=bool(payload["in_sample"]),
-            per_fold=tuple((float(a), float(p)) for a, p in payload["per_fold"]),
+            in_sample=payload["in_sample"],
+            per_fold=tuple((_number(a), _number(p)) for a, p in per_fold),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed report document: {exc}") from exc
 
 

@@ -22,8 +22,7 @@ at a time, and factorizes it with LAPACK dpotrf in place, in a u x u
 Fortran-ordered buffer that becomes the model's factor. No distance matrix
 and no matrix larger than u x u is held. LAPACK is numpy's own OpenBLAS,
 called through jobsignal._lapack. Nothing here inverts a matrix (the dense
-inverse lives only in the test oracle). A saved model refits to the same
-bits under the same numpy build.
+inverse lives only in the test oracle).
 Hyperparameters are selected by maximizing the log marginal likelihood over
 a logarithmic theta grid with the process variance profiled out in closed
 form. With at least _SHARED_MIN_ORDER distinct inputs, and a jitter large
@@ -46,8 +45,6 @@ the fitted model, factorized once more only if a later cell reused its
 buffer, so the search is also the fit. A fitted model holds no mutable
 state: predict logs at DEBUG, on the jobsignal.gpr logger, how many
 variances it clamped to 0.
-save_model and load_model keep a model in a versioned JSON document, whose
-file format jobsignal._documents owns.
 """
 
 from __future__ import annotations
@@ -62,8 +59,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _lapack
-from ._documents import read_document, write_document
-from .errors import ConfigError, FitError, ParseError
+from .errors import ConfigError, FitError
 
 __all__ = [
     "BasisExpansion",
@@ -75,9 +71,7 @@ __all__ = [
     "correlation",
     "fit",
     "fit_hyperparameters",
-    "load_model",
     "predict",
-    "save_model",
 ]
 
 logger = logging.getLogger(__name__)
@@ -88,8 +82,6 @@ SIGMA_SQ_FLOOR = 1e-30  # keeps log(sigma_sq) finite on zero-residual data
 _FILL_COLUMNS = 128  # columns of R that _factorize fills per block
 _SHARED_MIN_ORDER = 256  # smallest factor the search splits across two threads or screens
 _SCREEN_WIDTH = 0.25  # log-likelihood units: the widest bound a screened cell settles for
-
-MODEL_SCHEMA = "gpr-model/1"
 
 CONST = "const"
 LINEAR = "linear"
@@ -775,55 +767,3 @@ def fit_hyperparameters(
         _factorize(chol, groups, kernel.theta, jitter)
     return _model_from_factor(training, groups, basis, design, kernel, chol)
 
-
-def _kernel_to_dict(kernel: Kernel) -> dict:
-    """The kernel block of the model and report documents."""
-    return {
-        "sigma_sq": float(kernel.sigma_sq),
-        "theta": kernel.theta.tolist(),
-        "jitter": float(kernel.jitter),
-    }
-
-
-def _kernel_from_dict(block) -> Kernel:
-    return Kernel(
-        sigma_sq=block["sigma_sq"], theta=np.asarray(block["theta"]), jitter=block["jitter"]
-    )
-
-
-def save_model(model: GprModel, path) -> None:
-    """Write the versioned model document: kernel, basis degree, beta, training data."""
-    body = {
-        "kernel": _kernel_to_dict(model.kernel),
-        "basis": model.basis.degree,
-        "beta": model.beta.tolist(),
-        "inputs": model.training.inputs.tolist(),
-        "targets": model.training.targets.tolist(),
-    }
-    write_document(MODEL_SCHEMA, body, path)
-
-
-def load_model(path) -> GprModel:
-    """Rebuild a fitted model from the document save_model wrote.
-
-    Refits deterministically from the stored training data and kernel (the
-    stored jitter already includes any escalation, so the factorization is
-    reproduced bit for bit under the same numpy build) and
-    cross-checks the stored coefficients.
-    """
-    payload = read_document(path, MODEL_SCHEMA, "model")
-    try:
-        kernel = _kernel_from_dict(payload["kernel"])
-        basis = BasisExpansion(payload["basis"])
-        training = TrainingSet(
-            inputs=np.asarray(payload["inputs"]), targets=np.asarray(payload["targets"])
-        )
-        stored_beta = np.asarray(payload["beta"], dtype=float)
-        model = fit(training, basis, kernel)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed model document: {exc}") from exc
-    if stored_beta.shape != model.beta.shape or not np.allclose(
-        stored_beta, model.beta, rtol=1e-6, atol=1e-8
-    ):
-        raise ParseError("stored trend coefficients do not match the refit model")
-    return model

@@ -3,9 +3,13 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from jobsignal.cli import build_parser, main
+from jobsignal import TrainingSet, fit
+from jobsignal.cli import _model_options, build_parser, main
+from jobsignal.evaluation import evaluate_model, fit_panel, load_report, split_panel
+from jobsignal.pipeline import read_panel_csv
 
 SITES_BODY = """url,country,rank,trend,traffic
 jobs.a.de,DE,100,60.0,30000
@@ -78,8 +82,7 @@ class TestPipelineCommand:
         out = tmp_path / "out"
         rc = run(["pipeline", "--sites", sites, "--indicators", indicators, "--out", out])
         assert rc == 0
-        for name in ("panel.csv", "model.json", "report.json", "report.txt"):
-            assert (out / name).is_file()
+        assert sorted(path.name for path in out.iterdir()) == ["panel.csv", "report.json", "report.txt"]
         text = (out / "report.txt").read_text(encoding="utf-8")
         assert "Number of web sites" in text
         assert "12" in text and "11" in text  # raw and post-deletion counts
@@ -94,7 +97,7 @@ class TestPipelineCommand:
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run(["pipeline", "--sites", sites, "--indicators", indicators, "--out", out1]) == 0
         assert run(["pipeline", "--sites", sites, "--indicators", indicators, "--out", out2]) == 0
-        for name in ("panel.csv", "report.json", "model.json", "report.txt"):
+        for name in ("panel.csv", "report.json", "report.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     @pytest.mark.parametrize("extra", [[], ["--in-sample"]])
@@ -104,11 +107,47 @@ class TestPipelineCommand:
         flags = ["--direction", direction, "--basis", "linear", *extra]
         pipe, staged = tmp_path / "pipe", tmp_path / "staged"
         assert run(["pipeline", "--sites", sites, "--indicators", indicators, *flags, "--out", pipe]) == 0
-        fit_flags = [f for f in flags if f != "--in-sample"]
-        assert run(["fit", "--panel", pipe / "panel.csv", *fit_flags, "--out", staged]) == 0
         assert run(["evaluate", "--panel", pipe / "panel.csv", *flags, "--out", staged]) == 0
-        for name in ("model.json", "report.json"):
-            assert (pipe / name).read_bytes() == (staged / name).read_bytes()
+        assert (pipe / "report.json").read_bytes() == (staged / "report.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            pytest.param(
+                "pipeline", ["--direction", direction, "--basis", basis], id=f"{direction}-{basis}"
+            )
+            for direction in ("score-to-rate", "rate-to-score")
+            for basis in ("const", "linear")
+        ]
+        # Rates repeat within a country, and on tied inputs a jitter of 0
+        # starts the ladder at 1e-10: the report must carry the jitter used.
+        + [
+            pytest.param(
+                "evaluate", ["--direction", "rate-to-score", "--jitter", "0"], id="tied-jitter-0"
+            )
+        ],
+    )
+    def test_verdict_files_rebuild_the_model(self, small_inputs, tmp_path, command, flags):
+        sites, indicators = small_inputs
+        out = tmp_path / "out"
+        inputs = {
+            "pipeline": ["--sites", sites, "--indicators", indicators],
+            "evaluate": ["--panel", out / "panel.csv"],
+        }[command]
+        assert run(["score", "--records", sites, "--indicators", indicators, "--out", out]) == 0
+        args = [command, *inputs, *flags, "--out", out]
+        assert run(args) == 0
+        report = load_report(out / "report.json")
+        panel = read_panel_csv(out / "panel.csv")
+        model = fit(TrainingSet(*split_panel(panel, report.direction)), report.basis, report.kernel)
+        direction, basis, search = _model_options(build_parser().parse_args([str(a) for a in args]))
+        expected = fit_panel(panel, direction, basis, search)
+        assert model.kernel.jitter == expected.kernel.jitter == report.kernel.jitter
+        if search.jitter == 0.0:
+            assert report.kernel.jitter > 0.0
+        for name in ("beta", "alpha", "chol"):
+            assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+        assert evaluate_model(model, panel, direction).per_fold == report.per_fold
 
     def test_duplicate_url_exit_3(self, small_inputs, tmp_path):
         sites, indicators = small_inputs
@@ -270,10 +309,6 @@ class TestStagedCommands:
         assert run(["score", "--records", sites, "--indicators", indicators, "--out", raw]) == 0
         assert (raw / "panel.csv").read_bytes() == (work / "panel.csv").read_bytes()
 
-        assert run(["fit", "--panel", work / "panel.csv", "--out", work]) == 0
-        model = json.loads((work / "model.json").read_text(encoding="utf-8"))
-        assert model["schema"] == "gpr-model/1"
-
         assert run(["evaluate", "--panel", work / "panel.csv", "--out", work]) == 0
         report = json.loads((work / "report.json").read_text(encoding="utf-8"))
         assert report["n"] == 11
@@ -306,9 +341,8 @@ class TestStagedCommands:
             "score", "--records", work / "records_clean.csv", "--indicators", indicators,
             "--out", work,
         ]) == 0
-        assert run(["fit", "--panel", work / "panel.csv", "--out", work]) == 0
         assert run(["evaluate", "--panel", work / "panel.csv", "--out", work]) == 0
-        for name in ("panel.csv", "model.json", "report.json"):
+        for name in ("panel.csv", "report.json"):
             assert (work / name).read_bytes() == (pipe / name).read_bytes(), name
 
     def test_ingest_fetch_fixture_edge_cases(self, small_inputs, tmp_path, caplog):
@@ -412,17 +446,6 @@ class TestStagedCommands:
         assert f"duplicate url {url!r} (lines 2 and 42)" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    def test_fit_error_exit_4(self, tmp_path):
-        # Identical scores make the constant and linear trend columns collinear.
-        panel = tmp_path / "panel.csv"
-        panel.write_text(
-            "url,country,score,unemployment_rate\n"
-            "a.test,ZZ,1.0,4.0\nb.test,ZZ,1.0,5.0\nc.test,ZZ,1.0,6.0\n",
-            encoding="utf-8",
-        )
-        rc = run(["fit", "--panel", panel, "--basis", "linear", "--out", tmp_path / "o"])
-        assert rc == 4
-
     @pytest.mark.parametrize("mode", [[], ["--in-sample"]])
     def test_failed_search_in_evaluate_exit_4(self, tmp_path, capsys, mode):
         # Identical scores make every cell's linear trend singular: the search
@@ -467,8 +490,8 @@ class TestStagedCommands:
             "a.test,ZZ,0.0,4.0\nb.test,ZZ,1.0,5.0\nc.test,ZZ,2.0,6.0\n",
             encoding="utf-8",
         )
-        assert run(["fit", "--panel", panel, "--theta-grid", "oops", "--out", tmp_path / "o"]) == 2
-        assert run(["fit", "--panel", panel, "--theta-grid", "5:1:4", "--out", tmp_path / "o"]) == 2
+        assert run(["evaluate", "--panel", panel, "--theta-grid", "oops", "--out", tmp_path / "o"]) == 2
+        assert run(["evaluate", "--panel", panel, "--theta-grid", "5:1:4", "--out", tmp_path / "o"]) == 2
         capsys.readouterr()
         for grid in ("0.1:inf:13", "0.1:1e400:3"):
             # Non-finite bounds are rejected before the grid is built, so

@@ -1,4 +1,4 @@
-"""Every reader of a versioned JSON document rejects an unreadable file the same way."""
+"""The reader of a versioned JSON document rejects an unreadable file with a ParseError."""
 
 import json
 import re
@@ -7,9 +7,8 @@ import pytest
 
 from jobsignal import ParseError
 from jobsignal.evaluation import load_report
-from jobsignal.gpr import load_model
 
-READERS = [(load_model, "model"), (load_report, "report")]
+READERS = [(load_report, "report")]
 
 # JSON that the standard parser cannot hold in Python objects: a RecursionError
 # and a ValueError (Python's 4300-digit limit on int conversion) respectively.

@@ -454,6 +454,37 @@ class TestReportSerialization:
         with pytest.raises(ParseError, match="schema"):
             load_report(path)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"in_sample": "false"},
+            {"n": 3.7},
+            {"n": 8.0},
+            {"n": True, "per_fold": [[1.0, 2.0]]},
+            {"n": 2, "per_fold": ["12", "34"]},
+            {"n": 999},
+            {"rmse": 10**400},
+        ],
+        ids=[
+            "in-sample-string",
+            "n-float",
+            "n-integral-float",
+            "n-bool",
+            "pair-strings",
+            "n-not-count",
+            "rmse-beyond-float",
+        ],
+    )
+    def test_malformed_fields_rejected(self, tmp_path, fields):
+        from jobsignal import ParseError
+
+        path = tmp_path / "report.json"
+        save_report(self.make_report(), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**payload, **fields}), encoding="utf-8")
+        with pytest.raises(ParseError, match="malformed report document"):
+            load_report(path)
+
     def test_text_table_labels(self):
         text = format_report(self.make_report(), self.make_panel())
         panel_block, metrics_block = text.split("\n\n")

@@ -1,4 +1,3 @@
-import json
 import logging
 import math
 import re
@@ -16,7 +15,6 @@ from jobsignal import (
     ConfigError,
     FitError,
     Kernel,
-    ParseError,
     SearchConfig,
     TrainingSet,
     fit,
@@ -29,8 +27,6 @@ from jobsignal.evaluation import Direction, _loo_pairs, split_panel
 from jobsignal.gpr import (
     correlation,
     _profile_log_likelihood,
-    load_model,
-    save_model,
 )
 from jobsignal.synth import synthetic_panel
 from jobsignal.pipeline import (
@@ -1066,65 +1062,3 @@ class TestTypes:
     def test_unknown_degree_rejected(self):
         with pytest.raises(ValueError, match="degree"):
             BasisExpansion("quadratic")
-
-
-class TestSerialization:
-    def test_round_trip_predicts_identically(self, rng, tmp_path):
-        model = random_fitted_model(rng, n=9, d=2, degree="linear")
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        restored = load_model(path)
-        for _ in range(10):
-            x = rng.uniform(-1, 5, size=2)
-            assert predict(model, x) == predict(restored, x)
-
-    def test_round_trip_preserves_escalated_jitter(self, tmp_path):
-        inputs = np.array([[0.0], [0.0], [1.0]])
-        training = TrainingSet(inputs=inputs, targets=np.array([0.0, 0.5, 1.0]))
-        model = fit(training, BasisExpansion("const"), kernel_1d())
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        restored = load_model(path)
-        assert restored.kernel.jitter == model.kernel.jitter
-
-    def test_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps({"schema": "something-else/9"}), encoding="utf-8")
-        with pytest.raises(ParseError, match="schema"):
-            load_model(path)
-
-    def test_rejects_corrupt_file(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ParseError, match="JSON"):
-            load_model(path)
-
-    def test_missing_file_raises_parse_error(self, tmp_path):
-        with pytest.raises(ParseError, match="model file not found"):
-            load_model(tmp_path / "absent.json")
-
-    def test_rejects_theta_of_wrong_dimension(self, rng, tmp_path):
-        path = tmp_path / "model.json"
-        save_model(random_fitted_model(rng, n=6, d=2), path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["kernel"]["theta"] = payload["kernel"]["theta"][:1]
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ParseError, match="malformed model document: dimension mismatch"):
-            load_model(path)
-
-    def test_rejects_tampered_beta(self, rng, tmp_path):
-        path = tmp_path / "model.json"
-        save_model(random_fitted_model(rng, n=6, d=1), path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["beta"] = [value + 1.0 for value in payload["beta"]]
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ParseError, match="coefficients"):
-            load_model(path)
-
-    def test_document_is_versioned_json(self, rng, tmp_path):
-        model = random_fitted_model(rng, n=5, d=1)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["schema"] == "gpr-model/1"
-        assert set(payload) == {"schema", "kernel", "basis", "beta", "inputs", "targets"}
