@@ -446,6 +446,23 @@ class TestStagedCommands:
         assert f"duplicate url {url!r} (lines 2 and 42)" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_fit_error_exit_4(self, tmp_path, capsys):
+        # Every complete site is in DE: with rates as inputs the constant and
+        # linear trend columns are collinear, so the fit step fails on its own,
+        # before evaluation, and the pipeline names that step.
+        sites = tmp_path / "sites.csv"
+        sites.write_text(ONE_COUNTRY_SITES, encoding="utf-8")
+        indicators = tmp_path / "indicators.csv"
+        indicators.write_text(INDICATORS_BODY, encoding="utf-8")
+        rc = run([
+            "pipeline", "--sites", sites, "--indicators", indicators,
+            "--direction", "rate-to-score", "--basis", "linear", "--out", tmp_path / "o",
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("pipeline failed at stage fit: no admissible theta grid cell")
+        assert not (tmp_path / "o" / "report.json").exists()
+
     @pytest.mark.parametrize("mode", [[], ["--in-sample"]])
     def test_failed_search_in_evaluate_exit_4(self, tmp_path, capsys, mode):
         # Identical scores make every cell's linear trend singular: the search
