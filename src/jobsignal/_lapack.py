@@ -1,5 +1,4 @@
-"""The three LAPACK routines jobsignal needs, called in numpy's own OpenBLAS,
-and that library's thread count.
+"""The three LAPACK routines jobsignal needs, called in numpy's own OpenBLAS.
 
 The PyPI numpy wheels for Linux bundle scipy-openblas64, an ILP64 OpenBLAS
 whose LAPACK symbols carry a scipy_ prefix and a 64_ suffix; numpy's linalg
@@ -43,8 +42,6 @@ _lib = ctypes.CDLL(_umath_linalg.__file__)
 _dpotrf = _resolve(_lib, "scipy_dpotrf_64_", 5, 1)
 _dtrtrs = _resolve(_lib, "scipy_dtrtrs_64_", 10, 3)
 _dtrtri = _resolve(_lib, "scipy_dtrtri_64_", 6, 2)
-_get_num_threads = _resolve(_lib, "scipy_openblas_get_num_threads64_", 0, 0)
-_get_num_threads.restype = ctypes.c_int
 
 _L, _U, _N, _T = (ctypes.c_char_p(flag) for flag in (b"L", b"U", b"N", b"T"))
 
@@ -65,11 +62,6 @@ def _order(a: np.ndarray) -> int:
     ):
         raise ValueError("expected a writable square float64 matrix in Fortran order")
     return a.shape[0]
-
-
-def blas_threads() -> int:
-    """The number of threads OpenBLAS runs each of these routines on."""
-    return _get_num_threads()
 
 
 def potrf(a: np.ndarray) -> int:

@@ -25,7 +25,7 @@ called through jobsignal._lapack. Nothing here inverts a matrix (the dense
 inverse lives only in the test oracle).
 Hyperparameters are selected by maximizing the log marginal likelihood over
 a logarithmic theta grid with the process variance profiled out in closed
-form. With at least _SHARED_MIN_ORDER distinct inputs, and a jitter large
+form. With at least _SCREEN_MIN_ORDER distinct inputs, and a jitter large
 enough that rounding moves a likelihood by less than _SCREEN_WIDTH, a
 screen bounds every cell first: with G a partial pivoted Cholesky factor
 of R_u, grown until its residual trace t is small, and lam the smallest
@@ -36,24 +36,18 @@ bound is factorized densely, and every cell whose upper bound, plus the
 rounding allowance, falls below that cell's likelihood is dropped; the
 others run as before. The selection and the model are the bits the full
 scan gives.
-Two grid cells are in flight at once, on the calling thread and one
-helper thread, each in its own factor buffer, when the factor has at least
-_SHARED_MIN_ORDER rows, two cells are left to run and the available CPUs
-hold two BLAS calls' threads (OpenBLAS on one thread and two CPUs);
-otherwise one. The winner is picked after the scan and its factor becomes
-the fitted model, factorized once more only if a later cell reused its
-buffer, so the search is also the fit. A fitted model holds no mutable
-state: predict logs at DEBUG, on the jobsignal.gpr logger, how many
-variances it clamped to 0.
+The cells run one at a time, in grid order, on the calling thread, each
+factorized into the same u x u buffer. The winner is picked after the scan
+and its factor becomes the fitted model, factorized once more only if a
+later cell reused the buffer, so the search is also the fit. A fitted
+model holds no mutable state: predict logs at DEBUG, on the jobsignal.gpr
+logger, how many variances it clamped to 0.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,7 +74,7 @@ DEFAULT_JITTER = 1e-10
 MAX_JITTER = 1e-4
 SIGMA_SQ_FLOOR = 1e-30  # keeps log(sigma_sq) finite on zero-residual data
 _FILL_COLUMNS = 128  # columns of R that _factorize fills per block
-_SHARED_MIN_ORDER = 256  # smallest factor the search splits across two threads or screens
+_SCREEN_MIN_ORDER = 256  # fewest distinct inputs the search screens; a smaller cell is cheap
 _SCREEN_WIDTH = 0.25  # log-likelihood units: the widest bound a screened cell settles for
 
 CONST = "const"
@@ -636,18 +630,6 @@ class SearchConfig:
         return np.geomspace(self.theta_min, self.theta_max, self.steps)
 
 
-def _cells_in_flight(order: int) -> int:
-    """How many grid cells the search factorizes at once: two when a cell's
-    factor has at least _SHARED_MIN_ORDER rows and the CPUs this process
-    may run on leave each BLAS call its threads, else one. A smaller
-    factorization is over before the interpreter lock changes hands, so a
-    second thread only waits for it (on two CPUs, 29 distinct inputs search
-    in 3.6 ms on one thread and 7.1 ms on two; order 256 breaks even)."""
-    if order < _SHARED_MIN_ORDER:
-        return 1
-    return max(1, min(2, len(os.sched_getaffinity(0)) // _lapack.blas_threads()))
-
-
 def fit_hyperparameters(
     training: TrainingSet, basis: BasisExpansion, search: SearchConfig
 ) -> GprModel:
@@ -658,7 +640,7 @@ def fit_hyperparameters(
     by _profile_log_likelihood on the factor _factorize makes at that theta,
     which fit makes too.
 
-    The grid is screened first when there are at least _SHARED_MIN_ORDER
+    The grid is screened first when there are at least _SCREEN_MIN_ORDER
     distinct inputs, at least two cells, and _rounding_allowance, which
     depends on N, u and jitter / max(n_k) alone, is below _SCREEN_WIDTH (so
     never at jitter 0 or the default 1e-10 on a few hundred rows). _screen
@@ -669,23 +651,18 @@ def fit_hyperparameters(
     screen could not bound survive. The search logs at DEBUG each cell's
     screen rank and bounds, the cells dropped and those that survive.
 
-    Up to two of the remaining cells are in flight, each factorizing into
-    its own u x u buffer: the calling thread runs one, a helper thread the
-    other, and each takes the next cell of the grid when it is done. Two
-    run only when the factor has at least _SHARED_MIN_ORDER rows, at least
-    two cells remain and the available CPUs hold two BLAS calls' threads
-    (OpenBLAS on one thread and two CPUs); otherwise the calling thread
-    runs every cell. The helper's buffer is allocated when it takes its
-    first cell. The winner is chosen after the scan, in ascending theta
-    order, and only a strictly larger likelihood replaces the incumbent, so
-    ties resolve toward the smallest theta and then the smallest sigma_sq;
-    a dropped cell's likelihood is below the winner's, so the screen does
-    not change which cell wins. Its factor becomes the model's; if a later
-    cell has reused its buffer, the winner is factorized again at the
-    jitter it used, which rebuilds the same matrix and so the same bits.
-    The model's kernel carries that jitter, and the model equals
-    fit(training, basis, model.kernel) bit for bit. A FitError in a cell
-    skips it; any other error stops the scan and propagates.
+    The remaining cells run in grid order on the calling thread, each
+    factorized into the one u x u buffer. The winner is chosen after the
+    scan, in ascending theta order, and only a strictly larger likelihood
+    replaces the incumbent, so ties resolve toward the smallest theta and
+    then the smallest sigma_sq; a dropped cell's likelihood is below the
+    winner's, so the screen does not change which cell wins. Its factor
+    becomes the model's if it was the last cell run; otherwise the winner
+    is factorized again at the jitter it used, which rebuilds the same
+    matrix and so the same bits. The model's kernel carries that jitter,
+    and the model equals fit(training, basis, model.kernel) bit for bit.
+    A FitError in a cell skips it; any other error stops the scan and
+    propagates.
     """
     groups = _group_rows(training)
     design = _trend_design(training, basis, groups)
@@ -694,7 +671,7 @@ def fit_hyperparameters(
     # Per grid cell: (loglik, sigma_sq, jitter), or None when the cell failed.
     cells: list[tuple[float, float, float] | None] = [None] * grid.size
 
-    def run(buf: np.ndarray, i: int) -> None:
+    def run(i: int) -> None:
         try:
             jitter = _factorize(buf, groups, np.full(d, grid[i]), search.jitter)
             cells[i] = (*_profile_log_likelihood(buf, groups, design, jitter), jitter)
@@ -703,16 +680,16 @@ def fit_hyperparameters(
 
     allowance = _rounding_allowance(groups, search.jitter)
     bounds = None
-    if u >= _SHARED_MIN_ORDER and grid.size > 1 and allowance < _SCREEN_WIDTH:
+    if u >= _SCREEN_MIN_ORDER and grid.size > 1 and allowance < _SCREEN_WIDTH:
         bounds = [_screen(groups, design, np.full(d, theta), search.jitter) for theta in grid]
         for theta, (*bound, rank) in zip(grid, bounds):
             logger.debug("screened theta=%g: rank %d, loglik in [%g, %g]", theta, rank, *bound)
-    main = np.empty((u, u), order="F")  # after the screen has let go of its arrays
-    held = None  # the cell whose factor main holds
+    buf = np.empty((u, u), order="F")  # after the screen has let go of its arrays
+    held = None  # the last cell run, whose factor buf holds if it succeeded
     survivors = range(grid.size)
     if bounds is not None:
         held = max(survivors, key=lambda i: bounds[i][0])
-        run(main, held)
+        run(held)
         # Only a value that was computed can rule a cell out.
         floor = -math.inf if cells[held] is None else cells[held][0]
         survivors = [i for i in survivors if i != held and not bounds[i][1] + allowance < floor]
@@ -723,35 +700,8 @@ def fit_hyperparameters(
             or "none",
             " ".join(f"{grid[i]:g}" for i in survivors) or "none",
         )
-    pending = iter(survivors)
-    lock = threading.Lock()
-
-    def scan(buf: np.ndarray | None, held: int | None):
-        """Run pending cells in buf, allocated at its first cell when None,
-        until none is left; returns buf and the last cell run in it (held
-        when none ran), whose factor buf holds if that cell succeeded."""
-        try:
-            while True:
-                with lock:
-                    i = next(pending, None)
-                if i is None:
-                    return buf, held
-                if buf is None:
-                    buf = np.empty((u, u), order="F")
-                held = i
-                run(buf, i)
-        except BaseException:
-            with lock:
-                for _ in pending:  # the other scan stops after its current cell
-                    pass
-            raise
-
-    flight = min(_cells_in_flight(u), len(survivors))
-    # The helper thread starts on the first submit: with one cell in flight
-    # there is none, and no thread starts.
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        others = [helper.submit(scan, None, None) for _ in range(flight - 1)]
-        scans = [scan(main, held)] + [other.result() for other in others]
+    for held in survivors:
+        run(held)
 
     best = None
     for i, cell in enumerate(cells):
@@ -761,9 +711,7 @@ def fit_hyperparameters(
         raise FitError("no admissible theta grid cell: every candidate failed to factorize")
     _, sigma_sq, jitter = cells[best]
     kernel = Kernel(sigma_sq=sigma_sq, theta=np.full(d, grid[best]), jitter=jitter)
-    chol = next((buf for buf, last in scans if last == best), None)
-    if chol is None:
-        chol = main
-        _factorize(chol, groups, kernel.theta, jitter)
-    return _model_from_factor(training, groups, basis, design, kernel, chol)
+    if held != best:
+        _factorize(buf, groups, kernel.theta, jitter)
+    return _model_from_factor(training, groups, basis, design, kernel, buf)
 

@@ -33,6 +33,8 @@ def synthetic_panel(n: int, coupling: float, noise: float, seed: int) -> PanelDa
         raise ValueError(f"noise must be non-negative, got {noise}")
     if not math.isfinite(noise):
         raise ValueError(f"noise must be finite, got {noise}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     scores = rng.standard_normal(n)
     e1 = rng.standard_normal(n)

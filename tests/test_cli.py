@@ -589,6 +589,8 @@ class TestSynthCommand:
             capsys.readouterr()
             assert run(["synth", "--n", 5, "--noise", noise, "--out", tmp_path / "o"]) == 2
             assert "noise" in capsys.readouterr().err
+        assert run(["synth", "--n", 5, "--seed", -1, "--out", tmp_path / "o"]) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
     def test_deterministic_per_seed(self, tmp_path):
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"

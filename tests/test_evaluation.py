@@ -508,6 +508,8 @@ class TestSyntheticPanel:
         for noise in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="noise"):
                 synthetic_panel(5, 0.5, noise, seed=0)
+        with pytest.raises(ValueError, match=r"seed must be non-negative, got -1"):
+            synthetic_panel(5, 0.5, 0.0, seed=-1)
 
     def test_deterministic_per_seed(self):
         first = synthetic_panel(10, 0.7, 0.3, seed=42)

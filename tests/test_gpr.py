@@ -1,8 +1,6 @@
 import logging
 import math
 import re
-import sys
-import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -607,7 +605,7 @@ class TestFitHyperparameters:
         # rate-to-score inputs are tied (29 distinct rates over 382 rows),
         # and three panels of 300 to 600 distinct inputs, one of them 2-d.
         # The search screens the grid wherever there are at least
-        # _SHARED_MIN_ORDER distinct inputs and the jitter is 1e-6 or more.
+        # _SCREEN_MIN_ORDER distinct inputs and the jitter is 1e-6 or more.
         records = ingest_sites(bundled_sites_path())
         kept, _ = listwise_delete(records)
         panel = build_panel(
@@ -632,7 +630,7 @@ class TestFitHyperparameters:
             assert_same_selection(model.kernel, reference_theta_search(training, basis, search))
             assert_model_equals_fit(model)
             distinct = model.groups.counts.size
-            assert bool(screens) == (distinct >= gpr._SHARED_MIN_ORDER and jitter >= 1e-6)
+            assert bool(screens) == (distinct >= gpr._SCREEN_MIN_ORDER and jitter >= 1e-6)
 
     @pytest.mark.parametrize("degree", ["const", "linear"])
     def test_two_dimensional_model_matches_fit_at_its_kernel(self, rng, degree):
@@ -693,19 +691,66 @@ class TestFitHyperparameters:
             toward_optimum = 1.0 if i < best else -1.0
             assert math.copysign(1.0, grad) == toward_optimum
 
+    @pytest.mark.parametrize("degree", ["const", "linear"])
+    def test_interior_winner_is_refactorized(self, monkeypatch, degree):
+        # The winner sits inside the grid, so the cells after it overwrite
+        # its factor in the one buffer and it is factorized once more.
+        training = _sample_from_kernel(np.random.default_rng(3), n=150)
+        grid = SearchConfig().grid()
+        calls = spy_factorize(monkeypatch)
+        model = fit_hyperparameters(training, BasisExpansion(degree), SearchConfig())
+        winner = model.kernel.theta[0]
+        assert grid[0] < winner < grid[-1]
+        assert calls == list(grid) + [winner]
+        assert_model_equals_fit(model)
 
-def on_helper_thread() -> bool:
-    return threading.current_thread() is not threading.main_thread()
+    def test_last_cell_winner_is_not_refactorized(self, monkeypatch):
+        training = _sample_from_kernel(np.random.default_rng(3), n=60, theta=40.0)
+        calls = spy_factorize(monkeypatch)
+        model = fit_hyperparameters(training, BasisExpansion("const"), SearchConfig())
+        assert model.kernel.theta[0] == SearchConfig().grid()[-1]
+        assert len(calls) == SearchConfig().steps
+        assert_model_equals_fit(model)
+
+    def test_fit_error_in_an_interior_cell_skips_it(self, monkeypatch):
+        # The cell that fails is the one that would have won.
+        training = _sample_from_kernel(np.random.default_rng(5), n=80)
+        basis, search = BasisExpansion("const"), SearchConfig()
+        failed = [fit_hyperparameters(training, basis, search).kernel.theta[0]]
+        assert search.grid()[0] < failed[0] < search.grid()[-1]
+
+        def fail(theta):
+            if theta in failed:
+                raise FitError("injected")
+
+        calls = spy_factorize(monkeypatch, fail)
+        model = fit_hyperparameters(training, basis, search)
+        assert failed[0] in calls and model.kernel.theta[0] != failed[0]
+        assert_same_selection(model.kernel, reference_theta_search(training, basis, search, failed))
+        assert_model_equals_fit(model)
+
+    def test_other_error_in_a_cell_propagates(self, monkeypatch):
+        training = _sample_from_kernel(np.random.default_rng(5), n=80)
+        interior = SearchConfig().grid()[5]
+
+        def fail(theta):
+            if theta == interior:
+                raise RuntimeError("cell broke")
+
+        calls = spy_factorize(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="cell broke"):
+            fit_hyperparameters(training, BasisExpansion("const"), SearchConfig())
+        assert calls[-1] == interior
 
 
 def spy_factorize(monkeypatch, before=None):
     """Wrap gpr._factorize, calling before(theta) first on each call;
-    returns the list of (theta, on the helper thread) of every call."""
+    returns the list of the theta of every call."""
     factorize = gpr._factorize
     calls = []
 
     def spy(buf, groups, theta, jitter):
-        calls.append((float(theta[0]), on_helper_thread()))
+        calls.append(float(theta[0]))
         if before is not None:
             before(float(theta[0]))
         return factorize(buf, groups, theta, jitter)
@@ -729,181 +774,6 @@ def spy_screen(monkeypatch):
     return calls
 
 
-def on_helper_first_cell(action):
-    """A hook for spy_factorize that makes the helper thread take a cell:
-    the calling thread waits until it has, and action(theta) runs on the
-    helper's first cell."""
-    started = threading.Event()
-
-    def before(theta):
-        if not on_helper_thread():
-            started.wait(timeout=30)
-        elif not started.is_set():
-            started.set()
-            action(theta)
-
-    return before
-
-
-class TestCellsInFlight:
-    """The search runs one or two grid cells at once and returns the same bits."""
-
-    def search(self, monkeypatch, flight, training, basis=BasisExpansion("const"), **config):
-        monkeypatch.setattr(gpr, "_cells_in_flight", lambda order: flight)
-        return fit_hyperparameters(training, basis, SearchConfig(**config))
-
-    def assert_same_model(self, got, expected):
-        assert_same_selection(got.kernel, expected.kernel)
-        assert got.kernel.jitter == expected.kernel.jitter
-        for name in ("chol", "alpha", "beta"):
-            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-        assert_model_equals_fit(got)
-
-    @pytest.mark.parametrize("degree", ["const", "linear"])
-    def test_interior_winner_is_refactorized(self, monkeypatch, degree):
-        # The winner sits inside the grid, so with one buffer the cells after
-        # it overwrite its factor and it is factorized once more at the end.
-        training = _sample_from_kernel(np.random.default_rng(3), n=150)
-        basis = BasisExpansion(degree)
-        search = SearchConfig()
-        models = {}
-        for flight in (1, 2):
-            calls = spy_factorize(monkeypatch)
-            models[flight] = self.search(monkeypatch, flight, training, basis)
-            winner = models[flight].kernel.theta[0]
-            assert search.grid()[0] < winner < search.grid()[-1]
-            if flight == 1:
-                assert [theta for theta, _ in calls] == list(search.grid()) + [winner]
-            else:
-                assert len(calls) in (search.steps, search.steps + 1)
-        self.assert_same_model(models[2], models[1])
-
-    def test_last_cell_winner_is_not_refactorized(self, monkeypatch):
-        training = _sample_from_kernel(np.random.default_rng(3), n=60, theta=40.0)
-        calls = spy_factorize(monkeypatch)
-        model = self.search(monkeypatch, 1, training)
-        assert model.kernel.theta[0] == SearchConfig().grid()[-1]
-        assert len(calls) == SearchConfig().steps
-
-    def test_escalating_cells_match_across_flights(self, monkeypatch):
-        training = _sample_from_kernel(np.random.default_rng(9), n=40)
-        inputs = np.vstack([training.inputs, training.inputs[:6]])
-        targets = np.concatenate([training.targets, training.targets[:6]])
-        training = TrainingSet(inputs=inputs, targets=targets)
-        one = self.search(monkeypatch, 1, training, jitter=0.0)
-        two = self.search(monkeypatch, 2, training, jitter=0.0)
-        assert one.kernel.jitter > 0.0
-        self.assert_same_model(two, one)
-
-    def test_fit_error_on_the_helper_skips_its_cell(self, monkeypatch):
-        training = _sample_from_kernel(np.random.default_rng(5), n=80)
-        failed = []
-
-        def fail(theta):
-            failed.append(theta)
-            raise FitError("injected")
-
-        calls = spy_factorize(monkeypatch, on_helper_first_cell(fail))
-        two = self.search(monkeypatch, 2, training)
-        assert len(failed) == 1 and (failed[0], True) in calls
-
-        def fail_same_cell(theta):
-            if theta == failed[0]:
-                raise FitError("injected")
-
-        spy_factorize(monkeypatch, fail_same_cell)
-        one = self.search(monkeypatch, 1, training)
-        assert two.kernel.theta[0] != failed[0]
-        self.assert_same_model(two, one)
-
-    def test_other_error_on_the_helper_propagates(self, monkeypatch):
-        training = _sample_from_kernel(np.random.default_rng(5), n=80)
-
-        def fail(theta):
-            raise RuntimeError("helper broke")
-
-        spy_factorize(monkeypatch, on_helper_first_cell(fail))
-        with pytest.raises(RuntimeError, match="helper broke"):
-            self.search(monkeypatch, 2, training)
-
-    def test_every_cell_runs_once_under_fast_thread_switching(self, monkeypatch):
-        # A cell lost or taken twice from the shared queue would show as a
-        # missing or repeated theta among the scan's calls.
-        config = dict(theta_min=0.1, theta_max=10.0, steps=400)
-        training = _sample_from_kernel(np.random.default_rng(4), n=12)
-        calls = spy_factorize(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            two = self.search(monkeypatch, 2, training, **config)
-        finally:
-            sys.setswitchinterval(interval)
-        grid = SearchConfig(**config).grid()
-        assert len(calls) in (grid.size, grid.size + 1)  # + the winner's refactorization
-        assert sorted(theta for theta, _ in calls[: grid.size]) == sorted(grid)
-        self.assert_same_model(two, self.search(monkeypatch, 1, training, **config))
-
-    def test_screened_survivors_go_in_flight(self, monkeypatch):
-        # Neighbouring cells of a 200-step grid lie closer than the screen
-        # resolves, so cells around the first one survive it; the calling
-        # thread waits for the helper to take one of them.
-        training = _sample_from_kernel(np.random.default_rng(5), n=300)
-        config = dict(steps=200, jitter=1e-4)
-        helper_started = threading.Event()
-
-        def before(theta):
-            if on_helper_thread():
-                helper_started.set()
-            elif len(calls) > 1:  # past the first cell, which runs alone
-                helper_started.wait(timeout=30)
-
-        calls = spy_factorize(monkeypatch, before)
-        two = self.search(monkeypatch, 2, training, **config)
-        assert 3 <= len({theta for theta, _ in calls}) < config["steps"]
-        assert any(helper for _, helper in calls)
-        basis, search = BasisExpansion("const"), SearchConfig(**config)
-        assert_same_selection(two.kernel, reference_theta_search(training, basis, search))
-        assert_model_equals_fit(two)
-        spy_factorize(monkeypatch)
-        self.assert_same_model(two, self.search(monkeypatch, 1, training, **config))
-
-    @pytest.mark.parametrize(
-        "cpus, blas_threads, flight", [(2, 1, 2), (8, 1, 2), (1, 1, 1), (2, 2, 1), (2, 4, 1)]
-    )
-    def test_flight_leaves_each_blas_call_its_threads(
-        self, monkeypatch, cpus, blas_threads, flight
-    ):
-        monkeypatch.setattr(gpr.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(_lapack, "blas_threads", lambda: blas_threads)
-        assert gpr._cells_in_flight(gpr._SHARED_MIN_ORDER) == flight
-        assert gpr._cells_in_flight(gpr._SHARED_MIN_ORDER - 1) == 1
-
-    def assert_no_helper(self, monkeypatch, blas_threads, training):
-        monkeypatch.setattr(gpr.os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(_lapack, "blas_threads", lambda: blas_threads)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a helper thread was started")
-
-        monkeypatch.setattr(gpr.ThreadPoolExecutor, "submit", refuse)
-        calls = spy_factorize(monkeypatch)
-        fit_hyperparameters(training, BasisExpansion("const"), SearchConfig(jitter=1e-4))
-        assert calls and not any(helper for _, helper in calls)
-
-    def test_two_blas_threads_on_two_cpus_start_no_helper(self, monkeypatch):
-        training = _sample_from_kernel(np.random.default_rng(5), n=gpr._SHARED_MIN_ORDER)
-        self.assert_no_helper(monkeypatch, 2, training)
-
-    @pytest.mark.parametrize("rows", [30, 600])
-    def test_small_factor_starts_no_helper(self, monkeypatch, rows):
-        # The factor has one row per distinct input, so a tied panel of 600
-        # rows over 30 inputs runs on the calling thread alone.
-        sample = _sample_from_kernel(np.random.default_rng(5), n=30)
-        repeat = np.arange(rows) % 30
-        training = TrainingSet(inputs=sample.inputs[repeat], targets=sample.targets[repeat])
-        self.assert_no_helper(monkeypatch, 1, training)
-
-
 class TestScreen:
     """Where the search screens the grid, it factorizes only the cells whose
     bound does not rule them out, and selects what the full scan selects."""
@@ -925,19 +795,18 @@ class TestScreen:
 
     @pytest.mark.parametrize(
         "rows, jitter, every_cell",
-        [(600, 1e-10, True), (gpr._SHARED_MIN_ORDER - 1, 1e-4, True), (600, 1e-4, False)],
+        [(600, 1e-10, True), (gpr._SCREEN_MIN_ORDER - 1, 1e-4, True), (600, 1e-4, False)],
     )
     def test_factorizes_fewer_cells_only_where_it_screens(
         self, monkeypatch, rows, jitter, every_cell
     ):
         # At jitter 1e-10 rounding could move a cell's likelihood further than
-        # the screen's bound is wide, and below _SHARED_MIN_ORDER distinct
+        # the screen's bound is wide, and below _SCREEN_MIN_ORDER distinct
         # inputs a dense cell costs too little to screen.
         training = _sample_from_kernel(np.random.default_rng(5), n=rows)
         calls = spy_factorize(monkeypatch)
         self.search(training, jitter)
-        factorized = {theta for theta, _ in calls}
-        assert (factorized == set(SearchConfig().grid())) == every_cell
+        assert (set(calls) == set(SearchConfig().grid())) == every_cell
 
     def test_failed_first_cell_rules_out_nothing(self, monkeypatch):
         training = _sample_from_kernel(np.random.default_rng(5), n=300)
@@ -951,7 +820,7 @@ class TestScreen:
         calls = spy_factorize(monkeypatch, fail_first)
         model = self.search(training)
         search = SearchConfig(jitter=1e-4)
-        assert {theta for theta, _ in calls} == set(search.grid())
+        assert set(calls) == set(search.grid())
         assert model.kernel.theta[0] != failed[0]
         expected = reference_theta_search(training, BasisExpansion("const"), search, failed)
         assert_same_selection(model.kernel, expected)
@@ -966,8 +835,7 @@ class TestScreen:
         model = self.search(training)
         capped = {theta: rank for theta, (_, upper, rank) in screens if upper == math.inf}
         assert capped and set(capped.values()) == {300 // 8}
-        factorized = {theta for theta, _ in calls}
-        assert capped.keys() <= factorized and len(factorized) < len(screens)
+        assert capped.keys() <= set(calls) and len(set(calls)) < len(screens)
         search = SearchConfig(jitter=1e-4)
         assert_same_selection(model.kernel, reference_theta_search(training, model.basis, search))
         assert_model_equals_fit(model)
@@ -983,8 +851,8 @@ class TestScreen:
         (summary,) = [m for m in messages if "screened out theta:" in m]
         # Later calls are the survivors and maybe the first cell again, as the
         # winner whose buffer a survivor reused.
-        first = calls[0][0]
-        rest = {theta for theta, _ in calls[1:]} - {first}
+        first = calls[0]
+        rest = set(calls[1:]) - {first}
         ruled_out = set(SearchConfig().grid()) - rest - {first}
         head, out, surviving = re.split(r"; \w+ out theta: |; surviving theta: ", summary)
         assert head == f"theta={first:g} factorized first"
@@ -994,9 +862,8 @@ class TestScreen:
 
 class TestMemory:
     def test_peak_allocation_in_covariance_units(self):
-        # Peak traced allocation over N x N doubles: the search holds one
-        # factor buffer per cell in flight (two with BLAS on one thread and
-        # two CPUs) and fit one buffer; neither holds a distance matrix.
+        # Peak traced allocation over N x N doubles: the search and fit
+        # each hold one factor buffer and no distance matrix.
         training = _sample_from_kernel(np.random.default_rng(21), n=600)
         basis = BasisExpansion("const")
 
@@ -1008,10 +875,10 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
 
-        assert peak(lambda: fit_hyperparameters(training, basis, SearchConfig())) <= 2.25
+        assert peak(lambda: fit_hyperparameters(training, basis, SearchConfig())) <= 1.25
         assert peak(lambda: fit(training, basis, kernel_1d())) <= 1.25
-        # At jitter 1e-4 the screen rules out every cell but the first, so no
-        # second buffer is allocated; its own arrays are gone by then.
+        # At jitter 1e-4 the screen's own arrays are gone before the buffer
+        # is allocated.
         screened = SearchConfig(jitter=1e-4)
         assert peak(lambda: fit_hyperparameters(training, basis, screened)) <= 1.25
 
@@ -1020,7 +887,7 @@ class TestMemory:
         # LOO work on the 40 x 40 compressed matrix, so the peak traced
         # allocation counts N-long arrays (the LOO's largest is the list of
         # (actual, predicted) pairs it returns); one N x N buffer would be
-        # 20,000 of these units, and the search's two 6.4 GB.
+        # 20,000 of these units, 3.2 GB.
         rng = np.random.default_rng(21)
         n, distinct = 20_000, 40
         levels = rng.uniform(0.0, 6.0, size=(distinct, 1))
