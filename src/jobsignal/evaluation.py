@@ -1,20 +1,11 @@
 """Leave-one-out evaluation of the regression over the panel.
 
 Hyperparameters are selected once on the full panel and held fixed; each
-row is then predicted by the model fitted on all other rows. That
-prediction is computed exactly in closed form from the one full-data fit
-(Dubrule 1983, Math. Geology 15(6); Rasmussen & Williams, GPML 5.4.2):
-with P = C^-1 - C^-1 F (F' C^-1 F)^-1 F' C^-1, the held-out residual of
-row i is (P t)_i / P_ii, and P t is the fit's alpha. The fit's factor is
-over the u distinct inputs (see jobsignal.gpr), and diag(P) follows from
-the u x u one in O(N + u^3). Frozen hyperparameters include the jitter: if
-the full-data factorization had to escalate it, every fold uses the
-escalated value, and the report records it.
-
-In-sample predictions need no solve at all. On the training rows the
-cross-covariance is K = C - jitter * sigma_sq * I and C alpha = t - F beta,
-so the kriging mean F beta + K alpha is exactly t - jitter * sigma_sq * alpha,
-with the jitter the fit actually used.
+row is then predicted by the model fitted on all other rows, exactly, from
+the one full-data fit. Frozen hyperparameters include the jitter: if the
+full-data factorization had to escalate it, every fold uses the escalated
+value, and the report records it. The closed forms over the training rows
+are GprModel methods (see jobsignal.gpr); this module does no linear algebra.
 
 The report carries the correlation rate (Pearson correlation of actual vs
 predicted), RMSE, and RAE (sum of absolute errors relative to the
@@ -33,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _lapack, gpr
+from . import gpr
 from ._documents import read_document, write_document
 from .errors import EvaluationError, ParseError
 from .pipeline import PanelDataset, SiteRecord
@@ -131,47 +122,6 @@ def rae(pairs) -> float:
     return float(np.abs(predicted - actual).sum()) / baseline
 
 
-def _loo_pairs(model: gpr.GprModel, labels) -> list[tuple[float, float]]:
-    """(actual, predicted) per row, each predicted by the fit without that row.
-
-    The fit's factor L is over the u distinct inputs, C_u = L L'. There
-    diag(C_u^-1) is the column sums of squares of L^-1, and the trend term
-    of diag(P_u) is the row sums of squares of L^-T Q, where
-    Q = trend_whitened trend_r^-1 has orthonormal columns. Row i of a group
-    k of n_k rows then has P_ii = (1 - 1/n_k) / (sigma_sq*jitter) + (P_u)_kk / n_k^2,
-    and diag(C^-1)_ii likewise, so no N x N matrix is formed.
-    """
-    # L^-1 is the one u x u temporary, inverted in a copy of the factor as
-    # stored. dtrtri leaves the strict upper triangle as it finds it, and L
-    # has zeros there, so whole-column sums are valid. Its transpose view
-    # is L^-T in C order, whose rows are those columns.
-    chol_inv = model.chol.copy(order="F")
-    info = _lapack.trtri(chol_inv)
-    if info != 0:
-        raise EvaluationError(f"covariance factor is singular (dtrtri info {info})")
-    q = _lapack.solve_triangular(model.trend_r, model.trend_whitened.T, lower=False, trans=True).T
-    chol_inv_t = chol_inv.T
-    trend = chol_inv_t @ q
-    inv_diag = np.einsum("ij,ij->i", chol_inv_t, chol_inv_t)
-    p_diag = inv_diag - np.einsum("ij,ij->i", trend, trend)
-    groups = model.groups
-    if groups.tied:
-        within = (1.0 - 1.0 / groups.counts) / (model.kernel.sigma_sq * model.kernel.jitter)
-        squares = groups.counts**2
-        inv_diag = (within + inv_diag / squares)[groups.index]
-        p_diag = (within + p_diag / squares)[groups.index]
-    degenerate = ~np.isfinite(p_diag) | (p_diag <= FOLD_RTOL * inv_diag)
-    if degenerate.any():
-        i = int(np.argmax(degenerate))
-        raise EvaluationError(
-            f"fold {i} ({labels[i]}) failed: held-out trend system is singular "
-            f"(P_ii = {p_diag[i]:.3g}, diag(C^-1)_ii = {inv_diag[i]:.3g})"
-        )
-    targets = model.training.targets
-    predicted = targets - model.alpha / p_diag
-    return list(zip(targets.tolist(), predicted.tolist()))
-
-
 @dataclass(frozen=True)
 class EvaluationReport:
     """Cross-validated metrics; per_fold is the (actual, predicted) list the
@@ -231,18 +181,25 @@ def evaluate_model(
 
     model must be the fit on split_panel(panel, direction); its kernel,
     with the jitter the fit actually used, is the one the report records.
-    Leave-one-out predictions come in closed form from the fit's factor;
-    in_sample=True instead reads each training row's kriging mean off the
-    fit's alpha (see the module docstring).
+    Leave-one-out predicts row i as t_i - alpha_i / P_ii (Dubrule 1983) from
+    model.held_out_diagonals(), and fails a fold whose P_ii keeps less than
+    FOLD_RTOL of diag(C^-1)_ii; in_sample=True reads model.fitted_means().
     """
     _require_rows(panel.n)
+    targets = model.training.targets
     if in_sample:
-        targets = model.training.targets
-        kernel = model.kernel
-        predicted = targets - (kernel.jitter * kernel.sigma_sq) * model.alpha
-        pairs = list(zip(targets.tolist(), predicted.tolist()))
+        predicted = model.fitted_means()
     else:
-        pairs = _loo_pairs(model, [row.url for row in panel.rows])
+        p_diag, inv_diag = model.held_out_diagonals()
+        degenerate = ~np.isfinite(p_diag) | (p_diag <= FOLD_RTOL * inv_diag)
+        if degenerate.any():
+            i = int(np.argmax(degenerate))
+            raise EvaluationError(
+                f"fold {i} ({panel.rows[i].url}) failed: held-out trend system is singular "
+                f"(P_ii = {p_diag[i]:.3g}, diag(C^-1)_ii = {inv_diag[i]:.3g})"
+            )
+        predicted = targets - model.alpha / p_diag
+    pairs = list(zip(targets.tolist(), predicted.tolist()))
     return EvaluationReport(
         direction=direction,
         n=panel.n,

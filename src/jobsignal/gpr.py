@@ -42,6 +42,17 @@ and its factor becomes the fitted model, factorized once more only if a
 later cell reused the buffer, so the search is also the fit. A fitted
 model holds no mutable state: predict logs at DEBUG, on the jobsignal.gpr
 logger, how many variances it clamped to 0.
+The fitted model also gives the closed forms over its own training rows
+that evaluation reads. Leave-one-out at frozen hyperparameters is exact
+from the one full-data fit (Dubrule 1983, Math. Geology 15(6); Rasmussen &
+Williams, GPML 5.4.2): with P = C^-1 - C^-1 F (F' C^-1 F)^-1 F' C^-1, the
+held-out residual of row i is (P t)_i / P_ii, and P t is the fit's alpha.
+GprModel.held_out_diagonals gives diag(P) and diag(C^-1) from the u x u
+factor in O(N + u^3). In-sample predictions need no solve at all. On the
+training rows the cross-covariance is K = C - jitter * sigma_sq * I and
+C alpha = t - F beta, so the kriging mean F beta + K alpha is exactly
+t - jitter * sigma_sq * alpha, with the jitter the fit actually used:
+GprModel.fitted_means.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _lapack
-from .errors import ConfigError, FitError
+from .errors import ConfigError, EvaluationError, FitError
 
 __all__ = [
     "BasisExpansion",
@@ -227,7 +238,7 @@ def _group_rows(training: TrainingSet) -> _Groups:
 @dataclass(frozen=True, eq=False)
 class GprModel:
     """Fitted state; immutable after fit and safe to share across threads:
-    predict reads it and never writes to it.
+    predict and the methods below read it and never write to it.
 
     chol, trend_whitened and group_alpha live on the u distinct inputs of
     groups (see the module docstring): chol factorizes the compressed
@@ -247,6 +258,43 @@ class GprModel:
     trend_r: np.ndarray  # upper QR factor of trend_whitened
     groups: _Groups
     group_alpha: np.ndarray
+
+    def held_out_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
+        """(diag(P), diag(C^-1)) over the N training rows (see the module docstring).
+
+        The factor L is over the u distinct inputs, C_u = L L'. There
+        diag(C_u^-1) is the column sums of squares of L^-1, and the trend term
+        of diag(P_u) is the row sums of squares of L^-T Q, where
+        Q = trend_whitened trend_r^-1 has orthonormal columns. Row i of a group
+        k of n_k rows then has P_ii = (1 - 1/n_k) / (sigma_sq*jitter) + (P_u)_kk / n_k^2,
+        and diag(C^-1)_ii likewise, so no N x N matrix is formed.
+        """
+        # L^-1 is the one u x u temporary, inverted in a copy of the factor as
+        # stored. dtrtri leaves the strict upper triangle as it finds it, and L
+        # has zeros there, so whole-column sums are valid. Its transpose view
+        # is L^-T in C order, whose rows are those columns.
+        chol_inv = self.chol.copy(order="F")
+        info = _lapack.trtri(chol_inv)
+        if info != 0:
+            raise EvaluationError(f"covariance factor is singular (dtrtri info {info})")
+        q = _lapack.solve_triangular(self.trend_r, self.trend_whitened.T, lower=False, trans=True).T
+        chol_inv_t = chol_inv.T
+        trend = chol_inv_t @ q
+        inv_diag = np.einsum("ij,ij->i", chol_inv_t, chol_inv_t)
+        p_diag = inv_diag - np.einsum("ij,ij->i", trend, trend)
+        groups = self.groups
+        if groups.tied:
+            within = (1.0 - 1.0 / groups.counts) / (self.kernel.sigma_sq * self.kernel.jitter)
+            squares = groups.counts**2
+            inv_diag = (within + inv_diag / squares)[groups.index]
+            p_diag = (within + p_diag / squares)[groups.index]
+        return p_diag, inv_diag
+
+    def fitted_means(self) -> np.ndarray:
+        """Each training row's kriging mean, t - jitter * sigma_sq * alpha
+        (see the module docstring)."""
+        kernel = self.kernel
+        return self.training.targets - (kernel.jitter * kernel.sigma_sq) * self.alpha
 
 
 def _scaled_distances(

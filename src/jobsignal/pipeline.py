@@ -15,6 +15,7 @@ statistics are part of report.txt, which evaluation.format_report renders.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -241,11 +242,12 @@ def _parse_cell(token: str, name: str, line_no: int, caster):
 def _read_table(path, header: list[str], what: str):
     """Yield (line_no, cells) for each data row of a CSV with this exact
     header; ParseError on a missing file, bytes that are not UTF-8, another
-    header or a short row."""
+    header or a short row. A leading UTF-8 byte order mark, as spreadsheet
+    exports write, is dropped, and blank lines are skipped but counted."""
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"{what} file not found: {path}")
-    data = path.read_bytes()
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -259,6 +261,8 @@ def _read_table(path, header: list[str], what: str):
             got = got[:_ECHO_LIMIT] + "..."
         raise ParseError(f"{path}: expected header {','.join(header)!r}, got {got}")
     for line_no, row in enumerate(reader, start=2):
+        if not row:  # a blank line, which csv.DictReader skips too
+            continue
         if len(row) != len(header):
             raise ParseError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
         yield line_no, row

@@ -1,5 +1,6 @@
-"""Every public export resolves, removed API stays removed, and JSON
-documents have one reader and one writer."""
+"""Every public export resolves, removed API stays removed, JSON
+documents have one reader and one writer, and evaluation does no linear
+algebra."""
 
 import ast
 import importlib
@@ -96,4 +97,24 @@ def test_json_is_read_and_written_only_through_documents():
                 allowed = JSON_CALLERS[node.attr]
                 if (path.name, owner) not in allowed and (path.name, None) not in allowed:
                     stray.append((path.name, owner, f"json.{node.attr}"))
+    assert stray == []
+
+
+# What only jobsignal.gpr may touch: the factor and the fit's internals.
+GPR_INTERNALS = {"chol", "trend_whitened", "trend_r", "groups", "group_alpha"}
+
+
+def test_evaluation_does_no_linear_algebra():
+    path = Path(jobsignal.__file__).parent / "evaluation.py"
+    stray = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = []
+        stray += [name for name in names if "_lapack" in name]
+        if isinstance(node, ast.Attribute) and node.attr in GPR_INTERNALS:
+            stray.append(f"line {node.lineno}: .{node.attr}")
     assert stray == []

@@ -21,7 +21,7 @@ from jobsignal import (
 )
 from jobsignal import _lapack, gpr
 from jobsignal.datasets import bundled_indicators_path, bundled_sites_path
-from jobsignal.evaluation import Direction, _loo_pairs, split_panel
+from jobsignal.evaluation import Direction, split_panel
 from jobsignal.gpr import (
     correlation,
     _profile_log_likelihood,
@@ -38,6 +38,7 @@ from jobsignal.pipeline import (
 from conftest import random_fitted_model, random_instance, separated_inputs
 from oracle_gpr import (
     compressed_covariance,
+    dense_design,
     dense_gls_beta,
     dense_gpr_predict,
     dense_log_marginal_likelihood,
@@ -483,6 +484,39 @@ class TestPredict:
         assert serial == threaded
 
 
+class TestClosedFormsOverTrainingRows:
+    """held_out_diagonals and fitted_means against the dense N x N
+    covariance C = sigma_sq * (R + jitter * I), inverted explicitly."""
+
+    @pytest.mark.parametrize("degree", ["const", "linear"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_match_dense_oracle(self, rng, degree, tied):
+        inputs = rng.uniform(0.0, 6.0, size=(40, 1))
+        if tied:
+            # 40 rows over 28 distinct inputs, repeats of up to 4 rows.
+            inputs = inputs[np.r_[np.arange(28), 0, 0, 0, 3, 3, 9, 14, 14, 20, 27, 27, 27]]
+        training = TrainingSet(inputs=inputs, targets=np.sin(inputs[:, 0]) + rng.normal(0.0, 0.3, 40))
+        kernel = Kernel(sigma_sq=1.3, theta=[1.0], jitter=1e-4)
+        model = fit(training, BasisExpansion(degree), kernel)
+        assert model.kernel.jitter == kernel.jitter and model.groups.tied is tied
+
+        cov_inv = np.linalg.inv(regularized_covariance(inputs, kernel))
+        design = dense_design(inputs, degree)
+        trend = cov_inv @ design
+        proj = cov_inv - trend @ np.linalg.inv(design.T @ trend) @ trend.T
+        p_diag, inv_diag = model.held_out_diagonals()
+        np.testing.assert_allclose(p_diag, np.diag(proj), rtol=1e-8)
+        np.testing.assert_allclose(inv_diag, np.diag(cov_inv), rtol=1e-8)
+
+        expected = [
+            dense_gpr_predict(
+                inputs, training.targets, x, kernel.sigma_sq, kernel.theta, kernel.jitter, degree
+            )[0]
+            for x in inputs
+        ]
+        np.testing.assert_allclose(model.fitted_means(), expected, rtol=1e-8)
+
+
 def profile_log_likelihood(training, basis, theta, jitter):
     """_profile_log_likelihood on the factor of a unit-variance fit at theta."""
     unit = fit(training, basis, Kernel(sigma_sq=1.0, theta=theta, jitter=jitter))
@@ -883,11 +917,11 @@ class TestMemory:
         assert peak(lambda: fit_hyperparameters(training, basis, screened)) <= 1.25
 
     def test_tied_panel_peak_allocation_in_row_units(self):
-        # 20,000 rows over 40 distinct inputs. The search and closed-form
-        # LOO work on the 40 x 40 compressed matrix, so the peak traced
-        # allocation counts N-long arrays (the LOO's largest is the list of
-        # (actual, predicted) pairs it returns); one N x N buffer would be
-        # 20,000 of these units, 3.2 GB.
+        # 20,000 rows over 40 distinct inputs. The search and the held-out
+        # diagonals work on the 40 x 40 compressed matrix, so the peak traced
+        # allocation counts N-long arrays (the two diagonals it returns and
+        # their temporaries); one N x N buffer would be 20,000 of these
+        # units, 3.2 GB.
         rng = np.random.default_rng(21)
         n, distinct = 20_000, 40
         levels = rng.uniform(0.0, 6.0, size=(distinct, 1))
@@ -898,11 +932,12 @@ class TestMemory:
             model = fit_hyperparameters(training, BasisExpansion("const"), SearchConfig())
             search_peak = tracemalloc.get_traced_memory()[1] / (n * 8)
             tracemalloc.reset_peak()
-            pairs = _loo_pairs(model, range(n))
+            p_diag, inv_diag = model.held_out_diagonals()
             loo_peak = tracemalloc.get_traced_memory()[1] / (n * 8)
         finally:
             tracemalloc.stop()
-        assert model.chol.shape == (distinct, distinct) and len(pairs) == n
+        assert model.chol.shape == (distinct, distinct)
+        assert p_diag.shape == inv_diag.shape == (n,)
         assert search_peak <= 8.0
         assert loo_peak <= 32.0
 

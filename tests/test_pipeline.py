@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import re
@@ -523,6 +524,56 @@ class TestPanelCsv:
         path.write_bytes(b"url,country,score,unemployment_rate\na.test,ZZ,0.0,4.0\nb.test,ZZ,1.0,5\xff\n")
         with pytest.raises(ParseError, match=re.escape(f"{path}: line 3 is not valid UTF-8")):
             read_panel_csv(path)
+
+
+# Each CSV reader, its header and three valid data rows.
+READERS = {
+    "sites": (
+        ingest_sites,
+        "url,country,rank,trend,traffic",
+        ["jobs.a.de,DE,1,1.0,1.0", "jobs.b.de,DE,2,2.0,2.0", "jobs.c.fr,FR,3,3.0,3.0"],
+    ),
+    "indicators": (read_indicators, "country,unemployment_rate", ["DE,5.2", "FR,9.9", "AT,4.1"]),
+    "panel": (
+        read_panel_csv,
+        "url,country,score,unemployment_rate",
+        ["a.test,ZZ,0.0,4.0", "b.test,ZZ,1.0,5.0", "c.test,ZZ,2.0,6.0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+class TestReadTable:
+    def read(self, tmp_path, name, data: bytes):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        return READERS[name][0](path)
+
+    def plain(self, name) -> str:
+        _, header, rows = READERS[name]
+        return "\n".join([header, *rows]) + "\n"
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, name):
+        expected = self.read(tmp_path, name, self.plain(name).encode())
+        assert self.read(tmp_path, name, codecs.BOM_UTF8 + self.plain(name).encode()) == expected
+
+    def test_invalid_byte_after_byte_order_mark_keeps_its_line(self, tmp_path, name):
+        data = codecs.BOM_UTF8 + self.plain(name).encode()[:-1] + b"\xff\n"
+        with pytest.raises(ParseError, match="line 4 is not valid UTF-8"):
+            self.read(tmp_path, name, data)
+
+    def test_blank_lines_are_skipped(self, tmp_path, name):
+        _, header, rows = READERS[name]
+        expected = self.read(tmp_path, name, self.plain(name).encode())
+        text = f"{header}\n{rows[0]}\n\n{rows[1]}\n{rows[2]}\n\n"
+        assert self.read(tmp_path, name, text.encode()) == expected
+
+    def test_blank_lines_count_toward_line_numbers(self, tmp_path, name):
+        _, header, rows = READERS[name]
+        empty_cells = "," * (header.count(","))
+        text = f"{header}\n{rows[0]}\n\n{empty_cells}\n"
+        with pytest.raises(ParseError, match="line 4: "):
+            self.read(tmp_path, name, text.encode())
 
 
 class TestWriteSitesCsv:
