@@ -73,8 +73,6 @@ def _write_report_files(report, panel, complete_sites, out: Path) -> None:
 
 def cmd_ingest(args) -> None:
     records = pipeline.ingest_sites(args.sites)
-    if args.fetch_fixture:
-        records = pipeline.replay_signals(records, args.fetch_fixture)
     out = _out_dir(args)
     pipeline.write_sites_csv(records, out / "records.csv")
     logger.info("ingested %d records -> %s", len(records), out / "records.csv")
@@ -110,9 +108,6 @@ def cmd_pipeline(args) -> None:
     stage = "ingest"
     try:
         records = pipeline.ingest_sites(sites_path)
-        if args.fetch_fixture:
-            stage = "fetch"
-            records = pipeline.replay_signals(records, args.fetch_fixture)
         stage = "score"
         panel, kept = _panel_from_records(records, indicators_path)
         pipeline.write_panel_csv(panel, out / "panel.csv")
@@ -181,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser("ingest", help="validate a site listing into records.csv")
     p_ingest.add_argument("--sites", required=True, help="site listing CSV")
-    p_ingest.add_argument(
-        "--fetch-fixture", help="JSON fixture of recorded signals; replaces file signals"
-    )
     p_ingest.add_argument("--out", required=True, help="output directory")
     p_ingest.set_defaults(func=cmd_ingest)
 
@@ -211,9 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pipe.add_argument(
         "--indicators", help="country indicator CSV (default: the bundled fixture)"
-    )
-    p_pipe.add_argument(
-        "--fetch-fixture", help="JSON fixture of recorded signals; replaces file signals"
     )
     _add_model_options(p_pipe)
     _add_eval_options(p_pipe)

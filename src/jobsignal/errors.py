@@ -35,7 +35,7 @@ class JoinError(JobSignalError):
 
 
 class ConfigError(JobSignalError):
-    """Invalid runtime configuration (empty grids, an unreadable replay fixture)."""
+    """Invalid runtime configuration (an empty or unbounded theta grid, a bad jitter)."""
 
     exit_code = 2
 

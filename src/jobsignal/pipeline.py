@@ -2,13 +2,11 @@
 
 Raw inputs are a site listing (url, country, and the rank/trend/traffic
 signals, any of which may be blank) plus a per-country indicator table.
-replay_signals can swap the listing's signals for ones recorded in a JSON
-fixture, standing in for the third-party ranking services. The pipeline
-keeps complete records only (listwise deletion), z-scores each signal
-column, averages them into a single attractiveness score per site, and
-joins the origin country's unemployment rate to produce the two-column
-modeling panel. The staged commands hand records from one stage to the
-next as site listings: write_sites_csv writes what ingest_sites reads.
+The pipeline keeps complete records only (listwise deletion), z-scores
+each signal column, averages them into a single attractiveness score per
+site, and joins the origin country's unemployment rate to produce the
+two-column modeling panel. The staged commands hand records from one stage
+to the next as site listings: write_sites_csv writes what ingest_sites reads.
 This module owns panel.csv and the record CSVs; the panel's descriptive
 statistics are part of report.txt, which evaluation.format_report renders.
 """
@@ -18,7 +16,6 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import json
 import logging
 import math
 import re
@@ -29,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError, JoinError, NormalizationError, ParseError
+from .errors import IntegrityError, JoinError, NormalizationError, ParseError
 
 __all__ = [
     "CountryIndicator",
@@ -43,7 +40,6 @@ __all__ = [
     "normalize_and_score",
     "read_indicators",
     "read_panel_csv",
-    "replay_signals",
     "write_panel_csv",
     "write_sites_csv",
 ]
@@ -163,68 +159,6 @@ class PanelDataset:
         return np.array([row.unemployment_rate for row in self.rows])
 
 
-def _unique_keys(pairs) -> dict:
-    """The dict of these (key, value) pairs; IntegrityError if a key repeats,
-    where json.loads and a dict would keep the last value."""
-    table = {}
-    for key, value in pairs:
-        if key in table:
-            raise IntegrityError(f"replay fixture names {key!r} twice")
-        table[key] = value
-    return table
-
-
-def replay_signals(records: Sequence[SiteRecord], fixture) -> list[SiteRecord]:
-    """Replace each record's signals with those recorded in a JSON fixture.
-
-    The fixture maps url -> {rank, trend, traffic[, country]}, with null for
-    a missing value; its keys match case-insensitively, and a url named
-    twice, in any case, raises IntegrityError. A url absent from the fixture
-    gets all three signals missing, and a value that is not a usable signal
-    becomes missing with a warning. The fixture's country replaces the
-    record's only when it is two uppercase letters other than ZZ. Output is
-    ordered by url, so downstream stages see a deterministic batch.
-    """
-    path = Path(fixture)
-    if not path.is_file():
-        raise ConfigError(f"replay fixture not found: {path}")
-    try:
-        table = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as exc:  # ValueError covers the decode errors
-        raise ConfigError(f"replay fixture is not valid JSON: {path}: {exc}") from exc
-    if not isinstance(table, dict) or not all(isinstance(v, dict) for v in table.values()):
-        raise ConfigError(f"replay fixture must map url -> signal object: {path}")
-    table = _unique_keys((url.lower(), entry) for url, entry in table.items())
-    replayed = []
-    for record in records:
-        raw = table.get(record.url, {})
-        country = raw.get("country")
-        # ZZ is ISO 3166's user-assigned "unknown" code: keep the file's country.
-        if not (isinstance(country, str) and _COUNTRY_RE.match(country)) or country == "ZZ":
-            country = record.country_code
-        values = dict.fromkeys(SIGNAL_FIELDS)
-        for name in SIGNAL_FIELDS:
-            value = raw.get(name)
-            if value is None:
-                continue
-            try:
-                # bool subclasses int; int() would truncate 2.7 and overflow on inf.
-                if isinstance(value, bool) or (
-                    name == "rank" and isinstance(value, float) and not value.is_integer()
-                ):
-                    raise ValueError(value)
-                value = int(value) if name == "rank" else float(value)
-                _check_signal(name, value)
-            except (TypeError, ValueError, OverflowError):
-                logger.warning(
-                    "discarding unusable %s=%r fetched for %s", name, raw.get(name), record.url
-                )
-                continue
-            values[name] = value
-        replayed.append(SiteRecord(url=record.url, country_code=country, **values))
-    return sorted(replayed, key=lambda rec: rec.url)
-
-
 def _parse_cell(token: str, name: str, line_no: int, caster):
     token = token.strip()
     if token == "":
@@ -254,15 +188,15 @@ def _read_table(path, header: list[str], what: str):
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: line {line_no} is not valid UTF-8 ({exc.reason})") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
-    found = next(reader, None)
+    rows = (row for row in reader if row)  # blank lines, which csv.DictReader skips too
+    found = next(rows, None)
     if found != header:
         got = repr(found)
         if len(got) > _ECHO_LIMIT:  # the first line may be a whole file of data
             got = got[:_ECHO_LIMIT] + "..."
         raise ParseError(f"{path}: expected header {','.join(header)!r}, got {got}")
-    for line_no, row in enumerate(reader, start=2):
-        if not row:  # a blank line, which csv.DictReader skips too
-            continue
+    for row in rows:
+        line_no = reader.line_num  # physical: a quoted cell may span lines
         if len(row) != len(header):
             raise ParseError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
         yield line_no, row

@@ -1,6 +1,4 @@
-import csv
 import json
-import math
 import warnings
 
 import numpy as np
@@ -9,7 +7,7 @@ import pytest
 from jobsignal import TrainingSet, fit
 from jobsignal.cli import _model_options, build_parser, main
 from jobsignal.evaluation import evaluate_model, fit_panel, load_report, split_panel
-from jobsignal.pipeline import read_panel_csv
+from jobsignal.pipeline import ingest_sites, read_panel_csv
 
 SITES_BODY = """url,country,rank,trend,traffic
 jobs.a.de,DE,100,60.0,30000
@@ -167,15 +165,13 @@ class TestPipelineCommand:
         assert "FR" in err and "score" in err  # offending country and stage
 
     @pytest.mark.parametrize(
-        "stage, code", [("ingest", 2), ("fetch", 2), ("score", 3), ("fit", 2), ("evaluate", 5)]
+        "stage, code", [("ingest", 2), ("score", 3), ("fit", 2), ("evaluate", 5)]
     )
     def test_failure_names_its_stage(self, small_inputs, tmp_path, capsys, stage, code):
         sites, indicators = small_inputs
         extra = []
         if stage == "ingest":
             sites = tmp_path / "absent.csv"
-        elif stage == "fetch":
-            extra = ["--fetch-fixture", tmp_path / "absent.json"]
         elif stage == "score":
             indicators.write_text("country,unemployment_rate\nDE,5.0\n", encoding="utf-8")
         elif stage == "fit":
@@ -210,68 +206,12 @@ class TestPipelineCommand:
         payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert payload["direction"] == "rate_to_score"
 
-    def test_fetch_fixture_overrides_signals(self, small_inputs, tmp_path):
-        sites, indicators = small_inputs
-        fixture = {
-            f"jobs.{c}.{cc}": {"rank": 10 * (i + 1), "trend": 5.0 * (i + 1), "traffic": 100.0 * (i + 1)}
-            for i, (c, cc) in enumerate(
-                [("a", "de"), ("b", "de"), ("c", "fr"), ("d", "fr"), ("e", "at"), ("f", "at")]
-            )
-        }
-        fixture_path = tmp_path / "fixture.json"
-        fixture_path.write_text(json.dumps(fixture), encoding="utf-8")
-        out = tmp_path / "out"
-        rc = run([
-            "pipeline", "--sites", sites, "--indicators", indicators,
-            "--fetch-fixture", fixture_path, "--out", out,
-        ])
-        assert rc == 0
-        panel = (out / "panel.csv").read_text(encoding="utf-8")
-        # Only the six urls in the fixture have complete signals now.
-        assert len(panel.strip().splitlines()) == 1 + 6
-        report = (out / "report.txt").read_text(encoding="utf-8")
-        assert "Number of web sites" in report
-
-    @pytest.mark.parametrize("case", list(UNPARSABLE_JSON))
-    def test_unparsable_fetch_fixture_exit_2(self, small_inputs, tmp_path, capsys, case):
-        sites, indicators = small_inputs
-        fixture_path = tmp_path / "fixture.json"
-        fixture_path.write_bytes(UNPARSABLE_JSON[case])
-        rc = run([
-            "pipeline", "--sites", sites, "--indicators", indicators,
-            "--fetch-fixture", fixture_path, "--out", tmp_path / "o",
-        ])
-        assert rc == 2
-        assert f"replay fixture is not valid JSON: {fixture_path}" in capsys.readouterr().err
-
     def test_rank_beyond_float_range_exit_2(self, small_inputs, tmp_path, capsys):
         sites, indicators = small_inputs
         sites.write_text(SITES_BODY.replace("jobs.b.de,DE,2500,", f"jobs.b.de,DE,{BIG_RANK},"), encoding="utf-8")
         rc = run(["pipeline", "--sites", sites, "--indicators", indicators, "--out", tmp_path / "o"])
         assert rc == 2
         assert "line 3: rank is too large to convert to a float" in capsys.readouterr().err
-
-    def test_fetched_rank_beyond_float_range_becomes_missing(self, small_inputs, tmp_path, caplog):
-        sites, indicators = small_inputs
-        fixture = {}
-        for line in SITES_BODY.splitlines()[1:]:
-            url, _, rank, trend, traffic = line.split(",")
-            fixture[url] = {"rank": int(rank or 1), "trend": float(trend), "traffic": float(traffic)}
-        fixture["jobs.a.de"]["rank"] = int(BIG_RANK)
-        fixture_path = tmp_path / "fixture.json"
-        fixture_path.write_text(json.dumps(fixture), encoding="utf-8")
-        out = tmp_path / "out"
-        with caplog.at_level("WARNING", logger="jobsignal.pipeline"):
-            rc = run([
-                "pipeline", "--sites", sites, "--indicators", indicators,
-                "--fetch-fixture", fixture_path, "--out", out,
-            ])
-        assert rc == 0
-        assert caplog.text.count("discarding unusable rank=") == 1
-        panel = (out / "panel.csv").read_text(encoding="utf-8")
-        assert "jobs.a.de" not in panel
-        assert len(panel.strip().splitlines()) == 1 + 11
-
 
 class TestStagedCommands:
     @pytest.mark.parametrize("case", list(UNPARSABLE_JSON))
@@ -318,24 +258,23 @@ class TestStagedCommands:
 
     def test_staged_chain_matches_pipeline(self, small_inputs, tmp_path):
         sites, indicators = small_inputs
-        fixture = {
-            "jobs.a.de": {"rank": 3, "trend": 0.1 + 0.2, "traffic": 2.0 / 3.0},
-            "JOBS.B.DE": {"rank": 40.0, "trend": 5e-324, "traffic": 9.876543210987654e120},
-            "jobs.c.fr": {"rank": 7, "trend": 2.2250738585072e-308, "traffic": 123456.789},
-            "jobs.d.fr": {"rank": 2.5, "trend": 1.0, "traffic": 1.0},
-            "jobs.e.at": {"rank": 9, "trend": -1, "traffic": "x"},
-            "Jobs.F.At": {"rank": 1e6, "trend": 1e-300, "traffic": 3.141592653589793},
-            "jobs.g.nl": {"rank": 12, "trend": 42.0, "traffic": 1e-5},
-            "jobs.h.nl": {"rank": 5, "trend": 0.5, "traffic": 9.999999999999999e22},
+        # Edge floats and mixed-case urls, written as the listing's own cells.
+        edge_rows = {
+            "jobs.a.de": f"jobs.a.de,DE,3,{0.1 + 0.2!r},{2.0 / 3.0!r}",
+            "jobs.b.de": "JOBS.B.DE,DE,40,5e-324,9.876543210987654e120",
+            "jobs.c.fr": "jobs.c.fr,FR,7,2.2250738585072e-308,123456.789",
+            "jobs.d.fr": "jobs.d.fr,FR,9000,1.0,1.0",
+            "jobs.e.at": "jobs.e.at,AT,9,55.0,12000",
+            "jobs.f.at": "Jobs.F.At,AT,1000000,1e-300,3.141592653589793",
+            "jobs.g.nl": "jobs.g.nl,NL,12,42.0,1e-5",
+            "jobs.h.nl": "jobs.h.nl,NL,5,0.5,9.999999999999999e22",
         }
-        fixture_path = tmp_path / "fixture.json"
-        fixture_path.write_text(json.dumps(fixture), encoding="utf-8")
+        lines = [edge_rows.get(line.split(",")[0], line) for line in SITES_BODY.splitlines()]
+        sites.write_text("\n".join(lines) + "\n", encoding="utf-8")
         pipe, work = tmp_path / "pipe", tmp_path / "work"
-        assert run([
-            "pipeline", "--sites", sites, "--indicators", indicators,
-            "--fetch-fixture", fixture_path, "--out", pipe,
-        ]) == 0
-        assert run(["ingest", "--sites", sites, "--fetch-fixture", fixture_path, "--out", work]) == 0
+        assert run(["pipeline", "--sites", sites, "--indicators", indicators, "--out", pipe]) == 0
+        assert run(["ingest", "--sites", sites, "--out", work]) == 0
+        assert ingest_sites(work / "records.csv") == ingest_sites(sites)
         assert run(["clean", "--records", work / "records.csv", "--out", work]) == 0
         assert run([
             "score", "--records", work / "records_clean.csv", "--indicators", indicators,
@@ -344,55 +283,6 @@ class TestStagedCommands:
         assert run(["evaluate", "--panel", work / "panel.csv", "--out", work]) == 0
         for name in ("panel.csv", "report.json"):
             assert (work / name).read_bytes() == (pipe / name).read_bytes(), name
-
-    def test_ingest_fetch_fixture_edge_cases(self, small_inputs, tmp_path, caplog):
-        sites, _ = small_inputs
-        fixture = {
-            "jobs.k.pl": {"country": "DE", "rank": 5, "trend": 1.0, "traffic": 2.0},
-            "jobs.a.de": {"country": "ZZ", "rank": 10, "trend": 5.5, "traffic": 100},
-            "JOBS.C.FR": {"country": "fr", "rank": 30.0, "trend": 7, "traffic": "250.5"},
-            "jobs.d.fr": {"country": 5, "rank": 2.7, "trend": math.inf, "traffic": 400},
-            "jobs.e.at": {"country": "NL", "rank": True, "trend": -1, "traffic": "abc"},
-        }
-        fixture_path = tmp_path / "fixture.json"
-        fixture_path.write_text(json.dumps(fixture), encoding="utf-8")
-        out = tmp_path / "out"
-        with caplog.at_level("WARNING", logger="jobsignal.pipeline"):
-            rc = run(["ingest", "--sites", sites, "--fetch-fixture", fixture_path, "--out", out])
-        assert rc == 0
-        with open(out / "records.csv", newline="", encoding="utf-8") as fh:
-            records = list(csv.DictReader(fh))
-        # Ordered by url; only a valid, non-ZZ fixture country replaces the file's.
-        assert [(r["url"], r["country"]) for r in records] == [
-            ("jobs.a.de", "DE"), ("jobs.b.de", "DE"), ("jobs.c.fr", "FR"), ("jobs.d.fr", "FR"),
-            ("jobs.e.at", "NL"), ("jobs.f.at", "AT"), ("jobs.g.nl", "NL"), ("jobs.h.nl", "NL"),
-            ("jobs.i.se", "SE"), ("jobs.j.se", "SE"), ("jobs.k.pl", "DE"), ("jobs.l.pl", "PL"),
-        ]
-        by_url = {r["url"]: r for r in records}
-        assert by_url["jobs.c.fr"] == {
-            "url": "jobs.c.fr", "country": "FR", "rank": "30", "trend": "7.0", "traffic": "250.5"
-        }
-        assert by_url["jobs.b.de"] == {
-            "url": "jobs.b.de", "country": "DE", "rank": "", "trend": "", "traffic": ""
-        }
-        assert caplog.text.count("discarding unusable") == 5
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"JOBS.A.DE": {"rank": 5}, "jobs.a.de": {"rank": 9}}',
-            '{"jobs.a.de": {"rank": 5}, "jobs.a.de": {"rank": 9}}',
-        ],
-        ids=["case-variant", "verbatim"],
-    )
-    def test_ingest_fixture_naming_a_url_twice_exit_3(self, small_inputs, tmp_path, capsys, text):
-        sites, _ = small_inputs
-        fixture = tmp_path / "fixture.json"
-        fixture.write_text(text, encoding="utf-8")
-        out = tmp_path / "o"
-        assert run(["ingest", "--sites", sites, "--fetch-fixture", fixture, "--out", out]) == 3
-        assert "replay fixture names 'jobs.a.de' twice" in capsys.readouterr().err
-        assert not (out / "records.csv").exists()
 
     def test_long_wrong_header_is_echoed_in_part(self, tmp_path, capsys):
         records = tmp_path / "records.csv"
@@ -655,7 +545,7 @@ class TestHelpParity:
         # Every run-configuration field maps to exactly the documented flags;
         # nothing is consumed from the environment.
         options = self.collect_subparser_options()
-        expected_extra = {"--records", "--panel", "--fetch-fixture", "--n", "--coupling", "--noise", "-h", "--help", "--version"}
+        expected_extra = {"--records", "--panel", "--n", "--coupling", "--noise", "-h", "--help", "--version"}
         all_flags = set().union(*options.values())
         unexpected = all_flags - set(self.CANONICAL_FLAGS) - expected_extra
         assert not unexpected, f"undocumented flags: {unexpected}"

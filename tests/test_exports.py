@@ -44,6 +44,8 @@ def test_removed_names_stay_gone():
         (pipeline, "fetch_signals"),
         (pipeline, "_coerce_fetched"),
         (pipeline, "UNKNOWN_COUNTRY"),
+        (pipeline, "replay_signals"),
+        (pipeline, "_unique_keys"),
         (package, "ReplayFetcher"),
         (package, "fetch_signals"),
         (cli, "_refetch"),
@@ -73,8 +75,8 @@ def test_removed_names_stay_gone():
 JSON_CALLERS = {
     "dump": {("_documents.py", None)},
     "dumps": {("_documents.py", None)},
-    "load": {("_documents.py", None), ("pipeline.py", "replay_signals")},
-    "loads": {("_documents.py", None), ("pipeline.py", "replay_signals")},
+    "load": {("_documents.py", None)},
+    "loads": {("_documents.py", None)},
 }
 
 

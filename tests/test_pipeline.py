@@ -1,5 +1,4 @@
 import codecs
-import json
 import math
 import re
 import sys
@@ -27,7 +26,6 @@ from jobsignal.pipeline import (
     PanelRow,
     read_indicators,
     read_panel_csv,
-    replay_signals,
     write_panel_csv,
     write_sites_csv,
 )
@@ -135,140 +133,6 @@ class TestReadIndicators:
         path.write_text("country,unemployment_rate\nDE,5\nDE,6\n", encoding="utf-8")
         with pytest.raises(IntegrityError, match="DE"):
             read_indicators(path)
-
-
-class TestFetchSignals:
-    def fixture_file(self, tmp_path, table):
-        path = tmp_path / "fixture.json"
-        path.write_text(json.dumps(table), encoding="utf-8")
-        return path
-
-    def test_happy_path(self, tmp_path):
-        path = self.fixture_file(
-            tmp_path,
-            {
-                "jobs.a.de": {"country": "DE", "rank": 10, "trend": 5.5, "traffic": 100},
-                "jobs.b.fr": {"country": "FR", "rank": 20, "trend": 7.5, "traffic": 200},
-            },
-        )
-        records = replay_signals([site("jobs.b.fr", "FR"), site("jobs.a.de", "AT")], path)
-        assert [r.url for r in records] == ["jobs.a.de", "jobs.b.fr"]
-        assert all(not r.missing_signals() for r in records)
-        assert records[0].country_code == "DE"
-        assert (records[0].rank, records[0].trend, records[0].traffic) == (10, 5.5, 100.0)
-
-    def test_values_beyond_float_range_become_missing(self, tmp_path, caplog):
-        path = self.fixture_file(
-            tmp_path, {"jobs.a.de": {"rank": 10**400, "trend": 10**400, "traffic": 2}}
-        )
-        with caplog.at_level("WARNING", logger="jobsignal.pipeline"):
-            (record,) = replay_signals([site("jobs.a.de")], path)
-        assert record.missing_signals() == ("rank", "trend")
-        assert caplog.text.count("discarding unusable") == 2
-
-    def test_partial_failure_keeps_record(self, tmp_path):
-        path = self.fixture_file(
-            tmp_path, {"jobs.a.de": {"country": "DE", "rank": 10, "trend": 5.5, "traffic": None}}
-        )
-        (record,) = replay_signals([site("jobs.a.de")], path)
-        assert record.missing_signals() == ("traffic",)
-
-    def test_unknown_url_all_missing(self, tmp_path):
-        path = self.fixture_file(tmp_path, {})
-        (record,) = replay_signals([site("jobs.x.de", "AT")], path)
-        assert record.missing_signals() == ("rank", "trend", "traffic")
-        assert record.country_code == "AT"
-
-    def test_country_with_trailing_newline_is_not_used(self, tmp_path):
-        # A CSV reader strips the newline, so accepting it here would let the
-        # staged commands join a country that `pipeline` cannot.
-        path = self.fixture_file(tmp_path, {"jobs.a.de": {"country": "FR\n", "rank": 1}})
-        (record,) = replay_signals([site("jobs.a.de", "AT")], path)
-        assert record.country_code == "AT"
-
-    def test_empty_url_list(self, tmp_path):
-        path = self.fixture_file(tmp_path, {})
-        assert replay_signals([], path) == []
-
-    def test_missing_fixture_is_config_error(self, tmp_path):
-        from jobsignal import ConfigError
-
-        with pytest.raises(ConfigError, match="not found"):
-            replay_signals([site("jobs.a.de")], tmp_path / "absent.json")
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"JOBS000.EXAMPLE.AT": {"rank": 5}, "jobs000.example.at": {"rank": 9}}',
-            '{"jobs000.example.at": {"rank": 9}, "JOBS000.EXAMPLE.AT": {"rank": 5}}',
-            '{"jobs000.example.at": {"rank": 5}, "jobs000.example.at": {"rank": 9}}',
-        ],
-        ids=["upper-first", "lower-first", "verbatim"],
-    )
-    def test_url_named_twice_is_integrity_error(self, tmp_path, text):
-        path = tmp_path / "fixture.json"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(IntegrityError, match="names 'jobs000.example.at' twice"):
-            replay_signals([site("jobs000.example.at", "AT")], path)
-
-    def test_signal_named_twice_is_integrity_error(self, tmp_path):
-        path = tmp_path / "fixture.json"
-        path.write_text('{"jobs.a.de": {"rank": 5, "rank": 9}}', encoding="utf-8")
-        with pytest.raises(IntegrityError, match="names 'rank' twice"):
-            replay_signals([site("jobs.a.de")], path)
-
-    def test_corrupt_fixture_is_config_error(self, tmp_path):
-        from jobsignal import ConfigError
-
-        path = tmp_path / "fixture.json"
-        path.write_text("[1, 2, 3]", encoding="utf-8")
-        with pytest.raises(ConfigError, match="map url"):
-            replay_signals([site("jobs.a.de")], path)
-
-    def test_non_utf8_fixture_is_config_error(self, tmp_path):
-        from jobsignal import ConfigError
-
-        path = tmp_path / "fixture.json"
-        path.write_bytes(b'{"jobs.a.de": {"rank": 1\xff}}')
-        with pytest.raises(ConfigError, match=re.escape(f"not valid JSON: {path}")):
-            replay_signals([site("jobs.a.de")], path)
-
-    @pytest.mark.parametrize(
-        "data",
-        [b"[" * 100_000, b'{"jobs.a.de": {"rank": 1' + b"0" * 4300 + b"}}"],
-        ids=["deep-nesting", "huge-integer"],
-    )
-    def test_unparsable_fixture_is_config_error(self, tmp_path, data):
-        # json.loads raises RecursionError and a bare ValueError on these.
-        from jobsignal import ConfigError
-
-        path = tmp_path / "fixture.json"
-        path.write_bytes(data)
-        with pytest.raises(ConfigError, match=re.escape(f"not valid JSON: {path}")):
-            replay_signals([site("jobs.a.de")], path)
-
-    def test_invalid_fetched_value_becomes_missing(self, tmp_path, caplog):
-        path = self.fixture_file(
-            tmp_path,
-            {
-                "jobs.a.de": {"country": "DE", "rank": 0, "trend": -3, "traffic": 5},
-                # json.dumps writes Infinity, which json.loads reads back as inf.
-                "jobs.b.de": {"country": "DE", "rank": math.inf, "trend": True, "traffic": 5},
-                "jobs.c.de": {"country": "DE", "rank": 2.7, "trend": 1, "traffic": False},
-                "jobs.d.de": {"country": "DE", "rank": True, "trend": 1.5, "traffic": 5},
-                "jobs.e.de": {"country": "DE", "rank": 3.0, "trend": 2, "traffic": "4.5"},
-            },
-        )
-        records = [site(f"jobs.{c}.de") for c in "abcde"]
-        with caplog.at_level("WARNING", logger="jobsignal.pipeline"):
-            a, b, c, d, e = replay_signals(records, path)
-        assert a.missing_signals() == ("rank", "trend")
-        assert b.missing_signals() == ("rank", "trend")
-        assert c.missing_signals() == ("rank", "traffic")
-        assert d.missing_signals() == ("rank",)
-        assert caplog.text.count("discarding unusable") == 7
-        # Valid integers and numbers are kept as before.
-        assert (type(e.rank), e.rank, e.trend, e.traffic) == (int, 3, 2.0, 4.5)
 
 
 class TestListwiseDelete:
@@ -565,15 +429,36 @@ class TestReadTable:
     def test_blank_lines_are_skipped(self, tmp_path, name):
         _, header, rows = READERS[name]
         expected = self.read(tmp_path, name, self.plain(name).encode())
-        text = f"{header}\n{rows[0]}\n\n{rows[1]}\n{rows[2]}\n\n"
-        assert self.read(tmp_path, name, text.encode()) == expected
+        before_header = "\n" + self.plain(name)
+        for text in (f"{header}\n{rows[0]}\n\n{rows[1]}\n{rows[2]}\n\n", before_header):
+            assert self.read(tmp_path, name, text.encode()) == expected
 
     def test_blank_lines_count_toward_line_numbers(self, tmp_path, name):
         _, header, rows = READERS[name]
         empty_cells = "," * (header.count(","))
-        text = f"{header}\n{rows[0]}\n\n{empty_cells}\n"
+        before_header = f"\n{header}\n{rows[0]}\n{empty_cells}\n"
+        for text in (f"{header}\n{rows[0]}\n\n{empty_cells}\n", before_header):
+            with pytest.raises(ParseError, match="line 4: "):
+                self.read(tmp_path, name, text.encode())
+
+    def test_quoted_cell_spanning_lines_counts_them(self, tmp_path, name):
+        _, header, rows = READERS[name]
+        expected = self.read(tmp_path, name, self.plain(name).encode())
+        # The last cell of the first row starts with a quoted newline, which
+        # the cell parsers strip, so the row reads as before but ends on line 3.
+        head, _, last = rows[0].rpartition(",")
+        spanning = f'{head},"\n{last}"'
+        text = f"{header}\n{spanning}\n{rows[1]}\n{rows[2]}\n"
+        assert self.read(tmp_path, name, text.encode()) == expected
+        empty_cells = "," * (header.count(","))
         with pytest.raises(ParseError, match="line 4: "):
-            self.read(tmp_path, name, text.encode())
+            self.read(tmp_path, name, f"{header}\n{spanning}\n{empty_cells}\n".encode())
+
+    @pytest.mark.parametrize("data", [b"", b"\n\n"], ids=["empty", "blank-lines-only"])
+    def test_file_without_header_fails_its_header_check(self, tmp_path, name, data):
+        _, header, _ = READERS[name]
+        with pytest.raises(ParseError, match=re.escape(f"expected header {header!r}, got None")):
+            self.read(tmp_path, name, data)
 
 
 class TestWriteSitesCsv:
