@@ -1,4 +1,11 @@
-"""The three LAPACK routines jobsignal needs, called in numpy's own OpenBLAS.
+"""The four LAPACK routines jobsignal needs, called in numpy's own OpenBLAS.
+
+The covariance factor is held in rectangular full packed format
+(Gustavson, Wasniewski, Dongarra & Langou 2010, ACM TOMS 37(2)): an n x n
+triangle in n(n+1)/2 doubles, which dpftrf factorizes, dtftri inverts and
+dtfsm solves against with level-3 BLAS. Only the lower triangle with
+TRANSR='N' is bound; jobsignal.gpr lays it out. dtrtrs solves with the
+small dense trend factor.
 
 The PyPI numpy wheels for Linux bundle scipy-openblas64, an ILP64 OpenBLAS
 whose LAPACK symbols carry a scipy_ prefix and a 64_ suffix; numpy's linalg
@@ -16,6 +23,7 @@ in finite operands: nothing here scans for NaN or inf.
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -39,54 +47,88 @@ def _resolve(handle, name: str, n_args: int, n_chars: int):
 
 
 _lib = ctypes.CDLL(_umath_linalg.__file__)
-_dpotrf = _resolve(_lib, "scipy_dpotrf_64_", 5, 1)
+_dpftrf = _resolve(_lib, "scipy_dpftrf_64_", 5, 2)
+_dtfsm = _resolve(_lib, "scipy_dtfsm_64_", 11, 5)
+_dtftri = _resolve(_lib, "scipy_dtftri_64_", 6, 3)
 _dtrtrs = _resolve(_lib, "scipy_dtrtrs_64_", 10, 3)
-_dtrtri = _resolve(_lib, "scipy_dtrtri_64_", 6, 2)
 
 _L, _U, _N, _T = (ctypes.c_char_p(flag) for flag in (b"L", b"U", b"N", b"T"))
+_ONE = ctypes.c_double(1.0)
 
 
 def _ref(value: int):
     return ctypes.byref(_INT(value))
 
 
-def _order(a: np.ndarray) -> int:
-    """The order of a, which must be a writable square float64 matrix in
-    Fortran order."""
+def _packed_order(a: np.ndarray, *, writable: bool = True) -> int:
+    """n for a, which must be a contiguous float64 vector of n(n+1)/2
+    entries, an n x n triangle in rectangular full packed format, and
+    writable if the routine overwrites it."""
     if not (
         a.dtype == np.float64
-        and a.ndim == 2
-        and a.shape[0] == a.shape[1]
-        and a.flags.f_contiguous
-        and a.flags.writeable
+        and a.ndim == 1
+        and a.flags.c_contiguous
+        and (a.flags.writeable or not writable)
     ):
-        raise ValueError("expected a writable square float64 matrix in Fortran order")
-    return a.shape[0]
+        raise ValueError("expected a writable contiguous float64 vector")
+    n = (math.isqrt(8 * a.size + 1) - 1) // 2
+    if n * (n + 1) // 2 != a.size:
+        raise ValueError(f"{a.size} entries do not pack a triangle")
+    return n
 
 
-def potrf(a: np.ndarray) -> int:
-    """Overwrite the lower triangle of a with its Cholesky factor (dpotrf).
+def pftrf(a: np.ndarray) -> int:
+    """Overwrite a, the lower triangle of a symmetric matrix in rectangular
+    full packed format (TRANSR='N'), with its Cholesky factor in that
+    format (dpftrf).
 
-    The strict upper triangle is left as it is. Returns LAPACK's info: 0 on
-    success, k > 0 when the leading minor of order k is not positive
-    definite, -k when argument k was rejected.
+    Returns LAPACK's info: 0 on success, k > 0 when the leading minor of
+    order k is not positive definite.
     """
-    n = _order(a)
+    n = _packed_order(a)
     info = _INT(0)
-    _dpotrf(_L, _ref(n), a.ctypes.data, _ref(max(n, 1)), ctypes.byref(info), 1)
+    _dpftrf(_N, _L, _ref(n), a.ctypes.data, ctypes.byref(info), 1, 1)
     return info.value
 
 
-def trtri(a: np.ndarray) -> int:
-    """Overwrite the lower-triangular a with its inverse (dtrtri).
+def tftri(a: np.ndarray) -> int:
+    """Overwrite a, a lower-triangular matrix in rectangular full packed
+    format (TRANSR='N'), with its inverse in that format (dtftri).
 
-    The strict upper triangle is left as it is. Returns LAPACK's info: 0 on
-    success, k > 0 when a[k-1, k-1] is exactly zero.
+    Returns LAPACK's info: 0 on success, k > 0 when diagonal entry k is
+    exactly zero.
     """
-    n = _order(a)
+    n = _packed_order(a)
     info = _INT(0)
-    _dtrtri(_L, _N, _ref(n), a.ctypes.data, _ref(max(n, 1)), ctypes.byref(info), 1, 1)
+    _dtftri(_N, _L, _N, _ref(n), a.ctypes.data, ctypes.byref(info), 1, 1, 1)
     return info.value
+
+
+def tfsm(a: np.ndarray, b: np.ndarray, *, trans: bool = False) -> np.ndarray:
+    """Overwrite b with x, a x = b or a' x = b when trans is set, and return
+    it (dtfsm); a is lower-triangular in rectangular full packed format
+    (TRANSR='N'), b a writable Fortran-ordered float64 vector or matrix with
+    one right-hand side per column.
+
+    dtfsm has no info: a zero on a's diagonal gives inf or NaN, not an error.
+    """
+    n = _packed_order(a, writable=False)
+    if not (
+        isinstance(b, np.ndarray)
+        and b.dtype == np.float64
+        and b.ndim in (1, 2)
+        and b.flags.f_contiguous
+        and b.flags.writeable
+    ):
+        raise ValueError("expected a writable float64 right-hand side in Fortran order")
+    if b.shape[0] != n:
+        raise ValueError(f"right-hand side of shape {b.shape} does not match a {n} x {n} matrix")
+    nrhs = 1 if b.ndim == 1 else b.shape[1]
+    _dtfsm(
+        _N, _L, _L, _T if trans else _N, _N, _ref(n), _ref(nrhs), ctypes.byref(_ONE),
+        a.ctypes.data, b.ctypes.data, _ref(max(n, 1)), 1, 1, 1, 1, 1,
+    )
+    return b
 
 
 def solve_triangular(

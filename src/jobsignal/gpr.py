@@ -18,11 +18,19 @@ compression is exact and needs no setting; when every input is distinct
 (u = N) it is the identity, with the arithmetic of the plain N x N
 factorization. On every rung of its jitter ladder _factorize fills the
 lower triangle of that matrix from the distinct inputs, a block of columns
-at a time, and factorizes it with LAPACK dpotrf in place, in a u x u
-Fortran-ordered buffer that becomes the model's factor. No distance matrix
-and no matrix larger than u x u is held. LAPACK is numpy's own OpenBLAS,
-called through jobsignal._lapack. Nothing here inverts a matrix (the dense
-inverse lives only in the test oracle).
+at a time, and factorizes it with LAPACK dpftrf in place, in one buffer of
+u(u+1)/2 doubles that becomes the model's factor. The buffer holds the
+triangle in rectangular full packed format (TRANSR='N', UPLO='L';
+Gustavson, Wasniewski, Dongarra & Langou 2010, ACM TOMS 37(2)). Read as
+the Fortran-ordered (u + e) x h matrix A, with h = ceil(u/2) and e = 1 when
+u is even, 0 when odd, it has L[i, j] at A[e + i, j] for the first h
+columns of L (j <= i), and L[h + j - 1 + e, h + r] at A[r, j] for r < j + e:
+the last u - h columns, transposed, above a staircase on which the two
+meet. dpftrf, dtfsm and dtftri work in that format with level-3 BLAS at the
+speed of their full-storage forms, so no distance matrix and no u x u
+matrix is held. LAPACK is numpy's own OpenBLAS, called through
+jobsignal._lapack. Nothing here inverts a covariance (the dense inverse
+lives only in the test oracle).
 Hyperparameters are selected by maximizing the log marginal likelihood over
 a logarithmic theta grid with the process variance profiled out in closed
 form. With at least _SCREEN_MIN_ORDER distinct inputs, and a jitter large
@@ -37,7 +45,7 @@ rounding allowance, falls below that cell's likelihood is dropped; the
 others run as before. The selection and the model are the bits the full
 scan gives.
 The cells run one at a time, in grid order, on the calling thread, each
-factorized into the same u x u buffer. The winner is picked after the scan
+factorized into the same packed buffer. The winner is picked after the scan
 and its factor becomes the fitted model, factorized once more only if a
 later cell reused the buffer, so the search is also the fit. A fitted
 model holds no mutable state: predict logs at DEBUG, on the jobsignal.gpr
@@ -47,7 +55,7 @@ that evaluation reads. Leave-one-out at frozen hyperparameters is exact
 from the one full-data fit (Dubrule 1983, Math. Geology 15(6); Rasmussen &
 Williams, GPML 5.4.2): with P = C^-1 - C^-1 F (F' C^-1 F)^-1 F' C^-1, the
 held-out residual of row i is (P t)_i / P_ii, and P t is the fit's alpha.
-GprModel.held_out_diagonals gives diag(P) and diag(C^-1) from the u x u
+GprModel.held_out_diagonals gives diag(P) and diag(C^-1) from the packed
 factor in O(N + u^3). In-sample predictions need no solve at all. On the
 training rows the cross-covariance is K = C - jitter * sigma_sq * I and
 C alpha = t - F beta, so the kriging mean F beta + K alpha is exactly
@@ -84,7 +92,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_JITTER = 1e-10
 MAX_JITTER = 1e-4
 SIGMA_SQ_FLOOR = 1e-30  # keeps log(sigma_sq) finite on zero-residual data
-_FILL_COLUMNS = 128  # columns of R that _factorize fills per block
+_FILL_COLUMNS = 64  # columns of the packed matrix that _factorize fills per block
 _SCREEN_MIN_ORDER = 256  # fewest distinct inputs the search screens; a smaller cell is cheap
 _SCREEN_WIDTH = 0.25  # log-likelihood units: the widest bound a screened cell settles for
 
@@ -241,8 +249,9 @@ class GprModel:
     predict and the methods below read it and never write to it.
 
     chol, trend_whitened and group_alpha live on the u distinct inputs of
-    groups (see the module docstring): chol factorizes the compressed
-    covariance sigma_sq * (R_u + kernel.jitter * diag(1/n_k)), and
+    groups (see the module docstring): chol is the lower Cholesky factor of
+    the compressed covariance sigma_sq * (R_u + kernel.jitter * diag(1/n_k)),
+    u(u+1)/2 doubles in the packed layout of the module docstring, and
     group_alpha is Z' alpha, C_u^-1 (ybar - F_u beta). alpha is N-long,
     C^-1 (t - F beta) for the full covariance C. kernel.jitter reflects any
     diagonal escalation applied during fitting.
@@ -269,18 +278,15 @@ class GprModel:
         k of n_k rows then has P_ii = (1 - 1/n_k) / (sigma_sq*jitter) + (P_u)_kk / n_k^2,
         and diag(C^-1)_ii likewise, so no N x N matrix is formed.
         """
-        # L^-1 is the one u x u temporary, inverted in a copy of the factor as
-        # stored. dtrtri leaves the strict upper triangle as it finds it, and L
-        # has zeros there, so whole-column sums are valid. Its transpose view
-        # is L^-T in C order, whose rows are those columns.
-        chol_inv = self.chol.copy(order="F")
-        info = _lapack.trtri(chol_inv)
+        # L^-1, squared in place, is the one temporary of the factor's size.
+        chol_inv = self.chol.copy()
+        info = _lapack.tftri(chol_inv)
         if info != 0:
-            raise EvaluationError(f"covariance factor is singular (dtrtri info {info})")
-        q = _lapack.solve_triangular(self.trend_r, self.trend_whitened.T, lower=False, trans=True).T
-        chol_inv_t = chol_inv.T
-        trend = chol_inv_t @ q
-        inv_diag = np.einsum("ij,ij->i", chol_inv_t, chol_inv_t)
+            raise EvaluationError(f"covariance factor is singular (dtftri info {info})")
+        np.square(chol_inv, out=chol_inv)
+        inv_diag = _column_sums(chol_inv, self.groups.counts.size)
+        q = _lapack.solve_triangular(self.trend_r, self.trend_whitened.T, lower=False, trans=True)
+        trend = _lapack.tfsm(self.chol, np.asfortranarray(q.T), trans=True)
         p_diag = inv_diag - np.einsum("ij,ij->i", trend, trend)
         groups = self.groups
         if groups.tied:
@@ -339,48 +345,99 @@ def correlation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.exp(neg_dist, out=neg_dist)
 
 
-def _factorize(buf: np.ndarray, groups: _Groups, theta: np.ndarray, jitter: float) -> float:
-    """Factorize R_u + jitter*diag(1/n_k) in place in buf, escalating jitter
-    x10 up to MAX_JITTER; returns the jitter used.
+def _packed(packed: np.ndarray, n: int) -> tuple[np.ndarray, int, int]:
+    """(A, h, e): packed, an n x n lower triangle in the layout of the
+    module docstring, as the Fortran-ordered (n + e) x h matrix A it is."""
+    h, e = n - n // 2, 1 - n % 2
+    return packed.reshape(n + e, h, order="F"), h, e
+
+
+def _diagonal(n: int) -> np.ndarray:
+    """The positions in packed storage of an n x n triangle's diagonal, in order."""
+    h, e = n - n // 2, 1 - n % 2
+    step = n + e + 1
+    return np.concatenate([e + step * np.arange(h), (1 - e) * (n + e) + step * np.arange(n - h)])
+
+
+def _staircase(a: np.ndarray, e: int, j0: int):
+    """(j1, above, lower) for the block of up to _FILL_COLUMNS columns
+    j0:j1 of A (see _packed): its rows above the staircase, all from L's
+    last columns, and its rows from e + j0 down, all from L's first columns
+    but the strict upper triangle of their leading square, which the
+    staircase crosses."""
+    j1 = min(j0 + _FILL_COLUMNS, a.shape[1])
+    block = a[:, j0:j1]
+    return j1, block[: e + j0], block[e + j0 :]
+
+
+def _column_sums(packed: np.ndarray, n: int) -> np.ndarray:
+    """The column sums of the n x n lower triangle that packed holds."""
+    a, h, e = _packed(packed, n)
+    first = np.empty(h)
+    last = np.zeros(h + e)  # by row of A; the first n - h rows hold L's last columns
+    for j0 in range(0, h, _FILL_COLUMNS):
+        j1, above, lower = _staircase(a, e, j0)
+        strip = lower[: j1 - j0]
+        tril = np.tril(strip)
+        first[j0:j1] = lower[j1 - j0 :].sum(axis=0) + tril.sum(axis=0)
+        last[: e + j0] += above.sum(axis=1)
+        last[e + j0 : e + j1] += (strip - tril).sum(axis=1)
+    return np.concatenate([first, last[: n - h]])
+
+
+def _factorize(packed: np.ndarray, groups: _Groups, theta: np.ndarray, jitter: float) -> float:
+    """Factorize R_u + jitter*diag(1/n_k) in place in packed, escalating
+    jitter x10 up to MAX_JITTER; returns the jitter used.
 
     R_u is correlation(groups.inputs, groups.inputs, theta), n_k are
-    groups.counts and buf is u x u in Fortran order; with no repeated input
-    the matrix is R + jitter*I. dpotrf reads only the lower triangle, so
-    each rung fills just that, straight from the inputs, _FILL_COLUMNS
-    columns at a time: no distance matrix is held, and every rung rebuilds
-    R_u from scratch. It then adds jitter/n_k to the diagonal and lets
-    LAPACK dpotrf overwrite the lower triangle with the factor. The strict
-    upper triangle is left holding garbage (zero it before using buf as a
-    dense factor). On a tied panel (u < N) R + 0*I is singular and the
-    likelihood's (N - u) log(jitter) term -inf, so there every rung must
-    factorize R_u + jitter*diag(1/n_k) with jitter > 0: a ladder given
+    groups.counts and packed holds u(u+1)/2 doubles, the lower triangle in
+    the layout of the module docstring; with no repeated input the matrix
+    is R + jitter*I. Each rung fills it straight from the inputs, one
+    _staircase block at a time and one distance block per part: the rows
+    above, the lower rows whole, then the strict upper triangle of the
+    strip. No distance matrix is held, every rung rebuilds R_u from
+    scratch, and the entries are those of correlation bit for bit. It then
+    adds jitter/n_k to the diagonal and lets LAPACK dpftrf overwrite the
+    triangle with its factor. On a tied panel (u < N) R + 0*I is singular
+    and the likelihood's (N - u) log(jitter) term -inf, so there every rung
+    must factorize R_u + jitter*diag(1/n_k) with jitter > 0: a ladder given
     jitter 0 starts at DEFAULT_JITTER.
     """
-    n = buf.shape[0]
-    flat = buf.reshape(-1, order="F")  # a view into buf
-    diag = flat[:: n + 1]
+    n = groups.counts.size
+    a, h, e = _packed(packed, n)
+    diag = _diagonal(n)
     inputs = groups.inputs
     neg_theta = -np.asarray(theta, dtype=float)  # exactly -D, as in correlation
-    first = buf[:, :_FILL_COLUMNS]
+    above_diagonal = ~np.tri(_FILL_COLUMNS - 1, _FILL_COLUMNS, dtype=bool)
+    scratch = packed[: (n + e) * min(h, _FILL_COLUMNS)]  # the first block's columns
     if jitter == 0.0 and groups.tied:
         jitter = DEFAULT_JITTER
     while True:
-        # Later blocks are built contiguously in the first block's columns,
-        # which no later block covers, and exponentiated into place; the
-        # first block, whole columns and so contiguous itself, goes last.
-        for j0 in range(_FILL_COLUMNS, n, _FILL_COLUMNS):
-            j1 = min(j0 + _FILL_COLUMNS, n)
-            block = flat[: (j1 - j0) * (n - j0)].reshape(j1 - j0, n - j0)
-            _scaled_distances(inputs[j0:j1], inputs[j0:], neg_theta, out=block)
-            np.exp(block, out=buf[j0:, j0:j1].T)
-        _scaled_distances(inputs, inputs[:_FILL_COLUMNS], neg_theta, out=first)
-        np.exp(first, out=first)
-        diag += jitter / groups.counts
-        info = _lapack.potrf(buf)
+        # Each part of a later block is built contiguously, transposed, in
+        # the first block's columns, which no later block covers, and
+        # exponentiated into place. The first block goes last, in place but
+        # for its strip's upper triangle.
+        for j0 in [*range(_FILL_COLUMNS, h, _FILL_COLUMNS), 0]:
+            j1, above, lower = _staircase(a, e, j0)
+            last = inputs[h + e - 1 + j0 : h + e - 1 + j1]  # L's columns held above
+            upper = above_diagonal[: j1 - j0 - 1, : j1 - j0].T
+            for out, rows, cols, where in (
+                (above, inputs[h : h + e + j0], last, True),
+                (lower, inputs[j0:], inputs[j0:j1], True),
+                (lower[: j1 - j0 - 1], inputs[h + e + j0 : h + e + j1 - 1], last, upper),
+            ):
+                if j0 > 0:
+                    block = scratch[: out.size].reshape(out.shape[::-1])
+                else:
+                    block = out.T if where is True else np.empty(out.shape[::-1])
+                _scaled_distances(cols, rows, neg_theta, out=block)
+                np.exp(block, out=out.T, where=where)
+        packed[diag] += jitter / groups.counts
+        info = _lapack.pftrf(packed)
         if info == 0:
             return jitter
         if info < 0:
-            raise ValueError(f"dpotrf rejected argument {-info}")
+            raise ValueError(f"dpftrf rejected argument {-info}")
         nxt = DEFAULT_JITTER if jitter == 0.0 else jitter * 10.0
         if nxt > MAX_JITTER * (1.0 + 1e-12):
             raise FitError(f"covariance is not positive definite even at jitter {jitter:g}")
@@ -400,13 +457,20 @@ def _trend_design(training: TrainingSet, basis: BasisExpansion, groups: _Groups)
 
 
 def _gls(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
-    """Generalized least squares through the whitened system.
+    """Generalized least squares through the system whitened by chol, a
+    packed factor.
 
     Returns (whitened design, its upper QR factor, coefficients, whitened
     residual). Raises FitError when the whitened design is rank deficient.
     """
-    ft = _lapack.solve_triangular(chol, design, lower=True)
-    yt = _lapack.solve_triangular(chol, targets, lower=True)
+    # One solve for both: dtfsm on a lone right-hand side costs about as
+    # much as on several.
+    p = design.shape[1]
+    whitened = np.empty((design.shape[0], p + 1), order="F")
+    whitened[:, :p] = design
+    whitened[:, p] = targets
+    _lapack.tfsm(chol, whitened)
+    ft, yt = whitened[:, :p], whitened[:, p]
     q, r_qr = np.linalg.qr(ft)
     diag = np.abs(np.diag(r_qr))
     tol = max(ft.shape) * np.finfo(float).eps * diag.max()
@@ -439,13 +503,13 @@ def _likelihood(groups: _Groups, jitter: float, quad: float, logdet: float):
 
 
 def _profile_log_likelihood(chol: np.ndarray, groups: _Groups, design: np.ndarray, jitter: float):
-    """_likelihood with the trend at its GLS value, from chol, the lower
-    factor of R_u + jitter*diag(1/n_k) (its strict upper triangle is not
-    read), and design, F_u; GLS runs on the group means. Raises FitError
-    when the whitened design is rank deficient.
+    """_likelihood with the trend at its GLS value, from chol, the packed
+    lower factor of R_u + jitter*diag(1/n_k), and design, F_u; GLS runs on
+    the group means. Raises FitError when the whitened design is rank
+    deficient.
     """
     _, _, _, rho = _gls(chol, design, groups.means)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    logdet = 2.0 * float(np.sum(np.log(chol[_diagonal(groups.counts.size)])))
     return _likelihood(groups, jitter, float(rho @ rho), logdet)
 
 
@@ -542,18 +606,16 @@ def _model_from_factor(
     kernel: Kernel,
     chol: np.ndarray,
 ) -> GprModel:
-    """The fitted model around chol, the in-place factor of
+    """The fitted model around chol, the packed in-place factor of
     R_u + kernel.jitter*diag(1/n_k).
 
-    Zeroes chol's strict upper triangle, scales it to the compressed
-    covariance's factor and solves the trend and group_alpha against it.
-    Row i of a group k gets alpha_i = r_i / (sigma_sq*jitter) + group_alpha_k / n_k.
+    Scales chol to the compressed covariance's factor and solves the trend
+    and group_alpha against it. Row i of a group k gets
+    alpha_i = r_i / (sigma_sq*jitter) + group_alpha_k / n_k.
     """
-    for j in range(1, chol.shape[0]):
-        chol[:j, j] = 0.0  # contiguous in Fortran order
     chol *= math.sqrt(kernel.sigma_sq)
     ft, r_qr, beta, rho = _gls(chol, design, groups.means)
-    group_alpha = _lapack.solve_triangular(chol.T, rho, lower=False)
+    group_alpha = _lapack.tfsm(chol, rho, trans=True)
     alpha = group_alpha
     if groups.tied:
         noise = kernel.sigma_sq * kernel.jitter
@@ -583,7 +645,7 @@ def fit(training: TrainingSet, basis: BasisExpansion, kernel: Kernel) -> GprMode
     groups = _group_rows(training)
     design = _trend_design(training, basis, groups)
     u = groups.counts.size
-    chol = np.empty((u, u), order="F")
+    chol = np.empty(u * (u + 1) // 2)
     jitter = _factorize(chol, groups, kernel.theta, kernel.jitter)
     return _model_from_factor(training, groups, basis, design, replace(kernel, jitter=jitter), chol)
 
@@ -598,7 +660,7 @@ def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
     U = F(X)' - F' C^-1 K. K = Z K_u repeats the cross-covariance K_u to
     the u distinct inputs, and Z' C^-1 Z = C_u^-1, so every term is over
     those: K' alpha = K_u' group_alpha, and all M points share one
-    triangular solve of the stored u x u Cholesky factor against K_u
+    triangular solve of the stored packed Cholesky factor against K_u
     (Rasmussen & Williams, GPML Alg. 2.1).
     Variances that round below zero are clamped to 0, their count logged at
     DEBUG and never stored. A 1-d x_new gives a Prediction of two floats.
@@ -616,9 +678,9 @@ def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
         raise ValueError(f"points must be finite, but row {i} is {x[i].tolist()}")
     m = x.shape[0]
     if m == 1:
-        # OpenBLAS solves a lone right-hand side with trsv, which rounds
-        # differently from trsm; a duplicate row keeps one point on the batch
-        # arithmetic, so its variance (and clamp) does not depend on batching.
+        # OpenBLAS solves a lone right-hand side of the trend factor with
+        # trsv, which rounds differently from trsm; a duplicate row keeps one
+        # point on the batch arithmetic.
         x = np.repeat(x, 2, axis=0)
     design = model.basis.design_matrix(x)
     # M x N, so that its transpose is the Fortran-ordered right-hand side
@@ -628,7 +690,7 @@ def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
     # The per-point sums below are einsums over contiguous rows, not BLAS
     # matrix-vector products, so each runs in the same order whatever M is.
     mean = design @ model.beta + np.einsum("ij,j->i", k_t, model.group_alpha)
-    v_t = _lapack.solve_triangular(model.chol, k_t.T, lower=True, overwrite_b=True).T
+    v_t = _lapack.tfsm(model.chol, k_t.T).T
     ft_t = np.ascontiguousarray(model.trend_whitened.T)
     u = design.T - np.einsum("ik,jk->ji", v_t, ft_t)
     w_t = _lapack.solve_triangular(model.trend_r.T, u, lower=True).T
@@ -700,7 +762,7 @@ def fit_hyperparameters(
     screen rank and bounds, the cells dropped and those that survive.
 
     The remaining cells run in grid order on the calling thread, each
-    factorized into the one u x u buffer. The winner is chosen after the
+    factorized into the one packed buffer. The winner is chosen after the
     scan, in ascending theta order, and only a strictly larger likelihood
     replaces the incumbent, so ties resolve toward the smallest theta and
     then the smallest sigma_sq; a dropped cell's likelihood is below the
@@ -732,7 +794,7 @@ def fit_hyperparameters(
         bounds = [_screen(groups, design, np.full(d, theta), search.jitter) for theta in grid]
         for theta, (*bound, rank) in zip(grid, bounds):
             logger.debug("screened theta=%g: rank %d, loglik in [%g, %g]", theta, rank, *bound)
-    buf = np.empty((u, u), order="F")  # after the screen has let go of its arrays
+    buf = np.empty(u * (u + 1) // 2)  # after the screen has let go of its arrays
     held = None  # the last cell run, whose factor buf holds if it succeeded
     survivors = range(grid.size)
     if bounds is not None:

@@ -185,7 +185,9 @@ def _read_table(path, header: list[str], what: str):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        # Line ends as csv.reader counts them below: \r\n, \r and \n.
+        head = data[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(f"{path}: line {line_no} is not valid UTF-8 ({exc.reason})") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     rows = (row for row in reader if row)  # blank lines, which csv.DictReader skips too

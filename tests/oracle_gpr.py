@@ -9,6 +9,7 @@ closed-form leave-one-out in jobsignal.evaluation must reproduce.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -117,6 +118,53 @@ def distinct_rows(inputs, targets):
     return inputs[first], index, counts, np.array(sums) / counts
 
 
+@functools.lru_cache(maxsize=None)
+def _packed_positions(n: int) -> np.ndarray:
+    """Entry m of an n x n lower triangle in LAPACK's rectangular full
+    packed format (TRANSR='N', UPLO='L') holds the matrix entry of flat
+    C-order index positions[m]. Laid out case by case as LAPACK's dtrttf
+    documents it: with k = n // 2, an even n gives an (n + 1) x k array whose
+    rows 1..n hold the first k columns of the triangle and whose upper
+    triangle holds the last k columns transposed; an odd n gives an n x
+    (k + 1) array whose rows 0..n-1 hold the first k + 1 columns and whose
+    strict upper triangle holds the last k columns transposed."""
+    k = n // 2
+    if n % 2 == 0:
+        arf = np.empty((n + 1, k), dtype=np.intp)
+        for j in range(k):
+            for i in range(j, n):
+                arf[i + 1, j] = i * n + j
+            for i in range(j, k):
+                arf[j, i] = (k + i) * n + k + j
+    else:
+        arf = np.empty((n, k + 1), dtype=np.intp)
+        for j in range(k + 1):
+            for i in range(j, n):
+                arf[i, j] = i * n + j
+        for j in range(k):
+            for i in range(j, k):
+                arf[j, i + 1] = (k + 1 + i) * n + k + 1 + j
+    positions = arf.reshape(-1, order="F")
+    positions.setflags(write=False)
+    return positions
+
+
+def pack(matrix) -> np.ndarray:
+    """The lower triangle of a square matrix in packed storage, the layout
+    of the factor a fitted model holds."""
+    matrix = np.asarray(matrix, dtype=float)
+    return matrix.reshape(-1)[_packed_positions(len(matrix))]
+
+
+def unpack(packed) -> np.ndarray:
+    """The lower-triangular matrix that packed holds, zeros above its diagonal."""
+    packed = np.asarray(packed, dtype=float)
+    n = (math.isqrt(8 * packed.size + 1) - 1) // 2
+    matrix = np.zeros(n * n)
+    matrix[_packed_positions(n)] = packed
+    return matrix.reshape(n, n)
+
+
 def compressed_covariance(inputs, kernel):
     """sigma_sq * (R_u + jitter * diag(1/n_k)) over the distinct rows of inputs:
     the matrix whose Cholesky factor a model fitted on inputs holds."""
@@ -130,7 +178,8 @@ def reference_theta_search(training, basis, search, failed=()) -> gpr.Kernel:
     found by a loop, gpr.correlation over them at the cell's theta, then a
     fresh corr + diag(jitter / n_k) for every escalation attempt (starting
     at the default jitter when a row repeats and the base jitter is 0),
-    factorized by the same LAPACK dpotrf the library calls; the likelihood
+    packed by pack and factorized by the same LAPACK dpftrf the library
+    calls; the likelihood
     adds the within-group terms of the full N x N matrix. On 1-d inputs the
     kernel of the model gpr.fit_hyperparameters returns must have the same
     sigma_sq and theta bit for bit; the jitter here is the search's base
@@ -151,8 +200,8 @@ def reference_theta_search(training, basis, search, failed=()) -> gpr.Kernel:
         if jitter == 0.0 and u < n:
             jitter = gpr.DEFAULT_JITTER
         while True:
-            chol = np.asfortranarray(corr + np.diag(jitter / counts))
-            if _lapack.potrf(chol) == 0:  # the strict upper triangle keeps corr
+            chol = pack(corr + np.diag(jitter / counts))
+            if _lapack.pftrf(chol) == 0:
                 break
             jitter = gpr.DEFAULT_JITTER if jitter == 0.0 else jitter * 10.0
             if jitter > gpr.MAX_JITTER * (1.0 + 1e-12):
@@ -165,7 +214,7 @@ def reference_theta_search(training, basis, search, failed=()) -> gpr.Kernel:
         except gpr.FitError:
             continue
         quad = float(rho @ rho)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(unpack(chol)))))
         if u < n:
             quad += float(residual @ residual) / jitter
             logdet += float(np.sum(np.log(counts))) + (n - u) * math.log(jitter)

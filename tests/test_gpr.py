@@ -38,6 +38,8 @@ from jobsignal.pipeline import (
 from conftest import random_fitted_model, random_instance, separated_inputs
 from oracle_gpr import (
     compressed_covariance,
+    pack,
+    unpack,
     dense_design,
     dense_gls_beta,
     dense_gpr_predict,
@@ -50,21 +52,21 @@ def kernel_1d(theta=1.0, sigma_sq=1.0, jitter=1e-10):
     return Kernel(sigma_sq=sigma_sq, theta=[theta], jitter=jitter)
 
 
-def fail_dpotrf_three_times(monkeypatch):
-    """Make the LAPACK binding's potrf fail its first three calls the way a
-    partial factorization does, scribbling over the lower triangle; returns
-    the list of matrices each call was given."""
-    potrf = _lapack.potrf
+def fail_dpftrf_three_times(monkeypatch):
+    """Make the LAPACK binding's pftrf fail its first three calls the way a
+    partial factorization does, scribbling over the packed triangle; returns
+    the list of packed matrices each call was given."""
+    pftrf = _lapack.pftrf
     tried = []
 
-    def fails_three_times(matrix):
-        tried.append(matrix.copy())
+    def fails_three_times(packed):
+        tried.append(packed.copy())
         if len(tried) <= 3:
-            matrix[np.tril_indices(matrix.shape[0])] = np.nan
+            packed[:] = np.nan
             return 1  # LAPACK: leading minor 1 is not positive definite
-        return potrf(matrix)
+        return pftrf(packed)
 
-    monkeypatch.setattr(_lapack, "potrf", fails_three_times)
+    monkeypatch.setattr(_lapack, "pftrf", fails_three_times)
     return tried
 
 
@@ -152,7 +154,8 @@ class TestBuildCovariance:
         training = TrainingSet(inputs=points, targets=np.array([0.0, 1.0]))
         model = fit(training, BasisExpansion("const"), kernel)
         plain = kernel.sigma_sq * correlation(points, points, kernel.theta)
-        reg = model.chol @ model.chol.T
+        chol = unpack(model.chol)
+        reg = chol @ chol.T
         assert np.allclose(np.diag(reg) - np.diag(plain), 1e-6 * 2.0)
         off_diag = ~np.eye(2, dtype=bool)
         assert np.allclose(reg[off_diag], plain[off_diag], rtol=1e-14, atol=0.0)
@@ -235,7 +238,8 @@ class TestFit:
         for _ in range(10):
             model = random_fitted_model(rng, n=int(rng.integers(2, 10)), d=2)
             reg = regularized_covariance(model.training.inputs, model.kernel)
-            err = np.linalg.norm(model.chol @ model.chol.T - reg) / np.linalg.norm(reg)
+            chol = unpack(model.chol)
+            err = np.linalg.norm(chol @ chol.T - reg) / np.linalg.norm(reg)
             assert err <= 1e-10
 
     def test_residual_identity_invariant(self, rng):
@@ -267,58 +271,63 @@ class TestFit:
         assert model.kernel.jitter == 1e-10
         reg = compressed_covariance(inputs, model.kernel)
         assert reg.shape == (2, 2) and reg[0, 0] == 1.0 + 0.5e-10
-        err = np.linalg.norm(model.chol @ model.chol.T - reg) / np.linalg.norm(reg)
+        chol = unpack(model.chol)
+        err = np.linalg.norm(chol @ chol.T - reg) / np.linalg.norm(reg)
         assert err <= 1e-10
 
     def test_each_ladder_rung_regularizes_the_unjittered_matrix(self, monkeypatch):
         # The factorization runs in place; every rung must see the original
         # matrix plus its own jitter, not the previous rung's leftovers.
-        tried = fail_dpotrf_three_times(monkeypatch)
+        tried = fail_dpftrf_three_times(monkeypatch)
         inputs = np.array([[0.0], [0.4], [1.0]])
         training = TrainingSet(inputs=inputs, targets=np.array([0.0, 0.5, 1.0]))
         model = fit(training, BasisExpansion("const"), kernel_1d(jitter=0.0))
         assert model.kernel.jitter == 1e-8
         corr = correlation(inputs, inputs, [1.0])
         for matrix, jitter in zip(tried, [0.0, 1e-10, 1e-9, 1e-8]):
-            assert np.array_equal(matrix, corr + jitter * np.eye(3))
+            assert np.array_equal(matrix, pack(corr + jitter * np.eye(3)))
 
     def test_jitter_ladder_exhaustion_is_fit_error(self, monkeypatch):
         def always_fails(matrix):
             return 1
 
-        monkeypatch.setattr(_lapack, "potrf", always_fails)
+        monkeypatch.setattr(_lapack, "pftrf", always_fails)
         training = TrainingSet(inputs=np.array([[0.0], [1.0]]), targets=np.array([0.0, 1.0]))
         with pytest.raises(FitError, match="positive definite"):
             fit(training, BasisExpansion("const"), kernel_1d())
 
     def test_factor_matches_numpy_cholesky(self, rng):
-        # The library calls dpotrf through its own binding; np.linalg.cholesky
-        # reaches the same OpenBLAS through numpy's wrapper, so this checks the
-        # binding and the in-place buffer handling.
+        # The library calls dpftrf through its own binding; np.linalg.cholesky
+        # reaches dpotrf in the same OpenBLAS through numpy's wrapper, so this
+        # checks the binding, the packed layout and the in-place fill.
         models = [random_fitted_model(rng, n=int(rng.integers(2, 30)), d=2) for _ in range(10)]
         training = _sample_from_kernel(np.random.default_rng(3), n=200)
         models.append(fit(training, BasisExpansion("linear"), kernel_1d(jitter=1e-4)))
         for model in models:
             reg = regularized_covariance(model.training.inputs, model.kernel)
             expected = np.linalg.cholesky(reg)
-            assert np.abs(model.chol - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert np.abs(unpack(model.chol) - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    def test_factor_has_exact_zeros_above_the_diagonal(self, rng):
-        # Closed-form leave-one-out sums whole rows of the factor's inverse.
-        # _factorize fills only the lower triangle; the rest holds garbage until zeroed.
-        duplicated = TrainingSet(
-            inputs=np.array([[0.0], [0.0], [1.0]]), targets=np.array([0.0, 0.5, 1.0])
-        )
-        escalated = fit(duplicated, BasisExpansion("const"), kernel_1d(jitter=0.0))
-        assert escalated.kernel.jitter == 1e-10
-        searched = [
-            fit_hyperparameters(duplicated, BasisExpansion("const"), SearchConfig(jitter=0.0)),
-            fit_hyperparameters(_sample_from_kernel(rng, n=30), BasisExpansion("linear"), SearchConfig()),
-        ]
-        assert searched[0].kernel.jitter == 1e-10
-        fitted = [random_fitted_model(rng, n=12, d=1) for _ in range(5)]
-        for model in [escalated] + searched + fitted:
-            assert np.all(np.triu(model.chol, 1) == 0.0)
+    @pytest.mark.parametrize("u", [1, 2, 3, 40, 41, 129, 130, 256, 257])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fill_is_the_packed_correlation_bit_for_bit(self, monkeypatch, rng, u, d):
+        # The packed layout differs for odd and even u, and past
+        # _FILL_COLUMNS columns the fill runs in several blocks. Every
+        # fourth distinct input repeats, so jitter/n_k varies.
+        monkeypatch.setattr(_lapack, "pftrf", lambda packed: 0)  # keep the fill as it is
+        inputs = rng.uniform(0.0, 6.0, size=(u, d))[np.r_[np.arange(u), 0:u:4]]
+        groups = gpr._group_rows(TrainingSet(inputs=inputs, targets=np.zeros(len(inputs))))
+        theta = rng.uniform(0.3, 3.0, size=d)
+        packed = np.full(u * (u + 1) // 2, np.nan)
+        jitter = gpr._factorize(packed, groups, theta, 1e-6)
+        corr = correlation(groups.inputs, groups.inputs, theta)
+        assert np.array_equal(packed, pack(corr + np.diag(jitter / groups.counts)))
+
+    @pytest.mark.parametrize("u", [1, 2, 3, 40, 41, 129, 130, 256, 257])
+    def test_column_sums_of_the_packed_triangle(self, rng, u):
+        lower = np.tril(rng.normal(size=(u, u)))
+        sums = gpr._column_sums(pack(lower), u)
+        assert np.abs(sums - lower.sum(axis=0)).max() <= 1e-12 * np.abs(lower).sum(axis=0).max()
 
     def test_singular_trend_system(self):
         # A constant input column duplicates the intercept under the linear basis.
@@ -437,7 +446,7 @@ class TestPredict:
                 targets=model.training.targets[repeat] + rng.normal(0.0, 0.3, size=repeat.size),
             )
             model = fit(training, model.basis, replace(model.kernel, jitter=1e-4))
-            assert model.chol.shape == (10, 10)
+            assert model.chol.shape == (55,)
         training, kernel = model.training, model.kernel
         span = training.inputs.max(axis=0) - training.inputs.min(axis=0)
         points = training.inputs.min(axis=0) + rng.uniform(-0.2, 1.2, size=(m, d)) * span
@@ -690,7 +699,7 @@ class TestFitHyperparameters:
 
     def test_each_ladder_rung_of_a_cell_regularizes_the_unjittered_matrix(self, monkeypatch):
         # A cell refills its buffer from the distances after a failed rung.
-        tried = fail_dpotrf_three_times(monkeypatch)
+        tried = fail_dpftrf_three_times(monkeypatch)
         inputs = np.array([[0.0], [0.4], [1.0]])
         training = TrainingSet(inputs=inputs, targets=np.array([0.0, 0.5, 1.0]))
         search = SearchConfig(theta_min=0.7, theta_max=0.7, steps=1, jitter=0.0)
@@ -698,7 +707,7 @@ class TestFitHyperparameters:
         assert model.kernel.jitter == 1e-8
         corr = correlation(inputs, inputs, [0.7])
         for matrix, jitter in zip(tried, [0.0, 1e-10, 1e-9, 1e-8]):
-            assert np.array_equal(matrix, corr + jitter * np.eye(3))
+            assert np.array_equal(matrix, pack(corr + jitter * np.eye(3)))
 
     def test_gradient_sign_consistent_with_grid_trajectory(self):
         # Central finite differences of the profile likelihood in log theta
@@ -897,7 +906,8 @@ class TestScreen:
 class TestMemory:
     def test_peak_allocation_in_covariance_units(self):
         # Peak traced allocation over N x N doubles: the search and fit
-        # each hold one factor buffer and no distance matrix.
+        # each hold one packed factor of N(N+1)/2 doubles and no distance
+        # matrix, and the held-out diagonals invert one packed copy of it.
         training = _sample_from_kernel(np.random.default_rng(21), n=600)
         basis = BasisExpansion("const")
 
@@ -909,12 +919,14 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
 
-        assert peak(lambda: fit_hyperparameters(training, basis, SearchConfig())) <= 1.25
-        assert peak(lambda: fit(training, basis, kernel_1d())) <= 1.25
+        assert peak(lambda: fit_hyperparameters(training, basis, SearchConfig())) <= 0.75
+        assert peak(lambda: fit(training, basis, kernel_1d())) <= 0.75
         # At jitter 1e-4 the screen's own arrays are gone before the buffer
         # is allocated.
         screened = SearchConfig(jitter=1e-4)
-        assert peak(lambda: fit_hyperparameters(training, basis, screened)) <= 1.25
+        assert peak(lambda: fit_hyperparameters(training, basis, screened)) <= 0.75
+        model = fit(training, basis, kernel_1d(jitter=1e-4))
+        assert peak(model.held_out_diagonals) <= 0.75
 
     def test_tied_panel_peak_allocation_in_row_units(self):
         # 20,000 rows over 40 distinct inputs. The search and the held-out
@@ -936,7 +948,7 @@ class TestMemory:
             loo_peak = tracemalloc.get_traced_memory()[1] / (n * 8)
         finally:
             tracemalloc.stop()
-        assert model.chol.shape == (distinct, distinct)
+        assert model.chol.shape == (distinct * (distinct + 1) // 2,)
         assert p_diag.shape == inv_diag.shape == (n,)
         assert search_peak <= 8.0
         assert loo_peak <= 32.0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from jobsignal import _lapack
+from oracle_gpr import pack, unpack
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -32,39 +33,66 @@ def max_rel(got, expected):
     return np.abs(got - expected).max() / np.abs(expected).max()
 
 
-class TestPotrf:
-    @pytest.mark.parametrize("n", [1, 5, 40])
+# Odd and even orders lay the packed triangle out differently.
+ORDERS = [1, 2, 3, 5, 40, 41]
+
+
+class TestPftrf:
+    @pytest.mark.parametrize("n", ORDERS)
     def test_matches_numpy_cholesky(self, rng, n):
         spd = spd_matrix(rng, n)
-        buf = np.array(spd, order="F")
-        assert _lapack.potrf(buf) == 0
-        assert max_rel(np.tril(buf), np.linalg.cholesky(spd)) <= 1e-12
-        # The strict upper triangle is left as it was.
-        assert np.array_equal(np.triu(buf, 1), np.triu(spd, 1))
+        packed = pack(spd)
+        assert _lapack.pftrf(packed) == 0
+        assert max_rel(unpack(packed), np.linalg.cholesky(spd)) <= 1e-12
 
-    def test_indefinite_matrix_reports_failing_minor(self, rng):
-        spd = spd_matrix(rng, 6)
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_indefinite_matrix_reports_failing_minor(self, rng, n):
+        spd = spd_matrix(rng, n)
         spd[3, 3] = -100.0
-        assert _lapack.potrf(np.asfortranarray(spd)) == 4
+        assert _lapack.pftrf(pack(spd)) == 4
 
-    def test_rejects_c_ordered_buffer(self, rng):
-        with pytest.raises(ValueError, match="Fortran order"):
-            _lapack.potrf(np.ascontiguousarray(spd_matrix(rng, 3)))
+    def test_rejects_a_buffer_that_is_not_a_packed_triangle(self, rng):
+        with pytest.raises(ValueError, match="contiguous float64 vector"):
+            _lapack.pftrf(np.asfortranarray(spd_matrix(rng, 3)))
+        with pytest.raises(ValueError, match="7 entries do not pack a triangle"):
+            _lapack.pftrf(np.ones(7))
 
 
-class TestTrtri:
-    @pytest.mark.parametrize("n", [1, 5, 40])
+class TestTftri:
+    @pytest.mark.parametrize("n", ORDERS)
     def test_matches_numpy_inverse(self, rng, n):
-        buf, factor = lower_factor(rng, n)
-        upper = np.triu(buf, 1)
-        assert _lapack.trtri(buf) == 0
-        assert max_rel(np.tril(buf), np.linalg.inv(factor)) <= 1e-12
-        assert np.array_equal(np.triu(buf, 1), upper)
+        _, factor = lower_factor(rng, n)
+        packed = pack(factor)
+        assert _lapack.tftri(packed) == 0
+        assert max_rel(unpack(packed), np.linalg.inv(factor)) <= 1e-12
 
     def test_zero_on_the_diagonal_reports_its_position(self, rng):
-        buf, _ = lower_factor(rng, 5)
-        buf[2, 2] = 0.0
-        assert _lapack.trtri(buf) == 3
+        _, factor = lower_factor(rng, 5)
+        factor[2, 2] = 0.0
+        assert _lapack.tftri(pack(factor)) == 3
+
+
+class TestTfsm:
+    @pytest.mark.parametrize("n", ORDERS)
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("nrhs", [None, 1, 4])
+    def test_matches_numpy_solve(self, rng, n, trans, nrhs):
+        _, factor = lower_factor(rng, n)
+        b = rng.normal(size=(n,) if nrhs is None else (n, nrhs))
+        x = np.array(b, order="F")
+        assert _lapack.tfsm(pack(factor), x, trans=trans) is x
+        expected = np.linalg.solve(factor.T if trans else factor, b)
+        assert max_rel(x, expected) <= 1e-12
+
+    def test_rejects_a_c_ordered_matrix(self, rng):
+        _, factor = lower_factor(rng, 4)
+        with pytest.raises(ValueError, match="Fortran order"):
+            _lapack.tfsm(pack(factor), np.ones((4, 3)))
+
+    def test_shape_mismatch(self, rng):
+        _, factor = lower_factor(rng, 4)
+        with pytest.raises(ValueError, match="does not match"):
+            _lapack.tfsm(pack(factor), np.ones(5))
 
 
 class TestSolveTriangular:
@@ -120,8 +148,8 @@ def test_missing_symbol_is_import_error():
         def __getattr__(self, name):
             raise AttributeError(name)
 
-    with pytest.raises(ImportError, match="scipy_dpotrf_64_") as excinfo:
-        _lapack._resolve(Handle(), "scipy_dpotrf_64_", 5, 1)
+    with pytest.raises(ImportError, match="scipy_dpftrf_64_") as excinfo:
+        _lapack._resolve(Handle(), "scipy_dpftrf_64_", 5, 2)
     assert "PyPI numpy wheels for Linux" in str(excinfo.value)
 
 

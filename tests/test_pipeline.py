@@ -426,6 +426,18 @@ class TestReadTable:
         with pytest.raises(ParseError, match="line 4 is not valid UTF-8"):
             self.read(tmp_path, name, data)
 
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_invalid_byte_counts_every_line_end(self, tmp_path, name, end):
+        # csv.reader ends a line at \r\n, a bare \r or \n; an invalid byte
+        # on line 3 is named as a bad cell on line 3 would be.
+        _, header, rows = READERS[name]
+        head, _, _ = rows[1].rpartition(",")
+        with pytest.raises(ParseError, match="line 3: "):
+            self.read(tmp_path, name, end.join([header, rows[0], f"{head},x", ""]).encode())
+        data = end.join([header, rows[0], head + ","]).encode() + b"\xff" + end.encode()
+        with pytest.raises(ParseError, match="line 3 is not valid UTF-8"):
+            self.read(tmp_path, name, data)
+
     def test_blank_lines_are_skipped(self, tmp_path, name):
         _, header, rows = READERS[name]
         expected = self.read(tmp_path, name, self.plain(name).encode())
