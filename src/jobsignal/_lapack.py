@@ -132,15 +132,14 @@ def tfsm(a: np.ndarray, b: np.ndarray, *, trans: bool = False) -> np.ndarray:
 
 
 def solve_triangular(
-    a: np.ndarray, b: np.ndarray, *, lower: bool, trans: bool = False, overwrite_b: bool = False
+    a: np.ndarray, b: np.ndarray, *, lower: bool, trans: bool = False
 ) -> np.ndarray:
     """x with a x = b, or a' x = b when trans is set (dtrtrs); b is a vector
     or a matrix with one right-hand side per column.
 
     Only the triangle that lower selects is read. A C-ordered a is solved
     as its Fortran-ordered transpose with the other triangle and the
-    opposite trans, so a transposed factor needs no copy. With overwrite_b
-    a writable Fortran-ordered float64 b is solved in place and returned.
+    opposite trans, so a transposed factor needs no copy.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -150,14 +149,7 @@ def solve_triangular(
             a, lower, trans = a.T, not lower, not trans
         else:
             a = np.asfortranarray(a)
-    in_place = (
-        overwrite_b
-        and isinstance(b, np.ndarray)
-        and b.dtype == np.float64
-        and b.flags.f_contiguous
-        and b.flags.writeable
-    )
-    x = b if in_place else np.array(b, dtype=np.float64, order="F")
+    x = np.array(b, dtype=np.float64, order="F")
     n = a.shape[0]
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(f"right-hand side of shape {x.shape} does not match a {n} x {n} matrix")

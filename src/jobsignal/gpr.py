@@ -6,9 +6,10 @@ zero-mean stationary process Z whose covariance between two points is
 
     sigma_sq * exp(-sum_i (x_i - x'_i)**2 / theta_i).
 
-Every correlation is exp(-D) of one distance function, _scaled_distances,
-and every linear solve goes through one Cholesky factor made by _factorize,
-over the u distinct input rows. Rows with identical inputs have identical
+Every correlation is exp(-D) of one distance function, _scaled_distances
+(whose arithmetic _screen's pivot step repeats on one column), and every
+linear solve goes through one Cholesky factor made by _factorize, over
+the u distinct input rows. Rows with identical inputs have identical
 rows of R, so with Z the N x u incidence matrix and n_k the rows of
 distinct input k, R + jitter*I = Z R_u Z' + jitter*I, and the fit follows
 exactly from R_u + jitter*diag(1/n_k), the group means of the targets and
@@ -309,9 +310,10 @@ def _scaled_distances(
     """D[j, k] = sum_i (a[j, i] - b[k, i])**2 / theta_i, points as rows,
     written into out when given.
 
-    The only code that forms coordinate differences. It sums dimension by
-    dimension, so it holds no N x N x d temporary, and on one dimension it
-    needs no buffer but out.
+    The only code that forms coordinate differences but _screen's pivot
+    step, which does the same operations on one column. It sums dimension
+    by dimension, so it holds no N x N x d temporary, and on one dimension
+    it needs no buffer but out.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -563,21 +565,32 @@ def _screen(groups: _Groups, design: np.ndarray, theta: np.ndarray, jitter: floa
     lam = jitter / float(groups.counts.max())
     tol = 2.0 * _SCREEN_WIDTH * lam / (n + 1)  # width <= (N + 1) t / (2 lam)
     cap = u // 8
-    inputs = groups.inputs
-    neg_theta = -np.asarray(theta, dtype=float)
+    # One contiguous row per coordinate, paired with -theta_i: each pivot
+    # column is _scaled_distances' arithmetic, term by term, with none of
+    # its checks, and every step below writes into preallocated rows.
+    coords = list(zip(np.ascontiguousarray(groups.inputs.T), -np.asarray(theta, dtype=float)))
     residual = np.ones(u)  # the diagonal of E; R_u's is exactly 1
     g_t = np.empty((cap, u))  # G', one contiguous row per column of G
+    scratch = np.empty(u)
     rank = 0
     while (trace := float(residual.sum())) > tol:
         if rank == cap:
             return -math.inf, math.inf, rank
-        pivot = int(np.argmax(residual))
+        pivot = int(residual.argmax())
         column = g_t[rank]
-        _scaled_distances(inputs, inputs[pivot : pivot + 1], neg_theta, out=column[:, None])
+        for i, (coord, neg_length) in enumerate(coords):
+            target = column if i == 0 else scratch
+            np.subtract(coord, coord[pivot], out=target)
+            np.square(target, out=target)
+            target /= neg_length
+            if i > 0:
+                column += scratch
         np.exp(column, out=column)
-        column -= g_t[:rank, pivot] @ g_t[:rank]
+        np.matmul(g_t[:rank, pivot], g_t[:rank], out=scratch)
+        column -= scratch
         column /= math.sqrt(residual[pivot])
-        residual -= column * column
+        np.multiply(column, column, out=scratch)
+        residual -= scratch
         np.maximum(residual, 0.0, out=residual)
         residual[pivot] = 0.0
         rank += 1

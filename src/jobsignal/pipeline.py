@@ -132,7 +132,7 @@ class PanelRow:
             raise ValueError("url must be non-empty")
         if not _COUNTRY_RE.match(self.country_code):
             raise ValueError(f"country_code must be 2 uppercase letters: {self.country_code!r}")
-        if not np.isfinite(self.score) or not np.isfinite(self.unemployment_rate):
+        if not (math.isfinite(self.score) and math.isfinite(self.unemployment_rate)):
             raise ValueError("panel rows must not contain missing values")
 
 

@@ -226,3 +226,47 @@ def reference_theta_search(training, basis, search, failed=()) -> gpr.Kernel:
             best = (loglik, float(theta_scalar), sigma_sq)
     _, theta, sigma_sq = best
     return gpr.Kernel(sigma_sq=sigma_sq, theta=np.full(d, theta), jitter=search.jitter)
+
+
+def reference_screen(groups, design, theta, jitter):
+    """gpr._screen written plainly: one _scaled_distances call per pivot
+    column, np.argmax, a fresh matmul result and a column * column
+    temporary per step. The arithmetic is the same, so gpr._screen must
+    return the same (lower, upper, rank) bit for bit."""
+    n, u = groups.index.size, groups.counts.size
+    lam = jitter / float(groups.counts.max())
+    tol = 2.0 * gpr._SCREEN_WIDTH * lam / (n + 1)
+    cap = u // 8
+    inputs = groups.inputs
+    neg_theta = -np.asarray(theta, dtype=float)
+    residual = np.ones(u)
+    g_t = np.empty((cap, u))
+    rank = 0
+    while (trace := float(residual.sum())) > tol:
+        if rank == cap:
+            return -math.inf, math.inf, rank
+        pivot = int(np.argmax(residual))
+        column = g_t[rank]
+        gpr._scaled_distances(inputs, inputs[pivot : pivot + 1], neg_theta, out=column[:, None])
+        np.exp(column, out=column)
+        column -= g_t[:rank, pivot] @ g_t[:rank]
+        column /= math.sqrt(residual[pivot])
+        residual -= column * column
+        np.maximum(residual, 0.0, out=residual)
+        residual[pivot] = 0.0
+        rank += 1
+    p = design.shape[1]
+    scale = np.sqrt(groups.counts / jitter)[:, None]
+    system = np.zeros((u + rank, rank + p + 1))
+    np.multiply(g_t[:rank].T, scale, out=system[:u, :rank])
+    np.multiply(design, scale, out=system[:u, rank:-1])
+    np.multiply(groups.means[:, None], scale, out=system[:u, -1:])
+    system[u:, :rank] = np.eye(rank)
+    r = np.linalg.qr(system, mode="r")
+    logdet = float(np.sum(np.log(jitter / groups.counts)))
+    logdet += 2.0 * float(np.sum(np.log(np.abs(np.diag(r)[:rank]))))
+    quad = float(r[-1, -1]) ** 2
+    spread = trace / lam
+    lower, _ = gpr._likelihood(groups, jitter, quad, logdet + spread)
+    upper, _ = gpr._likelihood(groups, jitter, quad / (1.0 + spread), logdet)
+    return lower, upper, rank

@@ -1,12 +1,15 @@
-"""The reader of a versioned JSON document rejects an unreadable file with a ParseError."""
+"""The writer of a versioned JSON document writes the bytes of json.dumps with
+a 2-space indent, and the reader rejects an unreadable file with a ParseError."""
 
 import json
+import math
 import re
 
 import pytest
 
 from jobsignal import ParseError
-from jobsignal.evaluation import load_report
+from jobsignal._documents import write_document
+from jobsignal.evaluation import REPORT_SCHEMA, load_report
 
 READERS = [(load_report, "report")]
 
@@ -47,3 +50,52 @@ def test_unreadable_document_is_parse_error(tmp_path, reader, what, case):
     path = make(tmp_path)
     with pytest.raises(ParseError, match=message.format(what=what, path=re.escape(str(path)))):
         reader(path)
+
+
+# Floats whose renderings differ most: signed zero, the smallest subnormal,
+# the switches to exponent notation, a repr longer than str's, the largest
+# finite values and the three non-finite ones json writes as NaN/Infinity.
+EDGE_FLOATS = [
+    -0.0, 5e-324, 1e-7, 1e16, 1.0, 0.1 + 0.2,
+    1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+]
+
+
+def report_body(per_fold):
+    return {
+        "direction": "score_to_rate",
+        "n": len(per_fold),
+        "correlation_rate": 0.1 + 0.2,
+        "rmse": 4.5,
+        "rae": 1e-7,
+        "kernel": {"sigma_sq": 1.7976931348623157e308, "theta": [10.0], "jitter": 0.0001},
+        "basis": "linear",
+        "in_sample": True,
+        "per_fold": per_fold,
+    }
+
+
+BODIES = {
+    "empty-per-fold": report_body([]),
+    "edge-floats": report_body([[a, b] for a, b in zip(EDGE_FLOATS, EDGE_FLOATS[::-1])]),
+    "one-pair": report_body([[0.0, -0.0]]),
+    "integers-and-tuples": report_body([(1, 2.5), (-3, 10**20)]),
+    "mixed-nesting": {
+        "strings": ["", "a, b", 'quote " and \\', "nul \0 here", "caf\u00e9 \u2603", "\n"],
+        "flags": [True, False, None],
+        "rows": [[1.0], [2.0, 3.0], [], [[4.0]], {"k": []}],
+        "empty": {},
+        "empty-rows": [[], []],
+        "theta": [0.5, 5e-324],
+        "nested": {"a": {"b": [{"c": math.nan}]}},
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(BODIES))
+def test_written_bytes_are_json_dumps_with_indent_2(tmp_path, name):
+    body = BODIES[name]
+    path = tmp_path / "doc.json"
+    write_document(REPORT_SCHEMA, body, path)
+    expected = json.dumps({"schema": REPORT_SCHEMA, **body}, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")

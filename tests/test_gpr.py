@@ -44,6 +44,7 @@ from oracle_gpr import (
     dense_gls_beta,
     dense_gpr_predict,
     dense_log_marginal_likelihood,
+    reference_screen,
     reference_theta_search,
 )
 
@@ -901,6 +902,39 @@ class TestScreen:
         assert head == f"theta={first:g} factorized first"
         assert set(out.split()) == {f"{theta:g}" for theta in ruled_out}
         assert set(surviving.split()) == {f"{theta:g}" for theta in rest}
+
+    @pytest.mark.parametrize("degree", ["const", "linear"])
+    @pytest.mark.parametrize("case", ["synth-300", "synth-600", "bundled", "2-d"])
+    def test_matches_the_reference_step_bit_for_bit(self, case, degree):
+        # The pivot step writes into preallocated rows; the arithmetic is the
+        # reference's, so every bound and rank is the same bits. On the 2-d
+        # panel over [0, 3]^2 cells stop at the rank cap of u // 8.
+        if case == "2-d":
+            inputs = np.random.default_rng(8).uniform(0.0, 3.0, size=(300, 2))
+            training = TrainingSet(inputs=inputs, targets=np.sin(inputs).sum(axis=1))
+        else:
+            if case == "bundled":
+                records = ingest_sites(bundled_sites_path())
+                kept, _ = listwise_delete(records)
+                indicators = read_indicators(bundled_indicators_path())
+                panel = build_panel(normalize_and_score(kept), records, indicators)
+            else:
+                panel = synthetic_panel(int(case[6:]), 0.7, 0.5, 3)
+            inputs, targets = split_panel(panel, Direction.SCORE_TO_RATE)
+            training = TrainingSet(inputs=inputs, targets=targets)
+        basis = BasisExpansion(degree)
+        groups = gpr._group_rows(training)
+        design = gpr._trend_design(training, basis, groups)
+        u, d = groups.counts.size, training.ndim
+        assert u >= gpr._SCREEN_MIN_ORDER
+        screens = []
+        for theta in SearchConfig().grid():
+            bound = gpr._screen(groups, design, np.full(d, theta), 1e-4)
+            assert bound == reference_screen(groups, design, np.full(d, theta), 1e-4)
+            screens.append(bound)
+        capped = [rank for _, upper, rank in screens if upper == math.inf]
+        assert capped == [u // 8] * len(capped)
+        assert capped or case != "2-d"
 
 
 class TestMemory:

@@ -112,23 +112,6 @@ class TestSolveTriangular:
         assert max_rel(x, expected) <= 1e-12
         assert np.array_equal(b, b_before)
 
-    @pytest.mark.parametrize("rhs_shape", [(6,), (6, 4)])
-    def test_overwrite_b_solves_in_place(self, rng, rhs_shape):
-        buf, factor = lower_factor(rng, 6)
-        b = np.asfortranarray(rng.normal(size=rhs_shape))
-        expected = np.linalg.solve(factor, b)
-        x = _lapack.solve_triangular(buf, b, lower=True, overwrite_b=True)
-        assert x is b
-        assert max_rel(b, expected) <= 1e-12
-
-    def test_overwrite_b_copies_a_c_ordered_matrix(self, rng):
-        buf, factor = lower_factor(rng, 6)
-        b = rng.normal(size=(6, 4))
-        b_before = b.copy()
-        x = _lapack.solve_triangular(buf, b, lower=True, overwrite_b=True)
-        assert max_rel(x, np.linalg.solve(factor, b_before)) <= 1e-12
-        assert np.array_equal(b, b_before)
-
     def test_zero_on_the_diagonal_is_singular(self, rng):
         buf, _ = lower_factor(rng, 4)
         buf[1, 1] = 0.0
