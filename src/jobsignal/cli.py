@@ -1,11 +1,10 @@
 """Command-line entry point for the nowcasting pipeline.
 
-Stages are runnable standalone on intermediate files (ingest -> clean ->
-score -> evaluate) or end to end via `pipeline`; ingest and clean write
-records in the site-listing CSV format that clean and score read back.
-`synth` generates panels with a known score/rate coupling. Every subcommand
-is deterministic given its flags; outputs contain no wall-clock or
-locale-dependent bytes.
+A site listing reaches a verdict end to end via `pipeline`, or in two
+stages on intermediate files: `score` cleans, scores and joins a listing
+into panel.csv, and `evaluate` reads it. `synth` generates panels with a
+known score/rate coupling. Every subcommand is deterministic given its
+flags; outputs contain no wall-clock or locale-dependent bytes.
 
 `pipeline` runs the staged commands' steps in one process. `evaluate` and
 `pipeline` write report.txt and then report.json through evaluation, so
@@ -69,21 +68,6 @@ def _write_report_files(report, panel, complete_sites, out: Path) -> None:
     text = evaluation.format_report(report, panel, complete_sites)
     (out / "report.txt").write_text(text, encoding="utf-8")
     evaluation.save_report(report, out / "report.json")
-
-
-def cmd_ingest(args) -> None:
-    records = pipeline.ingest_sites(args.sites)
-    out = _out_dir(args)
-    pipeline.write_sites_csv(records, out / "records.csv")
-    logger.info("ingested %d records -> %s", len(records), out / "records.csv")
-
-
-def cmd_clean(args) -> None:
-    records = pipeline.ingest_sites(args.records)
-    kept, dropped = pipeline.listwise_delete(records)
-    out = _out_dir(args)
-    pipeline.write_sites_csv(kept, out / "records_clean.csv")
-    logger.info("kept %d records, dropped %d", len(kept), dropped)
 
 
 def cmd_score(args) -> None:
@@ -174,30 +158,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ingest = sub.add_parser("ingest", help="validate a site listing into records.csv")
-    p_ingest.add_argument("--sites", required=True, help="site listing CSV")
-    p_ingest.add_argument("--out", required=True, help="output directory")
-    p_ingest.set_defaults(func=cmd_ingest)
-
-    p_clean = sub.add_parser("clean", help="apply listwise deletion to ingested records")
-    p_clean.add_argument("--records", required=True, help="a site listing CSV, e.g. records.csv")
-    p_clean.add_argument("--out", required=True, help="output directory")
-    p_clean.set_defaults(func=cmd_clean)
-
-    p_score = sub.add_parser("score", help="standardize signals and build the panel")
-    p_score.add_argument("--records", required=True, help="a site listing CSV, e.g. records.csv")
+    p_score = sub.add_parser(
+        "score", help="drop incomplete sites, standardize signals and build the panel"
+    )
+    p_score.add_argument("--records", required=True, help="site listing CSV")
     p_score.add_argument("--indicators", required=True, help="country indicator CSV")
     p_score.add_argument("--out", required=True, help="output directory")
     p_score.set_defaults(func=cmd_score)
 
-    p_eval = sub.add_parser("evaluate", help="leave-one-out metrics over a panel")
+    p_eval = sub.add_parser("evaluate", help="leave-one-out or in-sample metrics over a panel")
     p_eval.add_argument("--panel", required=True, help="panel CSV")
     _add_model_options(p_eval)
     _add_eval_options(p_eval)
     p_eval.add_argument("--out", required=True, help="output directory")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_pipe = sub.add_parser("pipeline", help="run ingest through evaluate end to end")
+    p_pipe = sub.add_parser("pipeline", help="score a site listing and evaluate it, end to end")
     p_pipe.add_argument(
         "--sites", help="site listing CSV (default: the bundled 427-site fixture)"
     )

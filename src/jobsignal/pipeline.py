@@ -5,10 +5,9 @@ signals, any of which may be blank) plus a per-country indicator table.
 The pipeline keeps complete records only (listwise deletion), z-scores
 each signal column, averages them into a single attractiveness score per
 site, and joins the origin country's unemployment rate to produce the
-two-column modeling panel. The staged commands hand records from one stage
-to the next as site listings: write_sites_csv writes what ingest_sites reads.
-This module owns panel.csv and the record CSVs; the panel's descriptive
-statistics are part of report.txt, which evaluation.format_report renders.
+two-column modeling panel. This module reads the site listing and the
+indicator table and owns panel.csv; the panel's descriptive statistics are
+part of report.txt, which evaluation.format_report renders.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "read_indicators",
     "read_panel_csv",
     "write_panel_csv",
-    "write_sites_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -223,7 +221,7 @@ def ingest_sites(path) -> list[SiteRecord]:
     """Read the site listing CSV: header url,country,rank,trend,traffic.
 
     Blank cells become missing fields; urls are lowercase-normalized and
-    must be unique. write_sites_csv writes this format.
+    must be unique. Ranks are read as integers and floats exactly.
     """
     records: list[SiteRecord] = []
     seen: dict[str, int] = {}
@@ -242,16 +240,6 @@ def ingest_sites(path) -> list[SiteRecord]:
         _check_new_url(seen, url, line_no)
         records.append(record)
     return records
-
-
-def write_sites_csv(records: Iterable[SiteRecord], path) -> None:
-    """Write records as a site listing that ingest_sites reads back equal:
-    a blank cell for a missing signal, ranks as integers, floats by repr."""
-    rows = []
-    for rec in records:
-        signals = [getattr(rec, name) for name in SIGNAL_FIELDS]
-        rows.append([rec.url, rec.country_code, *("" if v is None else repr(v) for v in signals)])
-    _write_table(path, SITES_HEADER, rows)
 
 
 def read_indicators(path) -> list[CountryIndicator]:

@@ -215,39 +215,54 @@ class TestPipelineCommand:
 
 class TestStagedCommands:
     @pytest.mark.parametrize("case", list(UNPARSABLE_JSON))
-    def test_unparsable_records_exit_2(self, tmp_path, capsys, case):
+    def test_unparsable_records_exit_2(self, small_inputs, tmp_path, capsys, case):
         # --records takes a site listing CSV; a JSON file fails its header check.
+        _, indicators = small_inputs
         records = tmp_path / "records.json"
         records.write_bytes(UNPARSABLE_JSON[case])
-        assert run(["clean", "--records", records, "--out", tmp_path / "o"]) == 2
+        args = ["score", "--records", records, "--indicators", indicators]
+        assert run([*args, "--out", tmp_path / "o"]) == 2
         assert f"{records}: expected header 'url,country,rank,trend,traffic'" in capsys.readouterr().err
 
-    def test_missing_records_exit_2(self, tmp_path, capsys):
+    def test_missing_records_exit_2(self, small_inputs, tmp_path, capsys):
+        _, indicators = small_inputs
         records = tmp_path / "absent.csv"
-        assert run(["clean", "--records", records, "--out", tmp_path / "o"]) == 2
+        args = ["score", "--records", records, "--indicators", indicators]
+        assert run([*args, "--out", tmp_path / "o"]) == 2
         assert f"not found: {records}" in capsys.readouterr().err
 
-    def test_ingest_clean_score_fit_evaluate_chain(self, small_inputs, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--sites", "sites.csv", "--out", "o"],
+            ["clean", "--records", "sites.csv", "--out", "o"],
+            ["fit", "--panel", "panel.csv", "--out", "o"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_removed_command_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"invalid choice: {argv[0]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_score_evaluate_chain(self, small_inputs, tmp_path):
         sites, indicators = small_inputs
         work = tmp_path / "work"
-        assert run(["ingest", "--sites", sites, "--out", work]) == 0
-        records = (work / "records.csv").read_text(encoding="utf-8").splitlines()
-        assert len(records) == 1 + 12
-
-        assert run(["clean", "--records", work / "records.csv", "--out", work]) == 0
-        cleaned = (work / "records_clean.csv").read_text(encoding="utf-8").splitlines()
-        assert cleaned == [line for line in records if not line.startswith("jobs.l.pl,")]
-
-        assert run([
-            "score", "--records", work / "records.csv", "--indicators", indicators, "--out", work,
-        ]) == 0
+        assert run(["score", "--records", sites, "--indicators", indicators, "--out", work]) == 0
         panel_lines = (work / "panel.csv").read_text(encoding="utf-8").strip().splitlines()
         assert len(panel_lines) == 1 + 11
 
-        # A raw listing is a valid records file too.
-        raw = tmp_path / "raw"
-        assert run(["score", "--records", sites, "--indicators", indicators, "--out", raw]) == 0
-        assert (raw / "panel.csv").read_bytes() == (work / "panel.csv").read_bytes()
+        # score deletes the incomplete jobs.l.pl itself: a listing without it
+        # gives the same panel.
+        complete = tmp_path / "complete.csv"
+        complete.write_text(SITES_BODY.replace("jobs.l.pl,PL,,30.0,3000\n", ""), encoding="utf-8")
+        assert len(ingest_sites(complete)) == 11
+        deleted = tmp_path / "deleted"
+        assert run(["score", "--records", complete, "--indicators", indicators, "--out", deleted]) == 0
+        assert (deleted / "panel.csv").read_bytes() == (work / "panel.csv").read_bytes()
 
         assert run(["evaluate", "--panel", work / "panel.csv", "--out", work]) == 0
         report = json.loads((work / "report.json").read_text(encoding="utf-8"))
@@ -273,21 +288,27 @@ class TestStagedCommands:
         sites.write_text("\n".join(lines) + "\n", encoding="utf-8")
         pipe, work = tmp_path / "pipe", tmp_path / "work"
         assert run(["pipeline", "--sites", sites, "--indicators", indicators, "--out", pipe]) == 0
-        assert run(["ingest", "--sites", sites, "--out", work]) == 0
-        assert ingest_sites(work / "records.csv") == ingest_sites(sites)
-        assert run(["clean", "--records", work / "records.csv", "--out", work]) == 0
-        assert run([
-            "score", "--records", work / "records_clean.csv", "--indicators", indicators,
-            "--out", work,
-        ]) == 0
+        assert run(["score", "--records", sites, "--indicators", indicators, "--out", work]) == 0
         assert run(["evaluate", "--panel", work / "panel.csv", "--out", work]) == 0
         for name in ("panel.csv", "report.json"):
             assert (work / name).read_bytes() == (pipe / name).read_bytes(), name
 
-    def test_long_wrong_header_is_echoed_in_part(self, tmp_path, capsys):
+        # The same listing without its incomplete row gives the same panel.
+        complete = tmp_path / "complete.csv"
+        complete.write_text(
+            "\n".join(line for line in lines if not line.startswith("jobs.l.pl,")) + "\n",
+            encoding="utf-8",
+        )
+        deleted = tmp_path / "deleted"
+        assert run(["score", "--records", complete, "--indicators", indicators, "--out", deleted]) == 0
+        assert (deleted / "panel.csv").read_bytes() == (pipe / "panel.csv").read_bytes()
+
+    def test_long_wrong_header_is_echoed_in_part(self, small_inputs, tmp_path, capsys):
+        _, indicators = small_inputs
         records = tmp_path / "records.csv"
         records.write_text("x" * 100_000 + "\n", encoding="utf-8")
-        assert run(["clean", "--records", records, "--out", tmp_path / "o"]) == 2
+        args = ["score", "--records", records, "--indicators", indicators]
+        assert run([*args, "--out", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
         assert f"{records}: expected header 'url,country,rank,trend,traffic', got ['xxx" in err
         assert "xxx..." in err
@@ -525,6 +546,9 @@ class TestHelpParity:
                 flags.update(action.option_strings)
             options[name] = flags
         return options
+
+    def test_commands_are_the_two_stages_pipeline_and_synth(self):
+        assert list(self.collect_subparser_options()) == ["score", "evaluate", "pipeline", "synth"]
 
     def test_every_canonical_flag_documented(self):
         options = self.collect_subparser_options()

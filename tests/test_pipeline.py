@@ -27,7 +27,6 @@ from jobsignal.pipeline import (
     read_indicators,
     read_panel_csv,
     write_panel_csv,
-    write_sites_csv,
 )
 
 
@@ -111,6 +110,34 @@ class TestIngest:
         path = write_sites(tmp_path, f"jobs.a.de,DE,{cells}\n")
         with pytest.raises(ParseError, match=f"line 2: {message}"):
             ingest_sites(path)
+
+    def test_reads_edge_values_exactly(self, tmp_path):
+        path = write_sites(
+            tmp_path,
+            "jobs.a.de,DE,100,50.0,1000.0\n"
+            "jobs.b.fr,FR,,3.0,\n"
+            "jobs.c.at,AT,,,\n"
+            f"jobs.d.nl,NL,{int(sys.float_info.max)},5e-324,1.7976931348623157e308\n"
+            f"jobs.e.se,SE,{2**53 + 1},2.2250738585072e-308,{0.1 + 0.2!r}\n"
+            "jobs.f.pl,PL,1,-0.0,1e-300\n",
+        )
+        expected = [
+            site("jobs.a.de"),
+            SiteRecord(url="jobs.b.fr", country_code="FR", trend=3.0),
+            SiteRecord(url="jobs.c.at", country_code="AT"),
+            site("jobs.d.nl", "NL", rank=int(sys.float_info.max), trend=5e-324,
+                 traffic=1.7976931348623157e308),
+            site("jobs.e.se", "SE", rank=2**53 + 1, trend=2.2250738585072e-308,
+                 traffic=0.1 + 0.2),
+            site("jobs.f.pl", "PL", rank=1, trend=-0.0, traffic=1e-300),
+        ]
+        records = ingest_sites(path)
+        assert records == expected
+        for name in ("trend", "traffic"):
+            assert [getattr(r, name).hex() for r in records if getattr(r, name) is not None] == [
+                getattr(r, name).hex() for r in expected if getattr(r, name) is not None
+            ]
+        assert all(type(r.rank) is int for r in records if r.rank is not None)
 
 
 class TestReadIndicators:
@@ -471,29 +498,6 @@ class TestReadTable:
         _, header, _ = READERS[name]
         with pytest.raises(ParseError, match=re.escape(f"expected header {header!r}, got None")):
             self.read(tmp_path, name, data)
-
-
-class TestWriteSitesCsv:
-    def test_round_trip_is_exact(self, tmp_path):
-        records = [
-            site("jobs.a.de"),
-            SiteRecord(url="jobs.b.fr", country_code="FR", trend=3.0),
-            SiteRecord(url="jobs.c.at", country_code="AT"),
-            site("jobs.d.nl", "NL", rank=int(sys.float_info.max), trend=5e-324,
-                 traffic=1.7976931348623157e308),
-            site("jobs.e.se", "SE", rank=2**53 + 1, trend=2.2250738585072e-308,
-                 traffic=0.1 + 0.2),
-            site("jobs.f.pl", "PL", rank=1, trend=-0.0, traffic=1e-300),
-        ]
-        path = tmp_path / "records.csv"
-        write_sites_csv(records, path)
-        restored = ingest_sites(path)
-        assert restored == records
-        for name in ("trend", "traffic"):
-            assert [getattr(r, name).hex() for r in restored if getattr(r, name) is not None] == [
-                getattr(r, name).hex() for r in records if getattr(r, name) is not None
-            ]
-        assert all(type(r.rank) is int for r in restored if r.rank is not None)
 
 
 class TestSiteRecordValidation:
