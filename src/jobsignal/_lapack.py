@@ -1,11 +1,12 @@
-"""The four LAPACK routines jobsignal needs, called in numpy's own OpenBLAS.
+"""The six LAPACK routines jobsignal needs, called in numpy's own OpenBLAS.
 
-The covariance factor is held in rectangular full packed format
+A dense covariance factor is held in rectangular full packed format
 (Gustavson, Wasniewski, Dongarra & Langou 2010, ACM TOMS 37(2)): an n x n
 triangle in n(n+1)/2 doubles, which dpftrf factorizes, dtftri inverts and
 dtfsm solves against with level-3 BLAS. Only the lower triangle with
 TRANSR='N' is bound; jobsignal.gpr lays it out. dtrtrs solves with the
-small dense trend factor.
+small dense trend factor. dgeqrf and dorgqr give the QR of a tall block of
+a column-major work buffer in place, for the low-rank factor.
 
 The PyPI numpy wheels for Linux bundle scipy-openblas64, an ILP64 OpenBLAS
 whose LAPACK symbols carry a scipy_ prefix and a 64_ suffix; numpy's linalg
@@ -51,6 +52,8 @@ _dpftrf = _resolve(_lib, "scipy_dpftrf_64_", 5, 2)
 _dtfsm = _resolve(_lib, "scipy_dtfsm_64_", 11, 5)
 _dtftri = _resolve(_lib, "scipy_dtftri_64_", 6, 3)
 _dtrtrs = _resolve(_lib, "scipy_dtrtrs_64_", 10, 3)
+_dgeqrf = _resolve(_lib, "scipy_dgeqrf_64_", 8, 0)
+_dorgqr = _resolve(_lib, "scipy_dorgqr_64_", 9, 0)
 
 _L, _U, _N, _T = (ctypes.c_char_p(flag) for flag in (b"L", b"U", b"N", b"T"))
 _ONE = ctypes.c_double(1.0)
@@ -164,3 +167,58 @@ def solve_triangular(
     if info.value < 0:
         raise ValueError(f"dtrtrs rejected argument {-info.value}")
     return x
+
+
+def _leading_dimension(a: np.ndarray) -> int:
+    """LAPACK's LDA for a, which must be a writable float64 matrix of at least
+    as many rows as columns, each column contiguous: a Fortran-ordered array
+    or a block of rows and columns of one."""
+    if not (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and a.ndim == 2
+        and a.flags.writeable
+        and a.shape[0] >= a.shape[1]
+        and a.strides[0] == a.itemsize
+        and a.strides[1] % a.itemsize == 0
+        and a.strides[1] >= a.itemsize * a.shape[0]
+    ):
+        raise ValueError("expected a writable float64 matrix, not wider than tall, by columns")
+    return max(a.strides[1] // a.itemsize, 1)
+
+
+def _with_workspace(routine, *args) -> int:
+    """Call routine with args, then a workspace of the size it asks for (LWORK = -1
+    first), then INFO; returns INFO."""
+    info = _INT(0)
+    query = np.empty(1)
+    routine(*args, query.ctypes.data, _ref(-1), ctypes.byref(info))
+    work = np.empty(max(int(query[0]), 1))
+    routine(*args, work.ctypes.data, _ref(work.size), ctypes.byref(info))
+    return info.value
+
+
+def geqrf(a: np.ndarray) -> np.ndarray:
+    """Overwrite a (see _leading_dimension) with its QR factorization (dgeqrf):
+    R in its upper triangle and the Householder vectors below; returns their
+    scalar factors tau, for orgqr."""
+    lda = _leading_dimension(a)
+    m, n = a.shape
+    tau = np.empty(n)
+    info = _with_workspace(_dgeqrf, _ref(m), _ref(n), a.ctypes.data, _ref(lda), tau.ctypes.data)
+    if info < 0:
+        raise ValueError(f"dgeqrf rejected argument {-info}")
+    return tau
+
+
+def orgqr(a: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Overwrite a, as geqrf left it, with the orthonormal columns of its Q
+    (dorgqr), and return it."""
+    lda = _leading_dimension(a)
+    m, n = a.shape
+    info = _with_workspace(
+        _dorgqr, _ref(m), _ref(n), _ref(n), a.ctypes.data, _ref(lda), tau.ctypes.data
+    )
+    if info < 0:
+        raise ValueError(f"dorgqr rejected argument {-info}")
+    return a

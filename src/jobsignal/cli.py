@@ -27,7 +27,8 @@ from pathlib import Path
 from . import __version__, datasets, evaluation, gpr, pipeline, synth
 from .errors import JobSignalError
 
-logger = logging.getLogger(__name__)
+# Not __name__, which is "__main__" under python -m, where -v would miss it.
+logger = logging.getLogger("jobsignal.cli")
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -150,6 +151,16 @@ def _add_eval_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_verbose_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "-v",
+        "--verbose",
+        action="store_true",
+        help="log the jobsignal loggers' INFO and DEBUG lines to stderr: rows dropped, "
+        "how each theta cell was computed, output paths",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jobsignal",
@@ -197,6 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.set_defaults(func=cmd_synth)
 
+    for sub_parser in (p_score, p_eval, p_pipe, p_synth):
+        _add_verbose_option(sub_parser)
     return parser
 
 
@@ -204,6 +217,7 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.getLogger("jobsignal").setLevel(logging.DEBUG if args.verbose else logging.NOTSET)
     try:
         args.func(args)
     except (JobSignalError, ValueError, OSError) as exc:

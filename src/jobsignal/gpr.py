@@ -7,13 +7,14 @@ zero-mean stationary process Z whose covariance between two points is
     sigma_sq * exp(-sum_i (x_i - x'_i)**2 / theta_i).
 
 Every correlation is exp(-D) of one distance function, _scaled_distances
-(whose arithmetic _screen's pivot step repeats on one column), and every
-linear solve goes through one Cholesky factor made by _factorize, over
-the u distinct input rows. Rows with identical inputs have identical
-rows of R, so with Z the N x u incidence matrix and n_k the rows of
-distinct input k, R + jitter*I = Z R_u Z' + jitter*I, and the fit follows
-exactly from R_u + jitter*diag(1/n_k), the group means of the targets and
-the residual within the groups (Binois, Gramacy & Ludkovski 2018, JCGS
+(whose arithmetic _partial_cholesky's pivot step repeats on one column),
+and every linear solve goes through one factor over the u distinct input
+rows: a Cholesky factor made by _factorize, or the low-rank form below.
+Rows with identical inputs have identical rows of R, so with Z the N x u
+incidence matrix and n_k the rows of distinct input k,
+R + jitter*I = Z R_u Z' + jitter*I, and the fit follows exactly from
+R_u + jitter*diag(1/n_k), the group means of the targets and the residual
+within the groups (Binois, Gramacy & Ludkovski 2018, JCGS
 27(4), section 3; Ankenman, Nelson & Staum 2010, Oper. Res. 58(2)). The
 compression is exact and needs no setting; when every input is distinct
 (u = N) it is the identity, with the arithmetic of the plain N x N
@@ -34,34 +35,36 @@ jobsignal._lapack. Nothing here inverts a covariance (the dense inverse
 lives only in the test oracle).
 Hyperparameters are selected by maximizing the log marginal likelihood over
 a logarithmic theta grid with the process variance profiled out in closed
-form. With at least _SCREEN_MIN_ORDER distinct inputs, and a jitter large
-enough that rounding moves a likelihood by less than _SCREEN_WIDTH, a
-screen bounds every cell first: with G a partial pivoted Cholesky factor
-of R_u, grown until its residual trace t is small, and lam the smallest
-jitter/n_k, R_u + jitter*diag(1/n_k) lies between C = GG' +
-jitter*diag(1/n_k) and (1 + t/lam) C, which brackets the likelihood at a
-cost of O(u m^2) for rank m (see _screen). The cell with the best lower
-bound is factorized densely, and every cell whose upper bound, plus the
-rounding allowance, falls below that cell's likelihood is dropped; the
-others run as before. The selection and the model are the bits the full
-scan gives.
-The cells run one at a time, in grid order, on the calling thread, each
-factorized into the same packed buffer. The winner is picked after the scan
-and its factor becomes the fitted model, factorized once more only if a
-later cell reused the buffer, so the search is also the fit. A fitted
-model holds no mutable state: predict logs at DEBUG, on the jobsignal.gpr
-logger, how many variances it clamped to 0.
+form. With at least _LOW_RANK_MIN_ORDER distinct inputs, and a jitter large
+enough that rounding moves a likelihood by less than _LOW_RANK_ALLOWANCE
+(_low_rank_applies), each cell first grows a partial pivoted Cholesky factor
+G of R_u until its largest residual pivot is at most u eps, LAPACK dpstrf's
+default tolerance (_partial_cholesky). A cell that gets there within u // 8
+pivots reaches numerical rank m: C = GG' + jitter*diag(1/n_k) is then its
+model, closer to the dense matrix than the dense factor's own rounding
+allowance. Its likelihood comes from one QR of O(u m^2), and the model
+whitens with the (u + m) x m orthonormal factor of
+[diag(n_k/jitter)^1/2 G; I] (_LowRank), so no u x u matrix is formed. Any
+other cell is factorized densely (_Dense). fit makes the same choice, and
+every solve of a fitted model goes through the factor's whiten,
+whiten_t and inverse_diagonal, whichever form it has.
+The cells run one at a time, in grid order, on the calling thread, every
+dense one factorized into the same packed buffer. The winner's factor
+becomes the fitted model; a dense winner is factorized once more only if
+a later dense cell reused the buffer, so the search is also the fit. A
+fitted model holds no mutable state: predict logs at DEBUG, on the
+jobsignal.gpr logger, how many variances it clamped to 0.
 The fitted model also gives the closed forms over its own training rows
 that evaluation reads. Leave-one-out at frozen hyperparameters is exact
 from the one full-data fit (Dubrule 1983, Math. Geology 15(6); Rasmussen &
 Williams, GPML 5.4.2): with P = C^-1 - C^-1 F (F' C^-1 F)^-1 F' C^-1, the
 held-out residual of row i is (P t)_i / P_ii, and P t is the fit's alpha.
-GprModel.held_out_diagonals gives diag(P) and diag(C^-1) from the packed
-factor in O(N + u^3). In-sample predictions need no solve at all. On the
-training rows the cross-covariance is K = C - jitter * sigma_sq * I and
-C alpha = t - F beta, so the kriging mean F beta + K alpha is exactly
-t - jitter * sigma_sq * alpha, with the jitter the fit actually used:
-GprModel.fitted_means.
+GprModel.held_out_diagonals gives diag(P) and diag(C^-1) from the factor
+in O(N + u^3), or O(N + u m^2) when it is low-rank. In-sample predictions
+need no solve at all. On the training rows the cross-covariance is
+K = C - jitter * sigma_sq * I and C alpha = t - F beta, so the kriging mean
+F beta + K alpha is exactly t - jitter * sigma_sq * alpha, with the jitter
+the fit actually used: GprModel.fitted_means.
 """
 
 from __future__ import annotations
@@ -94,8 +97,8 @@ DEFAULT_JITTER = 1e-10
 MAX_JITTER = 1e-4
 SIGMA_SQ_FLOOR = 1e-30  # keeps log(sigma_sq) finite on zero-residual data
 _FILL_COLUMNS = 64  # columns of the packed matrix that _factorize fills per block
-_SCREEN_MIN_ORDER = 256  # fewest distinct inputs the search screens; a smaller cell is cheap
-_SCREEN_WIDTH = 0.25  # log-likelihood units: the widest bound a screened cell settles for
+_LOW_RANK_MIN_ORDER = 256  # fewest distinct inputs of a low-rank cell; a smaller cell is cheap
+_LOW_RANK_ALLOWANCE = 0.25  # log-likelihood units: the most rounding a low-rank cell allows
 
 CONST = "const"
 LINEAR = "linear"
@@ -245,14 +248,85 @@ def _group_rows(training: TrainingSet) -> _Groups:
 
 
 @dataclass(frozen=True, eq=False)
+class _Dense:
+    """C_u = L L', with chol the lower Cholesky factor L in u(u+1)/2 doubles,
+    in the packed layout of the module docstring."""
+
+    chol: np.ndarray
+
+    def scaled(self, sigma_sq: float) -> _Dense:
+        """The factor of sigma_sq * C_u, made in place."""
+        chol = self.chol
+        chol *= math.sqrt(sigma_sq)
+        return self
+
+    def whiten(self, b: np.ndarray) -> np.ndarray:
+        """L^-1 b, overwriting b, a Fortran-ordered array of u rows."""
+        return _lapack.tfsm(self.chol, b)
+
+    def whiten_t(self, w: np.ndarray) -> np.ndarray:
+        """L^-T w, overwriting w, a Fortran-ordered array of u rows."""
+        return _lapack.tfsm(self.chol, w, trans=True)
+
+    def inverse_diagonal(self) -> np.ndarray:
+        """diag(C_u^-1), the column sums of squares of L^-1."""
+        # L^-1, squared in place, is the one temporary of the factor's size.
+        chol_inv = self.chol.copy()
+        info = _lapack.tftri(chol_inv)
+        if info != 0:
+            raise EvaluationError(f"covariance factor is singular (dtftri info {info})")
+        np.square(chol_inv, out=chol_inv)
+        return _column_sums(chol_inv, (math.isqrt(8 * chol_inv.size + 1) - 1) // 2)
+
+
+@dataclass(frozen=True, eq=False)
+class _LowRank:
+    """C_u = G G' + diag(noise) for a u x m G, held as noise and q, the
+    (u + m) x m orthonormal factor of [A; I_m], A = diag(noise)^-1/2 G.
+
+    With Q1 the first u rows of q, C_u^-1 = diag(noise)^-1/2 (I - Q1 Q1')
+    diag(noise)^-1/2 (Woodbury), so W b = (I - q q') [diag(noise)^-1/2 b; 0]
+    has (W a)'(W b) = a' C_u^-1 b: W whitens as L^-1 does, into u + m rows,
+    and W' = [diag(noise)^-1/2, 0] (I - q q') takes them back.
+    """
+
+    q: np.ndarray
+    noise: np.ndarray
+
+    def scaled(self, sigma_sq: float) -> _LowRank:
+        """The factor of sigma_sq * C_u: G and the noise scale together, so
+        A and q stay."""
+        return _LowRank(self.q, self.noise * sigma_sq)
+
+    def whiten(self, b: np.ndarray) -> np.ndarray:
+        """W b, for b of u rows."""
+        u, q = self.noise.size, self.q
+        out = np.zeros((q.shape[0], *b.shape[1:]), order="F")
+        np.divide(b.T, np.sqrt(self.noise), out=out[:u].T)
+        out -= q @ (q[:u].T @ out[:u])
+        return out
+
+    def whiten_t(self, w: np.ndarray) -> np.ndarray:
+        """W' w, for w of u + m rows."""
+        u, q = self.noise.size, self.q
+        projected = w - q @ (q.T @ w)
+        return (projected[:u].T / np.sqrt(self.noise)).T
+
+    def inverse_diagonal(self) -> np.ndarray:
+        """diag(C_u^-1), (1 - the row sums of squares of Q1) / noise."""
+        q1 = self.q[: self.noise.size]
+        return (1.0 - np.einsum("ij,ij->i", q1, q1)) / self.noise
+
+
+@dataclass(frozen=True, eq=False)
 class GprModel:
     """Fitted state; immutable after fit and safe to share across threads:
     predict and the methods below read it and never write to it.
 
-    chol, trend_whitened and group_alpha live on the u distinct inputs of
-    groups (see the module docstring): chol is the lower Cholesky factor of
-    the compressed covariance sigma_sq * (R_u + kernel.jitter * diag(1/n_k)),
-    u(u+1)/2 doubles in the packed layout of the module docstring, and
+    factor, trend_whitened and group_alpha live on the u distinct inputs of
+    groups (see the module docstring): factor is the compressed covariance
+    C_u = sigma_sq * (R_u + kernel.jitter * diag(1/n_k)), a _Dense Cholesky
+    factor, or a _LowRank one when the fit found R_u's numerical rank, and
     group_alpha is Z' alpha, C_u^-1 (ybar - F_u beta). alpha is N-long,
     C^-1 (t - F beta) for the full covariance C. kernel.jitter reflects any
     diagonal escalation applied during fitting.
@@ -262,9 +336,9 @@ class GprModel:
     kernel: Kernel
     basis: BasisExpansion
     beta: np.ndarray
-    chol: np.ndarray
+    factor: _Dense | _LowRank
     alpha: np.ndarray
-    trend_whitened: np.ndarray  # chol^-1 F_u, reused by the variance solves
+    trend_whitened: np.ndarray  # F_u whitened by factor, reused by the variance solves
     trend_r: np.ndarray  # upper QR factor of trend_whitened
     groups: _Groups
     group_alpha: np.ndarray
@@ -272,22 +346,16 @@ class GprModel:
     def held_out_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
         """(diag(P), diag(C^-1)) over the N training rows (see the module docstring).
 
-        The factor L is over the u distinct inputs, C_u = L L'. There
-        diag(C_u^-1) is the column sums of squares of L^-1, and the trend term
-        of diag(P_u) is the row sums of squares of L^-T Q, where
-        Q = trend_whitened trend_r^-1 has orthonormal columns. Row i of a group
-        k of n_k rows then has P_ii = (1 - 1/n_k) / (sigma_sq*jitter) + (P_u)_kk / n_k^2,
-        and diag(C^-1)_ii likewise, so no N x N matrix is formed.
+        With W the factor's whitening, C_u^-1 = W'W, diag(C_u^-1) comes from
+        the factor, and the trend term of diag(P_u) is the row sums of
+        squares of W' Q, where Q = trend_whitened trend_r^-1 has orthonormal
+        columns. Row i of a group k of n_k rows then has
+        P_ii = (1 - 1/n_k) / (sigma_sq*jitter) + (P_u)_kk / n_k^2, and
+        diag(C^-1)_ii likewise, so no N x N matrix is formed.
         """
-        # L^-1, squared in place, is the one temporary of the factor's size.
-        chol_inv = self.chol.copy()
-        info = _lapack.tftri(chol_inv)
-        if info != 0:
-            raise EvaluationError(f"covariance factor is singular (dtftri info {info})")
-        np.square(chol_inv, out=chol_inv)
-        inv_diag = _column_sums(chol_inv, self.groups.counts.size)
+        inv_diag = self.factor.inverse_diagonal()
         q = _lapack.solve_triangular(self.trend_r, self.trend_whitened.T, lower=False, trans=True)
-        trend = _lapack.tfsm(self.chol, np.asfortranarray(q.T), trans=True)
+        trend = self.factor.whiten_t(np.asfortranarray(q.T))
         p_diag = inv_diag - np.einsum("ij,ij->i", trend, trend)
         groups = self.groups
         if groups.tied:
@@ -310,8 +378,8 @@ def _scaled_distances(
     """D[j, k] = sum_i (a[j, i] - b[k, i])**2 / theta_i, points as rows,
     written into out when given.
 
-    The only code that forms coordinate differences but _screen's pivot
-    step, which does the same operations on one column. It sums dimension
+    The only code that forms coordinate differences but the pivot step of
+    _partial_cholesky, which does the same operations on one column. It sums dimension
     by dimension, so it holds no N x N x d temporary, and on one dimension
     it needs no buffer but out.
     """
@@ -458,9 +526,8 @@ def _trend_design(training: TrainingSet, basis: BasisExpansion, groups: _Groups)
     return basis.design_matrix(groups.inputs)
 
 
-def _gls(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
-    """Generalized least squares through the system whitened by chol, a
-    packed factor.
+def _gls(factor: _Dense | _LowRank, design: np.ndarray, targets: np.ndarray):
+    """Generalized least squares through the system whitened by factor.
 
     Returns (whitened design, its upper QR factor, coefficients, whitened
     residual). Raises FitError when the whitened design is rank deficient.
@@ -471,16 +538,22 @@ def _gls(chol: np.ndarray, design: np.ndarray, targets: np.ndarray):
     whitened = np.empty((design.shape[0], p + 1), order="F")
     whitened[:, :p] = design
     whitened[:, p] = targets
-    _lapack.tfsm(chol, whitened)
+    whitened = factor.whiten(whitened)
     ft, yt = whitened[:, :p], whitened[:, p]
     q, r_qr = np.linalg.qr(ft)
-    diag = np.abs(np.diag(r_qr))
-    tol = max(ft.shape) * np.finfo(float).eps * diag.max()
-    if diag.size < ft.shape[1] or diag.min() <= tol:
-        raise FitError("trend system is singular (collinear or duplicate basis functions)")
+    _require_full_rank(np.diag(r_qr), ft.shape)
     beta = _lapack.solve_triangular(r_qr, q.T @ yt, lower=False)
     rho = yt - ft @ beta
     return ft, r_qr, beta, rho
+
+
+def _require_full_rank(diag: np.ndarray, shape: tuple[int, int]) -> None:
+    """FitError unless diag, the diagonal of the upper QR factor of a whitened
+    design of that shape, clears rounding."""
+    diag = np.abs(diag)
+    tol = max(shape) * np.finfo(float).eps * diag.max()
+    if diag.size < shape[1] or diag.min() <= tol:
+        raise FitError("trend system is singular (collinear or duplicate basis functions)")
 
 
 def _likelihood(groups: _Groups, jitter: float, quad: float, logdet: float):
@@ -490,8 +563,7 @@ def _likelihood(groups: _Groups, jitter: float, quad: float, logdet: float):
     sigma_sq = quad / N, floored so the likelihood stays finite on
     zero-residual data. On a tied panel the log-determinant of R + jitter*I
     gains sum(log n_k) + (N - u) log(jitter) and the quadratic form
-    r'r / jitter, r the residual within the groups. The value decreases in
-    both quad and logdet.
+    r'r / jitter, r the residual within the groups.
     """
     n, u = groups.index.size, groups.counts.size
     if groups.tied:
@@ -510,13 +582,13 @@ def _profile_log_likelihood(chol: np.ndarray, groups: _Groups, design: np.ndarra
     the group means. Raises FitError when the whitened design is rank
     deficient.
     """
-    _, _, _, rho = _gls(chol, design, groups.means)
+    _, _, _, rho = _gls(_Dense(chol), design, groups.means)
     logdet = 2.0 * float(np.sum(np.log(chol[_diagonal(groups.counts.size)])))
     return _likelihood(groups, jitter, float(rho @ rho), logdet)
 
 
 def _rounding_allowance(groups: _Groups, jitter: float) -> float:
-    """How far rounding may move a cell's log-likelihood, dense or screened:
+    """How far rounding may move a dense cell's log-likelihood:
     (N + u) u**2 eps / lam, lam = jitter / max(n_k) the smallest entry of
     jitter*diag(1/n_k); inf at jitter 0.
 
@@ -526,10 +598,6 @@ def _rounding_allowance(groups: _Groups, jitter: float) -> float:
     Against the smallest eigenvalue, at least lam, that moves the quadratic
     form by a fraction u**2 eps / lam and the log-determinant by u times
     as much; the likelihood weights the first by N/2 and the second by 1/2.
-    The screen's QR is no less accurate, so the sum bounds both to first
-    order. On sampled and synth panels of 300 to 1600 rows at jitter 1e-4
-    to 1e-10, the dense value and a screen run to a width of 1e-4 differed
-    by at most 1/200 of it.
     """
     lam = jitter / float(groups.counts.max())
     if lam == 0.0:
@@ -538,46 +606,62 @@ def _rounding_allowance(groups: _Groups, jitter: float) -> float:
     return (n + u) * u * u * np.finfo(float).eps / lam
 
 
-def _screen(groups: _Groups, design: np.ndarray, theta: np.ndarray, jitter: float):
-    """(lower, upper, rank): bounds on the log-likelihood that
-    _profile_log_likelihood gives at theta, each good up to
-    _rounding_allowance, from a partial pivoted Cholesky factor G of R_u
-    of that rank; (-inf, inf, rank) when the rank reaches u // 8 first.
+def _low_rank_applies(groups: _Groups, jitter: float) -> bool:
+    """Whether a cell may be low-rank: at least _LOW_RANK_MIN_ORDER distinct
+    inputs, and a _rounding_allowance below _LOW_RANK_ALLOWANCE.
+
+    A low-rank cell leaves out E = R_u - GG', whose trace t is at most
+    u**2 eps (see _partial_cholesky). With lam as in _rounding_allowance,
+    R_u + jitter*diag(1/n_k) then lies between C and (1 + t/lam) C, so the
+    log-determinant moves by at most t/lam and the quadratic form by a
+    fraction t/lam: the likelihood by at most (N + 1) t / (2 lam), which is
+    below the dense factor's own allowance. Under this gate t/lam, at most
+    u**2 eps / lam, is below _LOW_RANK_ALLOWANCE / (N + u): 5.7e-6 on 1600
+    rows at jitter 1e-4. The default jitter of 1e-10 never meets the gate
+    at 256 rows or more.
+    """
+    return (
+        groups.counts.size >= _LOW_RANK_MIN_ORDER
+        and _rounding_allowance(groups, jitter) < _LOW_RANK_ALLOWANCE
+    )
+
+
+def _low_rank_work(groups: _Groups, design: np.ndarray) -> np.ndarray:
+    """The column-major work buffer of the low-rank cells, u + u // 8 rows
+    by u // 8 + p + 1 columns: room for the least-squares system of
+    _low_rank_likelihood at any rank up to the cap. The search and fit each
+    hold one, so their pivot steps run on the same layout."""
+    cap = groups.counts.size // 8
+    return np.empty((groups.counts.size + cap, cap + design.shape[1] + 1), order="F")
+
+
+def _partial_cholesky(groups: _Groups, theta: np.ndarray, work: np.ndarray) -> int | None:
+    """The rank m of a pivoted partial Cholesky factor G of R_u at theta,
+    grown until the largest residual pivot is at most u eps, the default
+    tolerance of LAPACK dpstrf, with G in the first m columns and u rows of
+    work (see _low_rank_work); None when the rank reaches u // 8 first.
 
     G grows one column of R_u at a time, computed from the inputs at the
     pivot (Harbrecht, Peters & Schneider 2012), so nothing u x u is held.
-    With Lambda = jitter*diag(1/n_k), lam its smallest entry and
-    C = GG' + Lambda, the residual E = R_u - GG' has 0 <= E <= t*I for its
-    trace t, so C <= R_u + Lambda <= (1 + t/lam) C: the log-determinant
-    lies in [log det C, log det C + t/lam] and the GLS quadratic form in
-    [Q/(1 + t/lam), Q], Q its value against C. G stops growing when that
-    leaves the interval at most _SCREEN_WIDTH wide. One QR of the
-    (u + m) x (m + p + 1) least-squares system
-        [Lambda^-1/2 G, Lambda^-1/2 F_u, Lambda^-1/2 ybar; I_m, 0, 0]
-    gives both: its leading m x m block of R factors I + G' Lambda^-1 G,
-    and its last diagonal entry squared is
-    Q = min over (z, beta) of |Lambda^-1/2 (ybar - F_u beta - G z)|^2 + |z|^2.
-    The likelihood decreases in both, so the bounds are _likelihood at the
-    two corners. Only upper ever drops a cell; lower picks the cell that
-    goes first.
+    The residual E = R_u - GG' is positive semidefinite and its diagonal,
+    updated at each step, ends at most u eps, so its trace is at most
+    u**2 eps. The stopping rule reads neither the jitter nor the targets.
     """
-    n, u = groups.index.size, groups.counts.size
-    lam = jitter / float(groups.counts.max())
-    tol = 2.0 * _SCREEN_WIDTH * lam / (n + 1)  # width <= (N + 1) t / (2 lam)
+    u = groups.counts.size
+    tol = u * np.finfo(float).eps  # R_u's diagonal is exactly 1
     cap = u // 8
+    g = work[:u]
     # One contiguous row per coordinate, paired with -theta_i: each pivot
     # column is _scaled_distances' arithmetic, term by term, with none of
-    # its checks, and every step below writes into preallocated rows.
+    # its checks, and every step below writes into preallocated arrays.
     coords = list(zip(np.ascontiguousarray(groups.inputs.T), -np.asarray(theta, dtype=float)))
-    residual = np.ones(u)  # the diagonal of E; R_u's is exactly 1
-    g_t = np.empty((cap, u))  # G', one contiguous row per column of G
+    residual = np.ones(u)  # the diagonal of E
     scratch = np.empty(u)
     rank = 0
-    while (trace := float(residual.sum())) > tol:
+    while residual[pivot := int(residual.argmax())] > tol:
         if rank == cap:
-            return -math.inf, math.inf, rank
-        pivot = int(residual.argmax())
-        column = g_t[rank]
+            return None
+        column = g[:, rank]
         for i, (coord, neg_length) in enumerate(coords):
             target = column if i == 0 else scratch
             np.subtract(coord, coord[pivot], out=target)
@@ -586,7 +670,7 @@ def _screen(groups: _Groups, design: np.ndarray, theta: np.ndarray, jitter: floa
             if i > 0:
                 column += scratch
         np.exp(column, out=column)
-        np.matmul(g_t[:rank, pivot], g_t[:rank], out=scratch)
+        np.matmul(g[:, :rank], g[pivot, :rank], out=scratch)
         column -= scratch
         column /= math.sqrt(residual[pivot])
         np.multiply(column, column, out=scratch)
@@ -594,21 +678,55 @@ def _screen(groups: _Groups, design: np.ndarray, theta: np.ndarray, jitter: floa
         np.maximum(residual, 0.0, out=residual)
         residual[pivot] = 0.0
         rank += 1
-    p = design.shape[1]
+    return rank
+
+
+def _low_rank_likelihood(
+    work: np.ndarray, rank: int, groups: _Groups, design: np.ndarray, jitter: float
+):
+    """_likelihood of C = GG' + Lambda, G the rank columns _partial_cholesky
+    left in work, which this overwrites, and Lambda = jitter*diag(1/n_k),
+    with the trend at its GLS value. Raises FitError when the whitened
+    design is rank deficient.
+
+    One QR, in place, of the (u + m) x (m + p + 1) least-squares system
+        [Lambda^-1/2 G, Lambda^-1/2 F_u, Lambda^-1/2 ybar; I_m, 0, 0]
+    gives both terms: its leading m x m block of R factors I + G' Lambda^-1 G,
+    so log det C = log det Lambda + 2 log |det R_m|, its next p diagonal
+    entries are the whitened design's, and its last diagonal entry squared
+    is the quadratic form,
+    min over (z, beta) of |Lambda^-1/2 (ybar - F_u beta - G z)|^2 + |z|^2.
+    """
+    u, p = groups.counts.size, design.shape[1]
+    system = work[: u + rank, : rank + p + 1]
     scale = np.sqrt(groups.counts / jitter)[:, None]
-    system = np.zeros((u + rank, rank + p + 1))
-    np.multiply(g_t[:rank].T, scale, out=system[:u, :rank])
+    system[:u, :rank] *= scale
     np.multiply(design, scale, out=system[:u, rank:-1])
     np.multiply(groups.means[:, None], scale, out=system[:u, -1:])
-    system[u:, :rank] = np.eye(rank)
-    r = np.linalg.qr(system, mode="r")
+    system[u:] = np.eye(rank, rank + p + 1)
+    _lapack.geqrf(system)
+    diag = np.diag(system)
+    _require_full_rank(diag[rank:-1], (u + rank, p))
     logdet = float(np.sum(np.log(jitter / groups.counts)))
-    logdet += 2.0 * float(np.sum(np.log(np.abs(np.diag(r)[:rank]))))
-    quad = float(r[-1, -1]) ** 2
-    spread = trace / lam
-    lower, _ = _likelihood(groups, jitter, quad, logdet + spread)
-    upper, _ = _likelihood(groups, jitter, quad / (1.0 + spread), logdet)
-    return lower, upper, rank
+    logdet += 2.0 * float(np.sum(np.log(np.abs(diag[:rank]))))
+    return _likelihood(groups, jitter, float(diag[-1]) ** 2, logdet)
+
+
+def _low_rank_factor(
+    groups: _Groups, theta: np.ndarray, jitter: float, work: np.ndarray
+) -> _LowRank | None:
+    """The _LowRank factor of GG' + jitter*diag(1/n_k) at theta, G from
+    _partial_cholesky in work; None when that reaches the rank cap. The
+    orthonormal factor is formed in work and copied out at its rank."""
+    rank = _partial_cholesky(groups, theta, work)
+    if rank is None:
+        return None
+    u = groups.counts.size
+    stacked = work[: u + rank, :rank]
+    stacked[:u] *= np.sqrt(groups.counts / jitter)[:, None]
+    stacked[u:] = np.eye(rank)
+    _lapack.orgqr(stacked, _lapack.geqrf(stacked))
+    return _LowRank(q=np.array(stacked, order="F"), noise=jitter / groups.counts)
 
 
 def _model_from_factor(
@@ -617,18 +735,18 @@ def _model_from_factor(
     basis: BasisExpansion,
     design: np.ndarray,
     kernel: Kernel,
-    chol: np.ndarray,
+    factor: _Dense | _LowRank,
 ) -> GprModel:
-    """The fitted model around chol, the packed in-place factor of
-    R_u + kernel.jitter*diag(1/n_k).
+    """The fitted model around factor, that of R_u + kernel.jitter*diag(1/n_k)
+    (a dense one is scaled in place).
 
-    Scales chol to the compressed covariance's factor and solves the trend
-    and group_alpha against it. Row i of a group k gets
+    Scales factor to the compressed covariance's and solves the trend and
+    group_alpha against it. Row i of a group k gets
     alpha_i = r_i / (sigma_sq*jitter) + group_alpha_k / n_k.
     """
-    chol *= math.sqrt(kernel.sigma_sq)
-    ft, r_qr, beta, rho = _gls(chol, design, groups.means)
-    group_alpha = _lapack.tfsm(chol, rho, trans=True)
+    factor = factor.scaled(kernel.sigma_sq)
+    ft, r_qr, beta, rho = _gls(factor, design, groups.means)
+    group_alpha = factor.whiten_t(rho)
     alpha = group_alpha
     if groups.tied:
         noise = kernel.sigma_sq * kernel.jitter
@@ -638,7 +756,7 @@ def _model_from_factor(
         kernel=kernel,
         basis=basis,
         beta=beta,
-        chol=chol,
+        factor=factor,
         alpha=alpha,
         trend_whitened=ft,
         trend_r=r_qr,
@@ -652,15 +770,24 @@ def fit(training: TrainingSet, basis: BasisExpansion, kernel: Kernel) -> GprMode
 
     Solves (F' C^-1 F) beta = F' C^-1 t against the jitter-regularized
     covariance, then precomputes alpha = C^-1 (t - F beta) for prediction.
-    The returned model records the jitter actually used, including any
-    escalation needed to make the factorization succeed.
+    The factor is low-rank where _low_rank_applies and _partial_cholesky
+    reaches numerical rank, and dense otherwise, as in the search. The
+    returned model records the jitter actually used, including any
+    escalation needed to make the dense factorization succeed.
     """
     groups = _group_rows(training)
     design = _trend_design(training, basis, groups)
-    u = groups.counts.size
-    chol = np.empty(u * (u + 1) // 2)
-    jitter = _factorize(chol, groups, kernel.theta, kernel.jitter)
-    return _model_from_factor(training, groups, basis, design, replace(kernel, jitter=jitter), chol)
+    jitter = kernel.jitter
+    factor = None
+    if _low_rank_applies(groups, jitter):
+        factor = _low_rank_factor(groups, kernel.theta, jitter, _low_rank_work(groups, design))
+    if factor is None:
+        u = groups.counts.size
+        chol = np.empty(u * (u + 1) // 2)
+        jitter = _factorize(chol, groups, kernel.theta, jitter)
+        factor = _Dense(chol)
+    kernel = replace(kernel, jitter=jitter)
+    return _model_from_factor(training, groups, basis, design, kernel, factor)
 
 
 def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
@@ -673,8 +800,8 @@ def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
     U = F(X)' - F' C^-1 K. K = Z K_u repeats the cross-covariance K_u to
     the u distinct inputs, and Z' C^-1 Z = C_u^-1, so every term is over
     those: K' alpha = K_u' group_alpha, and all M points share one
-    triangular solve of the stored packed Cholesky factor against K_u
-    (Rasmussen & Williams, GPML Alg. 2.1).
+    whitening of K_u by the model's factor, a triangular solve when it is
+    dense (Rasmussen & Williams, GPML Alg. 2.1).
     Variances that round below zero are clamped to 0, their count logged at
     DEBUG and never stored. A 1-d x_new gives a Prediction of two floats.
     A point with a NaN or infinite coordinate raises ValueError.
@@ -703,7 +830,7 @@ def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
     # The per-point sums below are einsums over contiguous rows, not BLAS
     # matrix-vector products, so each runs in the same order whatever M is.
     mean = design @ model.beta + np.einsum("ij,j->i", k_t, model.group_alpha)
-    v_t = _lapack.tfsm(model.chol, k_t.T).T
+    v_t = model.factor.whiten(k_t.T).T
     ft_t = np.ascontiguousarray(model.trend_whitened.T)
     u = design.T - np.einsum("ik,jk->ji", v_t, ft_t)
     w_t = _lapack.solve_triangular(model.trend_r.T, u, lower=True).T
@@ -759,82 +886,68 @@ def fit_hyperparameters(
     """Pick sigma_sq and theta by grid-searched maximum marginal likelihood
     and return the model fitted at them.
 
-    For each grid theta the process variance is profiled out in closed form
-    by _profile_log_likelihood on the factor _factorize makes at that theta,
-    which fit makes too.
+    For each grid theta the process variance is profiled out in closed form.
+    Where _low_rank_applies (at least _LOW_RANK_MIN_ORDER distinct inputs,
+    and a jitter for which _rounding_allowance is below _LOW_RANK_ALLOWANCE:
+    never jitter 0, nor the default 1e-10 on a few hundred rows), each cell
+    first runs _partial_cholesky, and a cell that reaches numerical rank
+    within u // 8 pivots takes its likelihood from _low_rank_likelihood.
+    Every other cell is factorized by _factorize, into the one packed
+    buffer, and takes it from _profile_log_likelihood. The search logs one
+    line per cell at DEBUG: "theta=...: low-rank, rank m" or
+    "theta=...: dense".
 
-    The grid is screened first when there are at least _SCREEN_MIN_ORDER
-    distinct inputs, at least two cells, and _rounding_allowance, which
-    depends on N, u and jitter / max(n_k) alone, is below _SCREEN_WIDTH (so
-    never at jitter 0 or the default 1e-10 on a few hundred rows). _screen
-    bounds each cell's likelihood at a rank of at most u // 8. The cell
-    with the largest lower bound is then factorized densely; if that
-    succeeds, every cell whose upper bound plus the allowance is below its
-    likelihood is dropped, and a FitError there drops nothing. Cells the
-    screen could not bound survive. The search logs at DEBUG each cell's
-    screen rank and bounds, the cells dropped and those that survive.
-
-    The remaining cells run in grid order on the calling thread, each
-    factorized into the one packed buffer. The winner is chosen after the
-    scan, in ascending theta order, and only a strictly larger likelihood
-    replaces the incumbent, so ties resolve toward the smallest theta and
-    then the smallest sigma_sq; a dropped cell's likelihood is below the
-    winner's, so the screen does not change which cell wins. Its factor
-    becomes the model's if it was the last cell run; otherwise the winner
-    is factorized again at the jitter it used, which rebuilds the same
-    matrix and so the same bits. The model's kernel carries that jitter,
-    and the model equals fit(training, basis, model.kernel) bit for bit.
-    A FitError in a cell skips it; any other error stops the scan and
-    propagates.
+    The winner is the cell with the largest likelihood, in ascending theta
+    order, and only a strictly larger likelihood replaces the incumbent, so
+    ties resolve toward the smallest theta and then the smallest sigma_sq.
+    Every low-rank cell pivots in the one work buffer and its QR overwrites
+    G there, so a low-rank winner runs its pivots again, O(u m^2), and
+    _low_rank_factor forms its orthonormal factor, as fit does. A dense
+    winner's factor becomes the model's if it was the last dense cell run,
+    and is otherwise factorized again at the jitter it used, which rebuilds
+    the same matrix and so the same bits. The model's kernel carries that
+    jitter, and fit makes the same low-rank or dense choice in the same
+    layout, so the model equals fit(training, basis, model.kernel) bit for
+    bit. A FitError in a cell
+    skips it; any other error stops the scan and propagates.
     """
     groups = _group_rows(training)
     design = _trend_design(training, basis, groups)
     u, d = groups.counts.size, training.ndim
     grid = search.grid()
-    # Per grid cell: (loglik, sigma_sq, jitter), or None when the cell failed.
-    cells: list[tuple[float, float, float] | None] = [None] * grid.size
-
-    def run(i: int) -> None:
+    work = _low_rank_work(groups, design) if _low_rank_applies(groups, search.jitter) else None
+    buf = None  # the packed buffer of every dense cell, allocated by the first
+    held = None  # the last dense cell run, whose factor buf holds if it succeeded
+    best = None  # (loglik, sigma_sq, cell, jitter, rank of a low-rank cell or None)
+    for i, value in enumerate(grid):
+        theta = np.full(d, value)
         try:
-            jitter = _factorize(buf, groups, np.full(d, grid[i]), search.jitter)
-            cells[i] = (*_profile_log_likelihood(buf, groups, design, jitter), jitter)
+            rank = None if work is None else _partial_cholesky(groups, theta, work)
+            if rank is not None:
+                jitter = search.jitter
+                cell = _low_rank_likelihood(work, rank, groups, design, jitter)
+                logger.debug("theta=%g: low-rank, rank %d", value, rank)
+            else:
+                if buf is None:
+                    buf = np.empty(u * (u + 1) // 2)
+                held = i
+                jitter = _factorize(buf, groups, theta, search.jitter)
+                cell = _profile_log_likelihood(buf, groups, design, jitter)
+                logger.debug("theta=%g: dense", value)
         except FitError:
-            logger.debug("skipping theta=%g: not factorizable", grid[i])
-
-    allowance = _rounding_allowance(groups, search.jitter)
-    bounds = None
-    if u >= _SCREEN_MIN_ORDER and grid.size > 1 and allowance < _SCREEN_WIDTH:
-        bounds = [_screen(groups, design, np.full(d, theta), search.jitter) for theta in grid]
-        for theta, (*bound, rank) in zip(grid, bounds):
-            logger.debug("screened theta=%g: rank %d, loglik in [%g, %g]", theta, rank, *bound)
-    buf = np.empty(u * (u + 1) // 2)  # after the screen has let go of its arrays
-    held = None  # the last cell run, whose factor buf holds if it succeeded
-    survivors = range(grid.size)
-    if bounds is not None:
-        held = max(survivors, key=lambda i: bounds[i][0])
-        run(held)
-        # Only a value that was computed can rule a cell out.
-        floor = -math.inf if cells[held] is None else cells[held][0]
-        survivors = [i for i in survivors if i != held and not bounds[i][1] + allowance < floor]
-        logger.debug(
-            "theta=%g factorized first; screened out theta: %s; surviving theta: %s",
-            grid[held],
-            " ".join(f"{grid[i]:g}" for i in range(grid.size) if i != held and i not in survivors)
-            or "none",
-            " ".join(f"{grid[i]:g}" for i in survivors) or "none",
-        )
-    for held in survivors:
-        run(held)
-
-    best = None
-    for i, cell in enumerate(cells):
-        if cell is not None and (best is None or cell[0] > cells[best][0]):
-            best = i
+            logger.debug("skipping theta=%g: not factorizable", value)
+            continue
+        if best is None or cell[0] > best[0]:
+            best = (*cell, i, jitter, rank)
     if best is None:
         raise FitError("no admissible theta grid cell: every candidate failed to factorize")
-    _, sigma_sq, jitter = cells[best]
-    kernel = Kernel(sigma_sq=sigma_sq, theta=np.full(d, grid[best]), jitter=jitter)
-    if held != best:
-        _factorize(buf, groups, kernel.theta, jitter)
-    return _model_from_factor(training, groups, basis, design, kernel, buf)
-
+    _, sigma_sq, i, jitter, rank = best
+    kernel = Kernel(sigma_sq=sigma_sq, theta=np.full(d, grid[i]), jitter=jitter)
+    if rank is not None:
+        buf = None  # no dense cell won: let its buffer go before the factor is formed
+        factor = _low_rank_factor(groups, kernel.theta, jitter, work)
+    else:
+        if held != i:
+            _factorize(buf, groups, kernel.theta, jitter)
+        factor = _Dense(buf)
+    return _model_from_factor(training, groups, basis, design, kernel, factor)

@@ -210,7 +210,7 @@ def reference_theta_search(training, basis, search, failed=()) -> gpr.Kernel:
         if chol is None:
             continue
         try:
-            _, _, _, rho = gpr._gls(chol, design, means)
+            _, _, _, rho = gpr._gls(gpr._Dense(chol), design, means)
         except gpr.FitError:
             continue
         quad = float(rho @ rho)
@@ -228,45 +228,58 @@ def reference_theta_search(training, basis, search, failed=()) -> gpr.Kernel:
     return gpr.Kernel(sigma_sq=sigma_sq, theta=np.full(d, theta), jitter=search.jitter)
 
 
-def reference_screen(groups, design, theta, jitter):
-    """gpr._screen written plainly: one _scaled_distances call per pivot
-    column, np.argmax, a fresh matmul result and a column * column
-    temporary per step. The arithmetic is the same, so gpr._screen must
-    return the same (lower, upper, rank) bit for bit."""
-    n, u = groups.index.size, groups.counts.size
-    lam = jitter / float(groups.counts.max())
-    tol = 2.0 * gpr._SCREEN_WIDTH * lam / (n + 1)
+def reference_partial_cholesky(groups, theta):
+    """gpr._partial_cholesky written plainly, into a work buffer of the
+    library's layout: one _scaled_distances call per pivot column,
+    np.argmax, a fresh matmul result and a column * column temporary per
+    step. The arithmetic is the same, so gpr._partial_cholesky must leave the
+    same columns bit for bit, or give None alike. Returns G, u x rank, or
+    None when the rank reaches u // 8 first."""
+    u = groups.counts.size
+    tol = u * np.finfo(float).eps
     cap = u // 8
     inputs = groups.inputs
     neg_theta = -np.asarray(theta, dtype=float)
     residual = np.ones(u)
-    g_t = np.empty((cap, u))
+    g = np.empty((u + cap, cap + 2), order="F")[:u]
     rank = 0
-    while (trace := float(residual.sum())) > tol:
+    while residual.max() > tol:
         if rank == cap:
-            return -math.inf, math.inf, rank
+            return None
         pivot = int(np.argmax(residual))
-        column = g_t[rank]
+        column = g[:, rank]
         gpr._scaled_distances(inputs, inputs[pivot : pivot + 1], neg_theta, out=column[:, None])
         np.exp(column, out=column)
-        column -= g_t[:rank, pivot] @ g_t[:rank]
+        column -= g[:, :rank] @ g[pivot, :rank]
         column /= math.sqrt(residual[pivot])
         residual -= column * column
         np.maximum(residual, 0.0, out=residual)
         residual[pivot] = 0.0
         rank += 1
-    p = design.shape[1]
-    scale = np.sqrt(groups.counts / jitter)[:, None]
-    system = np.zeros((u + rank, rank + p + 1))
-    np.multiply(g_t[:rank].T, scale, out=system[:u, :rank])
-    np.multiply(design, scale, out=system[:u, rank:-1])
-    np.multiply(groups.means[:, None], scale, out=system[:u, -1:])
-    system[u:, :rank] = np.eye(rank)
-    r = np.linalg.qr(system, mode="r")
-    logdet = float(np.sum(np.log(jitter / groups.counts)))
-    logdet += 2.0 * float(np.sum(np.log(np.abs(np.diag(r)[:rank]))))
-    quad = float(r[-1, -1]) ** 2
-    spread = trace / lam
-    lower, _ = gpr._likelihood(groups, jitter, quad, logdet + spread)
-    upper, _ = gpr._likelihood(groups, jitter, quad / (1.0 + spread), logdet)
-    return lower, upper, rank
+    return g[:, :rank]
+
+
+def dense_kriging(training, basis, kernel, points):
+    """(fitted means, leave-one-out predictions, predicted means, predicted
+    variances at points) of the model at kernel, from the N x N covariance
+    C = sigma_sq * (R + jitter * I) inverted by np.linalg.inv: the fitted
+    means are F beta + sigma_sq R alpha, row i held out is
+    t_i - (P t)_i / P_ii, and the predictions are those of dense_gpr_predict."""
+    inputs, targets = training.inputs, training.targets
+    n = targets.size
+    corr = gpr.correlation(inputs, inputs, kernel.theta)
+    cov_inv = np.linalg.inv(kernel.sigma_sq * (corr + kernel.jitter * np.eye(n)))
+    design = dense_design(inputs, basis.degree)
+    trend = cov_inv @ design
+    gram_inv = np.linalg.inv(design.T @ trend)
+    beta = gram_inv @ trend.T @ targets
+    alpha = cov_inv @ (targets - design @ beta)
+    fitted = design @ beta + kernel.sigma_sq * (corr @ alpha)
+    proj = cov_inv - trend @ gram_inv @ trend.T
+    loo = targets - (proj @ targets) / np.diag(proj)
+    k = kernel.sigma_sq * gpr.correlation(inputs, points, kernel.theta)
+    mean = dense_design(points, basis.degree) @ beta + k.T @ alpha
+    u = dense_design(points, basis.degree).T - design.T @ cov_inv @ k
+    variance = kernel.sigma_sq - np.einsum("ij,ij->j", k, cov_inv @ k)
+    variance += np.einsum("ij,ij->j", u, gram_inv @ u)
+    return fitted, loo, mean, variance

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -143,8 +144,11 @@ class TestPipelineCommand:
         assert model.kernel.jitter == expected.kernel.jitter == report.kernel.jitter
         if search.jitter == 0.0:
             assert report.kernel.jitter > 0.0
-        for name in ("beta", "alpha", "chol"):
+        for name in ("beta", "alpha"):
             assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+        assert type(model.factor) is type(expected.factor)
+        for name, value in vars(model.factor).items():
+            assert np.array_equal(value, getattr(expected.factor, name)), name
         assert evaluate_model(model, panel, direction).per_fold == report.per_fold
 
     def test_duplicate_url_exit_3(self, small_inputs, tmp_path):
@@ -223,6 +227,22 @@ class TestStagedCommands:
         args = ["score", "--records", records, "--indicators", indicators]
         assert run([*args, "--out", tmp_path / "o"]) == 2
         assert f"{records}: expected header 'url,country,rank,trend,traffic'" in capsys.readouterr().err
+
+    def test_verbose_logs_each_theta_cell(self, tmp_path, caplog):
+        # -v sets the jobsignal loggers to DEBUG for one run: the search logs
+        # how it computed each cell, and the next run without -v logs nothing.
+        assert run(["synth", "--n", "300", "--coupling", "0.7", "--noise", "0.5", "--out", tmp_path]) == 0
+        args = ["evaluate", "--panel", tmp_path / "panel.csv", "--jitter", "1e-4", "--in-sample"]
+        assert run([*args, "-v", "--out", tmp_path / "v"]) == 0
+        cells = [r.getMessage() for r in caplog.records if r.name == "jobsignal.gpr"]
+        assert len(cells) == 13
+        assert all(re.fullmatch(r"theta=[0-9.]+: (dense|low-rank, rank \d+)", m) for m in cells)
+        assert any("low-rank" in m for m in cells)
+        assert any(r.name == "jobsignal.cli" and r.levelname == "INFO" for r in caplog.records)
+        caplog.clear()
+        assert run([*args, "--out", tmp_path / "quiet"]) == 0
+        assert caplog.records == []
+        assert (tmp_path / "v" / "report.json").read_bytes() == (tmp_path / "quiet" / "report.json").read_bytes()
 
     def test_missing_records_exit_2(self, small_inputs, tmp_path, capsys):
         _, indicators = small_inputs
@@ -531,6 +551,8 @@ class TestHelpParity:
         "--out",
         "--seed",
         "--in-sample",
+        "-v",
+        "--verbose",
     ]
 
     def collect_subparser_options(self):

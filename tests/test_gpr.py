@@ -43,8 +43,9 @@ from oracle_gpr import (
     dense_design,
     dense_gls_beta,
     dense_gpr_predict,
+    dense_kriging,
     dense_log_marginal_likelihood,
-    reference_screen,
+    reference_partial_cholesky,
     reference_theta_search,
 )
 
@@ -155,7 +156,7 @@ class TestBuildCovariance:
         training = TrainingSet(inputs=points, targets=np.array([0.0, 1.0]))
         model = fit(training, BasisExpansion("const"), kernel)
         plain = kernel.sigma_sq * correlation(points, points, kernel.theta)
-        chol = unpack(model.chol)
+        chol = unpack(model.factor.chol)
         reg = chol @ chol.T
         assert np.allclose(np.diag(reg) - np.diag(plain), 1e-6 * 2.0)
         off_diag = ~np.eye(2, dtype=bool)
@@ -239,7 +240,7 @@ class TestFit:
         for _ in range(10):
             model = random_fitted_model(rng, n=int(rng.integers(2, 10)), d=2)
             reg = regularized_covariance(model.training.inputs, model.kernel)
-            chol = unpack(model.chol)
+            chol = unpack(model.factor.chol)
             err = np.linalg.norm(chol @ chol.T - reg) / np.linalg.norm(reg)
             assert err <= 1e-10
 
@@ -272,7 +273,7 @@ class TestFit:
         assert model.kernel.jitter == 1e-10
         reg = compressed_covariance(inputs, model.kernel)
         assert reg.shape == (2, 2) and reg[0, 0] == 1.0 + 0.5e-10
-        chol = unpack(model.chol)
+        chol = unpack(model.factor.chol)
         err = np.linalg.norm(chol @ chol.T - reg) / np.linalg.norm(reg)
         assert err <= 1e-10
 
@@ -307,7 +308,7 @@ class TestFit:
         for model in models:
             reg = regularized_covariance(model.training.inputs, model.kernel)
             expected = np.linalg.cholesky(reg)
-            assert np.abs(unpack(model.chol) - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert np.abs(unpack(model.factor.chol) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("u", [1, 2, 3, 40, 41, 129, 130, 256, 257])
     @pytest.mark.parametrize("d", [1, 2])
@@ -447,7 +448,7 @@ class TestPredict:
                 targets=model.training.targets[repeat] + rng.normal(0.0, 0.3, size=repeat.size),
             )
             model = fit(training, model.basis, replace(model.kernel, jitter=1e-4))
-            assert model.chol.shape == (55,)
+            assert model.factor.chol.shape == (55,)
         training, kernel = model.training, model.kernel
         span = training.inputs.max(axis=0) - training.inputs.min(axis=0)
         points = training.inputs.min(axis=0) + rng.uniform(-0.2, 1.2, size=(m, d)) * span
@@ -528,10 +529,13 @@ class TestClosedFormsOverTrainingRows:
 
 
 def profile_log_likelihood(training, basis, theta, jitter):
-    """_profile_log_likelihood on the factor of a unit-variance fit at theta."""
-    unit = fit(training, basis, Kernel(sigma_sq=1.0, theta=theta, jitter=jitter))
-    design = basis.design_matrix(unit.groups.inputs)
-    return _profile_log_likelihood(unit.chol, unit.groups, design, unit.kernel.jitter)
+    """_profile_log_likelihood on the dense factor at theta, as a dense cell
+    of the search makes it."""
+    groups = gpr._group_rows(training)
+    u = groups.counts.size
+    chol = np.empty(u * (u + 1) // 2)
+    jitter = gpr._factorize(chol, groups, np.asarray(theta, dtype=float), jitter)
+    return _profile_log_likelihood(chol, groups, basis.design_matrix(groups.inputs), jitter)
 
 
 class TestLogMarginalLikelihood:
@@ -566,12 +570,53 @@ def assert_same_selection(got, expected):
     assert np.array_equal(got.theta, expected.theta)
 
 
+# How far a low-rank cell may move sigma_sq from the dense reference's
+# value, relatively. The worst move measured on the panels of
+# test_matches_cell_by_cell_reference is below 1e-9.
+SIGMA_SQ_RTOL = 1e-8
+
+
+def assert_selects_reference(got, expected):
+    """The theta a dense scan selects, with sigma_sq within SIGMA_SQ_RTOL."""
+    assert np.array_equal(got.theta, expected.theta)
+    assert abs(got.sigma_sq - expected.sigma_sq) <= SIGMA_SQ_RTOL * expected.sigma_sq
+
+
+# How far fitted means, leave-one-out predictions and predict's means may
+# lie from the dense N x N oracle, over std(targets), and predict's
+# variances over sigma_sq, by jitter. At 1e-4 the worst measured on the
+# panels of test_matches_cell_by_cell_reference is 1.8e-9. At 1e-6 the dense
+# library model itself lies up to 1.3e-6 from the oracle, whose explicit
+# inverse is of a matrix with a condition number near 1e9, and so does the
+# low-rank one.
+KRIGING_RTOL = {1e-4: 1e-8, 1e-6: 3e-6}
+
+
+def assert_matches_dense_kriging(model, tol):
+    """Fitted means, leave-one-out predictions and predict's means agree with
+    the dense N x N oracle at the model's kernel to tol * std(targets), and
+    predict's variances to tol * sigma_sq."""
+    training = model.training
+    rng = np.random.default_rng(0)
+    points = training.inputs[rng.choice(training.n, 16)] + rng.normal(0.0, 0.05, (16, training.ndim))
+    fitted, loo, mean, variance = dense_kriging(training, model.basis, model.kernel, points)
+    p_diag, _ = model.held_out_diagonals()
+    prediction = predict(model, points)
+    scale = tol * float(np.std(training.targets))
+    assert np.abs(model.fitted_means() - fitted).max() <= scale
+    assert np.abs(training.targets - model.alpha / p_diag - loo).max() <= scale
+    assert np.abs(prediction.mean - mean).max() <= scale
+    assert np.abs(prediction.variance - variance).max() <= tol * model.kernel.sigma_sq
+
+
 def assert_model_equals_fit(model, rtol=0.0):
     """The search's model equals a fit at its kernel: bit for bit unless rtol."""
     refit = fit(model.training, model.basis, model.kernel)
     assert refit.kernel.jitter == model.kernel.jitter
-    for name in ("chol", "alpha", "beta", "trend_whitened", "trend_r"):
-        got, expected = getattr(model, name), getattr(refit, name)
+    assert type(refit.factor) is type(model.factor)
+    pairs = [(name, getattr(model, name), getattr(refit, name)) for name in ("alpha", "beta", "trend_whitened", "trend_r")]
+    pairs += [(name, value, getattr(refit.factor, name)) for name, value in vars(model.factor).items()]
+    for name, got, expected in pairs:
         if rtol == 0.0:
             assert np.array_equal(got, expected), name
         else:
@@ -648,8 +693,9 @@ class TestFitHyperparameters:
         # A sampled panel, both directions of the bundled panel, whose
         # rate-to-score inputs are tied (29 distinct rates over 382 rows),
         # and three panels of 300 to 600 distinct inputs, one of them 2-d.
-        # The search screens the grid wherever there are at least
-        # _SCREEN_MIN_ORDER distinct inputs and the jitter is 1e-6 or more.
+        # Cells may be low-rank wherever there are at least
+        # _LOW_RANK_MIN_ORDER distinct inputs and the jitter is 1e-6 or more;
+        # a search whose cells are all dense gives the reference's bits.
         records = ingest_sites(bundled_sites_path())
         kept, _ = listwise_delete(records)
         panel = build_panel(
@@ -667,14 +713,25 @@ class TestFitHyperparameters:
         cases.append(TrainingSet(inputs=inputs, targets=np.sin(inputs).sum(axis=1)))
         basis = BasisExpansion(degree)
         search = SearchConfig(jitter=jitter)
-        screens = spy_screen(monkeypatch)
+        pivots = spy_partial_cholesky(monkeypatch)
+        low_rank_winners = 0
         for training in cases:
-            screens.clear()
+            pivots.clear()
             model = fit_hyperparameters(training, basis, search)
-            assert_same_selection(model.kernel, reference_theta_search(training, basis, search))
             assert_model_equals_fit(model)
             distinct = model.groups.counts.size
-            assert bool(screens) == (distinct >= gpr._SCREEN_MIN_ORDER and jitter >= 1e-6)
+            assert bool(pivots) == (distinct >= gpr._LOW_RANK_MIN_ORDER and jitter >= 1e-6)
+            expected = reference_theta_search(training, basis, search)
+            if isinstance(model.factor, gpr._Dense):
+                assert_same_selection(model.kernel, expected)
+            else:
+                assert_selects_reference(model.kernel, expected)
+                low_rank_winners += 1
+            if pivots:
+                assert_matches_dense_kriging(model, KRIGING_RTOL[jitter])
+        # Bundled score-to-rate and the 600-row synth panel pick low-rank
+        # cells; the other two large panels pick a dense cell.
+        assert low_rank_winners == (0 if jitter == 1e-10 else 2)
 
     @pytest.mark.parametrize("degree", ["const", "linear"])
     def test_two_dimensional_model_matches_fit_at_its_kernel(self, rng, degree):
@@ -803,56 +860,72 @@ def spy_factorize(monkeypatch, before=None):
     return calls
 
 
-def spy_screen(monkeypatch):
-    """Wrap gpr._screen; returns the list of (theta, (lower, upper, rank))
+def spy_partial_cholesky(monkeypatch):
+    """Wrap gpr._partial_cholesky; returns the list of (theta, rank or None)
     of every call."""
-    screen = gpr._screen
+    partial_cholesky = gpr._partial_cholesky
     calls = []
 
-    def spy(groups, design, theta, jitter):
-        bounds = screen(groups, design, theta, jitter)
-        calls.append((float(theta[0]), bounds))
-        return bounds
+    def spy(groups, theta, work):
+        rank = partial_cholesky(groups, theta, work)
+        calls.append((float(theta[0]), rank))
+        return rank
 
-    monkeypatch.setattr(gpr, "_screen", spy)
+    monkeypatch.setattr(gpr, "_partial_cholesky", spy)
     return calls
 
 
+def scan(calls):
+    """The scan's share of spy_partial_cholesky's calls: a low-rank winner
+    runs its pivots once more after the scan."""
+    return calls[: SearchConfig().steps]
+
+
 class TestScreen:
-    """Where the search screens the grid, it factorizes only the cells whose
-    bound does not rule them out, and selects what the full scan selects."""
+    """Where cells may be low-rank, every cell that reaches numerical rank
+    within u // 8 pivots is its own model, every other cell is factorized
+    densely, and the search selects the theta the dense scan selects."""
 
     def search(self, training, jitter=1e-4):
         return fit_hyperparameters(training, BasisExpansion("const"), SearchConfig(jitter=jitter))
 
     def test_bounds_hold_the_dense_likelihood(self, monkeypatch):
+        # A low-rank cell's likelihood is the dense cell's to within the dense
+        # factor's own rounding allowance, which bounds the truncation too.
         training = _sample_from_kernel(np.random.default_rng(5), n=300)
-        screens = spy_screen(monkeypatch)
+        pivots = spy_partial_cholesky(monkeypatch)
         model = self.search(training)
         allowance = gpr._rounding_allowance(model.groups, 1e-4)
-        bounded = [(theta, *bound) for theta, (*bound, _) in screens if bound[1] < math.inf]
-        assert 0 < len(bounded) < len(screens)
-        for theta, lower, upper in bounded:
-            value, _ = profile_log_likelihood(training, model.basis, [theta], 1e-4)
-            assert lower - allowance <= value <= upper + allowance
-            assert upper - lower <= gpr._SCREEN_WIDTH
+        assert allowance < gpr._LOW_RANK_ALLOWANCE
+        design = model.basis.design_matrix(model.groups.inputs)
+        work = gpr._low_rank_work(model.groups, design)
+        low_rank = [theta for theta, rank in scan(pivots) if rank is not None]
+        assert 0 < len(low_rank) < SearchConfig().steps
+        for theta in low_rank:
+            rank = gpr._partial_cholesky(model.groups, np.array([theta]), work)
+            value, sigma_sq = gpr._low_rank_likelihood(work, rank, model.groups, design, 1e-4)
+            dense, dense_sigma_sq = profile_log_likelihood(training, model.basis, [theta], 1e-4)
+            assert abs(value - dense) <= allowance
+            assert abs(sigma_sq - dense_sigma_sq) <= SIGMA_SQ_RTOL * dense_sigma_sq
 
     @pytest.mark.parametrize(
         "rows, jitter, every_cell",
-        [(600, 1e-10, True), (gpr._SCREEN_MIN_ORDER - 1, 1e-4, True), (600, 1e-4, False)],
+        [(600, 1e-10, True), (gpr._LOW_RANK_MIN_ORDER - 1, 1e-4, True), (600, 1e-4, False)],
     )
     def test_factorizes_fewer_cells_only_where_it_screens(
         self, monkeypatch, rows, jitter, every_cell
     ):
-        # At jitter 1e-10 rounding could move a cell's likelihood further than
-        # the screen's bound is wide, and below _SCREEN_MIN_ORDER distinct
-        # inputs a dense cell costs too little to screen.
+        # At jitter 1e-10 rounding could move a cell's likelihood further
+        # than the low-rank form is exact, and below _LOW_RANK_MIN_ORDER
+        # distinct inputs a dense cell costs too little to go low-rank.
         training = _sample_from_kernel(np.random.default_rng(5), n=rows)
         calls = spy_factorize(monkeypatch)
         self.search(training, jitter)
         assert (set(calls) == set(SearchConfig().grid())) == every_cell
 
     def test_failed_first_cell_rules_out_nothing(self, monkeypatch):
+        # A FitError in the first dense cell skips that cell alone: every
+        # other cell still runs, low-rank or dense.
         training = _sample_from_kernel(np.random.default_rng(5), n=300)
         failed = []
 
@@ -861,54 +934,54 @@ class TestScreen:
                 failed.append(theta)
                 raise FitError("injected")
 
+        pivots = spy_partial_cholesky(monkeypatch)
         calls = spy_factorize(monkeypatch, fail_first)
         model = self.search(training)
         search = SearchConfig(jitter=1e-4)
-        assert set(calls) == set(search.grid())
+        capped = {theta for theta, rank in scan(pivots) if rank is None}
+        assert [theta for theta, _ in scan(pivots)] == list(search.grid())
+        assert failed[0] in capped and set(calls) == capped
         assert model.kernel.theta[0] != failed[0]
         expected = reference_theta_search(training, BasisExpansion("const"), search, failed)
-        assert_same_selection(model.kernel, expected)
+        assert_selects_reference(model.kernel, expected)
         assert_model_equals_fit(model)
 
     def test_cells_past_the_rank_cap_survive(self, monkeypatch):
         # On inputs uniform over [0, 6] the smallest thetas need more than
-        # u // 8 pivots to bound, so those cells are factorized densely.
+        # u // 8 pivots to reach numerical rank, so those cells, and only
+        # those, are factorized densely.
         training = _sample_from_kernel(np.random.default_rng(5), n=300)
-        screens = spy_screen(monkeypatch)
+        pivots = spy_partial_cholesky(monkeypatch)
         calls = spy_factorize(monkeypatch)
         model = self.search(training)
-        capped = {theta: rank for theta, (_, upper, rank) in screens if upper == math.inf}
-        assert capped and set(capped.values()) == {300 // 8}
-        assert capped.keys() <= set(calls) and len(set(calls)) < len(screens)
+        capped = [theta for theta, rank in scan(pivots) if rank is None]
+        ranks = [rank for _, rank in scan(pivots) if rank is not None]
+        assert capped and ranks and max(ranks) <= 300 // 8
+        assert sorted(set(calls)) == capped
         search = SearchConfig(jitter=1e-4)
-        assert_same_selection(model.kernel, reference_theta_search(training, model.basis, search))
+        assert_selects_reference(model.kernel, reference_theta_search(training, model.basis, search))
         assert_model_equals_fit(model)
 
     def test_logs_ranks_and_survivors(self, monkeypatch, caplog):
+        # One DEBUG line per cell says how the cell was computed.
         training = _sample_from_kernel(np.random.default_rng(5), n=300)
-        calls = spy_factorize(monkeypatch)
+        pivots = spy_partial_cholesky(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="jobsignal.gpr"):
             self.search(training)
         messages = [r.getMessage() for r in caplog.records if r.name == "jobsignal.gpr"]
-        ranks = [m for m in messages if m.startswith("screened theta=")]
-        assert len(ranks) == SearchConfig().steps and all(": rank " in m for m in ranks)
-        (summary,) = [m for m in messages if "screened out theta:" in m]
-        # Later calls are the survivors and maybe the first cell again, as the
-        # winner whose buffer a survivor reused.
-        first = calls[0]
-        rest = set(calls[1:]) - {first}
-        ruled_out = set(SearchConfig().grid()) - rest - {first}
-        head, out, surviving = re.split(r"; \w+ out theta: |; surviving theta: ", summary)
-        assert head == f"theta={first:g} factorized first"
-        assert set(out.split()) == {f"{theta:g}" for theta in ruled_out}
-        assert set(surviving.split()) == {f"{theta:g}" for theta in rest}
+        expected = [
+            f"theta={theta:g}: dense" if rank is None else f"theta={theta:g}: low-rank, rank {rank}"
+            for theta, rank in scan(pivots)
+        ]
+        assert messages == expected
+        assert any(": dense" in m for m in messages) and any(": low-rank" in m for m in messages)
 
     @pytest.mark.parametrize("degree", ["const", "linear"])
     @pytest.mark.parametrize("case", ["synth-300", "synth-600", "bundled", "2-d"])
     def test_matches_the_reference_step_bit_for_bit(self, case, degree):
-        # The pivot step writes into preallocated rows; the arithmetic is the
-        # reference's, so every bound and rank is the same bits. On the 2-d
-        # panel over [0, 3]^2 cells stop at the rank cap of u // 8.
+        # The pivot step writes into preallocated arrays; the arithmetic is
+        # the reference's, so every factor and rank is the same bits. On the
+        # 2-d panel over [0, 3]^2 cells stop at the rank cap of u // 8.
         if case == "2-d":
             inputs = np.random.default_rng(8).uniform(0.0, 3.0, size=(300, 2))
             training = TrainingSet(inputs=inputs, targets=np.sin(inputs).sum(axis=1))
@@ -926,14 +999,18 @@ class TestScreen:
         groups = gpr._group_rows(training)
         design = gpr._trend_design(training, basis, groups)
         u, d = groups.counts.size, training.ndim
-        assert u >= gpr._SCREEN_MIN_ORDER
-        screens = []
+        assert u >= gpr._LOW_RANK_MIN_ORDER
+        work = gpr._low_rank_work(groups, design)
+        capped = 0
         for theta in SearchConfig().grid():
-            bound = gpr._screen(groups, design, np.full(d, theta), 1e-4)
-            assert bound == reference_screen(groups, design, np.full(d, theta), 1e-4)
-            screens.append(bound)
-        capped = [rank for _, upper, rank in screens if upper == math.inf]
-        assert capped == [u // 8] * len(capped)
+            rank = gpr._partial_cholesky(groups, np.full(d, theta), work)
+            expected = reference_partial_cholesky(groups, np.full(d, theta))
+            if expected is None:
+                assert rank is None
+                capped += 1
+                continue
+            assert rank == expected.shape[1] <= u // 8
+            assert np.array_equal(work[:u, :rank], expected)
         assert capped or case != "2-d"
 
 
@@ -955,12 +1032,34 @@ class TestMemory:
 
         assert peak(lambda: fit_hyperparameters(training, basis, SearchConfig())) <= 0.75
         assert peak(lambda: fit(training, basis, kernel_1d())) <= 0.75
-        # At jitter 1e-4 the screen's own arrays are gone before the buffer
-        # is allocated.
-        screened = SearchConfig(jitter=1e-4)
-        assert peak(lambda: fit_hyperparameters(training, basis, screened)) <= 0.75
+        # At jitter 1e-4 the smallest thetas are dense and the others
+        # low-rank, so the packed buffer and the low-rank cells' work buffer
+        # of (u + u/8) x (u/8 + 2) doubles are held together.
+        mixed = SearchConfig(jitter=1e-4)
+        assert peak(lambda: fit_hyperparameters(training, basis, mixed)) <= 0.75
         model = fit(training, basis, kernel_1d(jitter=1e-4))
         assert peak(model.held_out_diagonals) <= 0.75
+
+    def test_low_rank_search_holds_no_packed_buffer(self, monkeypatch):
+        # Every cell of the 600-row synth panel reaches numerical rank within
+        # u // 8 = 75 pivots (ranks 68 down to 14), so no packed buffer of
+        # N(N+1)/2 doubles, 0.5 in these units, is allocated. The work buffer
+        # holds 0.14 of them and the winner's orthonormal factor, copied out
+        # at its rank, the rest.
+        inputs, targets = split_panel(synthetic_panel(600, 0.7, 0.5, 3), Direction.SCORE_TO_RATE)
+        training = TrainingSet(inputs=inputs, targets=targets)
+        calls = spy_factorize(monkeypatch)
+        tracemalloc.start()
+        try:
+            model = fit_hyperparameters(training, BasisExpansion("const"), SearchConfig(jitter=1e-4))
+            model.held_out_diagonals()
+            peak = tracemalloc.get_traced_memory()[1] / (training.n**2 * 8)
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        rank = model.factor.q.shape[1]
+        assert model.factor.q.shape == (600 + rank, rank) and rank < 600 // 8
+        assert peak <= 0.25
 
     def test_tied_panel_peak_allocation_in_row_units(self):
         # 20,000 rows over 40 distinct inputs. The search and the held-out
@@ -982,7 +1081,7 @@ class TestMemory:
             loo_peak = tracemalloc.get_traced_memory()[1] / (n * 8)
         finally:
             tracemalloc.stop()
-        assert model.chol.shape == (distinct * (distinct + 1) // 2,)
+        assert model.factor.chol.shape == (distinct * (distinct + 1) // 2,)
         assert p_diag.shape == inv_diag.shape == (n,)
         assert search_peak <= 8.0
         assert loo_peak <= 32.0
