@@ -6,7 +6,7 @@ the bytes json.dumps(document, indent=2) + "\n" gives, on every Python
 version. Before Python 3.13 json.dumps renders an indented document in pure
 Python, so write_document lays out the indentation itself and encodes every
 key and scalar in one call to json's C encoder, which renders each as
-json.dumps does. This is the only code that writes or reads a document.
+json.dumps does. This is the only code that writes a document.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-
-from .errors import ParseError
 
 _SCALARS = {str, int, float, bool, type(None)}
 
@@ -62,21 +60,3 @@ def write_document(schema: str, body: dict, path) -> None:
     text[1::2] = encoded
     Path(path).write_text("".join(text) + "\n", encoding="utf-8")
 
-
-def read_document(path, schema: str, what: str) -> dict:
-    """The object in path, checked to carry this schema.
-
-    Raises ParseError naming `what` when the file is missing, is not UTF-8
-    JSON that Python can hold (too deep a nesting, an integer beyond
-    Python's digit limit), or is not an object of this schema.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"{what} file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # ValueError covers the decode errors
-        raise ParseError(f"{what} file is not valid JSON: {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != schema:
-        raise ParseError(f"unsupported {what} document (expected schema {schema!r})")
-    return payload

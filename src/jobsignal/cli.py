@@ -36,14 +36,13 @@ EXIT_PARSE = 2
 
 def _model_options(args) -> tuple[evaluation.Direction, gpr.BasisExpansion, gpr.SearchConfig]:
     """fit_panel's (direction, basis, search) from --direction, --basis, --theta-grid, --jitter."""
-    direction = evaluation.Direction.from_flag(args.direction)
+    # argparse has checked --direction and --basis against their choices.
+    direction = evaluation.Direction(args.direction.replace("-", "_"))
     basis = gpr.BasisExpansion(args.basis)
     text = args.theta_grid
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--theta-grid expects LO:HI:STEPS, got {text!r}")
     try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, steps = text.split(":")  # ValueError unless three parts
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError:
         raise ValueError(f"--theta-grid expects LO:HI:STEPS numbers, got {text!r}") from None
     search = gpr.SearchConfig(theta_min=lo, theta_max=hi, steps=steps, jitter=args.jitter)

@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from . import gpr
-from ._documents import read_document, write_document
-from .errors import EvaluationError, ParseError
+from ._documents import write_document
+from .errors import EvaluationError
 from .pipeline import PanelDataset, SiteRecord
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "format_report",
     "rae",
     "rmse",
-    "load_report",
     "save_report",
 ]
 
@@ -57,15 +56,6 @@ class Direction(enum.Enum):
 
     SCORE_TO_RATE = "score_to_rate"
     RATE_TO_SCORE = "rate_to_score"
-
-    @classmethod
-    def from_flag(cls, text: str) -> "Direction":
-        try:
-            return cls(text.replace("-", "_"))
-        except ValueError:
-            raise ValueError(
-                f"unknown direction {text!r}; use score-to-rate or rate-to-score"
-            ) from None
 
     def flag(self) -> str:
         return self.value.replace("_", "-")
@@ -231,46 +221,6 @@ def save_report(report: EvaluationReport, path) -> None:
         "per_fold": [[actual, predicted] for actual, predicted in report.per_fold],
     }
     write_document(REPORT_SCHEMA, body, path)
-
-
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def load_report(path) -> EvaluationReport:
-    """The report save_report wrote; ParseError unless every field has its JSON type."""
-    payload = read_document(path, REPORT_SCHEMA, "report")
-    try:
-        kernel = payload["kernel"]
-        per_fold = payload["per_fold"]
-        if not isinstance(per_fold, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in per_fold
-        ):
-            raise TypeError("per_fold must be a list of [actual, predicted] pairs")
-        n = payload["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n != len(per_fold):
-            raise ValueError(f"n must be the integer count of per_fold pairs, got {n!r}")
-        if not isinstance(payload["in_sample"], bool):
-            raise TypeError(f"in_sample must be true or false, got {payload['in_sample']!r}")
-        return EvaluationReport(
-            direction=Direction(payload["direction"]),
-            n=n,
-            correlation_rate=_number(payload["correlation_rate"]),
-            rmse=_number(payload["rmse"]),
-            rae=_number(payload["rae"]),
-            kernel=gpr.Kernel(
-                sigma_sq=_number(kernel["sigma_sq"]),
-                theta=[_number(value) for value in kernel["theta"]],
-                jitter=_number(kernel["jitter"]),
-            ),
-            basis=gpr.BasisExpansion(payload["basis"]),
-            in_sample=payload["in_sample"],
-            per_fold=tuple((_number(a), _number(p)) for a, p in per_fold),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed report document: {exc}") from exc
 
 
 def _block(lines: list[tuple[str, str]]) -> str:

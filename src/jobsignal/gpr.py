@@ -908,8 +908,9 @@ def fit_hyperparameters(
     the same matrix and so the same bits. The model's kernel carries that
     jitter, and fit makes the same low-rank or dense choice in the same
     layout, so the model equals fit(training, basis, model.kernel) bit for
-    bit. A FitError in a cell
-    skips it; any other error stops the scan and propagates.
+    bit. A FitError in a cell skips it, with its reason at DEBUG, and when
+    every cell fails the FitError names the last one's reason; any other
+    error stops the scan and propagates.
     """
     groups = _group_rows(training)
     design = _trend_design(training, basis, groups)
@@ -934,13 +935,14 @@ def fit_hyperparameters(
                 jitter = _factorize(buf, groups, theta, search.jitter)
                 cell = _profile_log_likelihood(buf, groups, design, jitter)
                 logger.debug("theta=%g: dense", value)
-        except FitError:
-            logger.debug("skipping theta=%g: not factorizable", value)
+        except FitError as exc:
+            logger.debug("skipping theta=%g: %s", value, exc)
+            failure = f"theta={value:g}: {exc}"
             continue
         if best is None or cell[0] > best[0]:
             best = (*cell, i, jitter, rank)
     if best is None:
-        raise FitError("no admissible theta grid cell: every candidate failed to factorize")
+        raise FitError(f"no admissible theta grid cell: every candidate failed; {failure}")
     _, sigma_sq, i, jitter, rank = best
     kernel = Kernel(sigma_sq=sigma_sq, theta=np.full(d, grid[i]), jitter=jitter)
     if rank is not None:

@@ -171,11 +171,25 @@ def _parse_cell(token: str, name: str, line_no: int, caster):
         raise ParseError(f"line {line_no}: cannot parse {name} from {token!r}") from exc
 
 
+def _rows(reader, path: Path):
+    """The non-blank rows of a csv.reader; ParseError at the line where a row
+    csv cannot read begins, such as an unclosed quote past csv's field limit."""
+    start = 1
+    try:
+        for row in reader:
+            if row:
+                yield row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {start}: {exc}") from exc
+
+
 def _read_table(path, header: list[str], what: str):
     """Yield (line_no, cells) for each data row of a CSV with this exact
-    header; ParseError on a missing file, bytes that are not UTF-8, another
-    header or a short row. A leading UTF-8 byte order mark, as spreadsheet
-    exports write, is dropped, and blank lines are skipped but counted."""
+    header; ParseError on a missing file, bytes that are not UTF-8 or that
+    csv cannot split, another header or a short row. A leading UTF-8 byte
+    order mark, as spreadsheet exports write, is dropped, and blank lines
+    are skipped but counted."""
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"{what} file not found: {path}")
@@ -188,7 +202,7 @@ def _read_table(path, header: list[str], what: str):
         line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(f"{path}: line {line_no} is not valid UTF-8 ({exc.reason})") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
-    rows = (row for row in reader if row)  # blank lines, which csv.DictReader skips too
+    rows = _rows(reader, path)  # blank lines are skipped, as csv.DictReader skips them
     found = next(rows, None)
     if found != header:
         got = repr(found)

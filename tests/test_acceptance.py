@@ -3,6 +3,7 @@
 Each test registers a PASS/FAIL line that pytest prints in its terminal
 summary (section "acceptance criteria")."""
 
+import json
 import math
 import time
 
@@ -25,12 +26,15 @@ from jobsignal import (
 )
 from jobsignal.cli import main
 from jobsignal.datasets import bundled_sites_path
-from jobsignal.evaluation import load_report
 from jobsignal.gpr import correlation
 from jobsignal.pipeline import read_panel_csv
 
 from conftest import record_acceptance, separated_inputs
 from oracle_gpr import dense_gpr_predict
+
+
+def read_report(path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def check(criterion: str, passed: bool, detail: str = ""):
@@ -185,24 +189,24 @@ def test_criterion_7_end_to_end_recovery(tmp_path):
                  "--out", str(coupled)]) == 0
     assert main(["evaluate", "--panel", str(coupled / "panel.csv"), "--basis", "linear",
                  "--out", str(coupled)]) == 0
-    coupled_report = load_report(coupled / "report.json")
+    coupled_report = read_report(coupled / "report.json")
 
     null = tmp_path / "null"
     assert main(["synth", "--n", "200", "--coupling", "0.0", "--noise", "0", "--seed", "0",
                  "--out", str(null)]) == 0
     assert main(["evaluate", "--panel", str(null / "panel.csv"), "--out", str(null)]) == 0
-    null_report = load_report(null / "report.json")
+    null_report = read_report(null / "report.json")
 
     elapsed = time.perf_counter() - start
     check(
         "7 end-to-end synth recovery (coupled and null panels)",
-        coupled_report.correlation_rate > 0.999
-        and coupled_report.rae < 0.01
-        and abs(null_report.correlation_rate) < 0.4
-        and null_report.rae >= 0.8
+        coupled_report["correlation_rate"] > 0.999
+        and coupled_report["rae"] < 0.01
+        and abs(null_report["correlation_rate"]) < 0.4
+        and null_report["rae"] >= 0.8
         and elapsed < 30.0,
-        f"coupled corr {coupled_report.correlation_rate:.4f} rae {coupled_report.rae:.2e}; "
-        f"null corr {null_report.correlation_rate:.4f} rae {null_report.rae:.3f}; {elapsed:.1f}s",
+        f"coupled corr {coupled_report['correlation_rate']:.4f} rae {coupled_report['rae']:.2e}; "
+        f"null corr {null_report['correlation_rate']:.4f} rae {null_report['rae']:.3f}; {elapsed:.1f}s",
     )
 
 
@@ -253,14 +257,14 @@ def test_criterion_9_scale_invariance(tmp_path):
     scaled_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     assert main(["evaluate", "--panel", str(base_out / "panel.csv"), "--out", str(base_out)]) == 0
-    base_report = load_report(base_out / "report.json")
+    base_report = read_report(base_out / "report.json")
     scaled_out = tmp_path / "scaled"
     assert main(["evaluate", "--panel", str(scaled_csv), "--out", str(scaled_out)]) == 0
-    scaled_report = load_report(scaled_out / "report.json")
+    scaled_report = read_report(scaled_out / "report.json")
 
-    corr_dev = abs(scaled_report.correlation_rate - base_report.correlation_rate)
-    rae_dev = abs(scaled_report.rae - base_report.rae)
-    rmse_dev = abs(scaled_report.rmse - c * base_report.rmse) / (c * base_report.rmse)
+    corr_dev = abs(scaled_report["correlation_rate"] - base_report["correlation_rate"])
+    rae_dev = abs(scaled_report["rae"] - base_report["rae"])
+    rmse_dev = abs(scaled_report["rmse"] - c * base_report["rmse"]) / (c * base_report["rmse"])
     check(
         "9 scale invariance (signal column x1000; rates x c)",
         score_dev <= 1e-9 and corr_dev <= 1e-12 and rae_dev <= 1e-12 and rmse_dev <= 1e-12,

@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from jobsignal import TrainingSet, fit
+from jobsignal import BasisExpansion, Direction, Kernel, TrainingSet, fit
 from jobsignal.cli import _model_options, build_parser, main
-from jobsignal.evaluation import evaluate_model, fit_panel, load_report, split_panel
+from jobsignal.evaluation import evaluate_model, fit_panel, split_panel
 from jobsignal.pipeline import ingest_sites, read_panel_csv
 
 SITES_BODY = """url,country,rank,trend,traffic
@@ -51,6 +51,17 @@ UNPARSABLE_JSON = {
     "deep-nesting": b"[" * 100_000,
     "huge-integer": b'{"jobs.a.de": {"rank": 1' + b"0" * 4300 + b"}}",
 }
+
+
+# A row that opens a quote that never closes, and then more text than csv's
+# field size limit (131,072 characters) lets one cell hold.
+STRAY_QUOTE_TAIL = "".join(f"jobs.s{i}.de,DE,{i + 1},12.5,1000.25\n" for i in range(5000))
+FIELD_LIMIT = "field larger than field limit (131072)"
+
+SMALL_PANEL = (
+    "url,country,score,unemployment_rate\n"
+    "a.test,ZZ,0.0,4.0\nb.test,ZZ,1.0,5.0\nc.test,ZZ,2.0,6.0\n"
+)
 
 
 BUNDLED_PANEL_BLOCK = """\
@@ -136,20 +147,23 @@ class TestPipelineCommand:
         assert run(["score", "--records", sites, "--indicators", indicators, "--out", out]) == 0
         args = [command, *inputs, *flags, "--out", out]
         assert run(args) == 0
-        report = load_report(out / "report.json")
+        doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        kernel = Kernel(**doc["kernel"])
         panel = read_panel_csv(out / "panel.csv")
-        model = fit(TrainingSet(*split_panel(panel, report.direction)), report.basis, report.kernel)
+        training = TrainingSet(*split_panel(panel, Direction(doc["direction"])))
+        model = fit(training, BasisExpansion(doc["basis"]), kernel)
         direction, basis, search = _model_options(build_parser().parse_args([str(a) for a in args]))
         expected = fit_panel(panel, direction, basis, search)
-        assert model.kernel.jitter == expected.kernel.jitter == report.kernel.jitter
+        assert model.kernel.jitter == expected.kernel.jitter == kernel.jitter
         if search.jitter == 0.0:
-            assert report.kernel.jitter > 0.0
+            assert kernel.jitter > 0.0
         for name in ("beta", "alpha"):
             assert np.array_equal(getattr(model, name), getattr(expected, name)), name
         assert type(model.factor) is type(expected.factor)
         for name, value in vars(model.factor).items():
             assert np.array_equal(value, getattr(expected.factor, name)), name
-        assert evaluate_model(model, panel, direction).per_fold == report.per_fold
+        per_fold = evaluate_model(model, panel, direction).per_fold
+        assert per_fold == tuple(tuple(pair) for pair in doc["per_fold"])
 
     def test_duplicate_url_exit_3(self, small_inputs, tmp_path):
         sites, indicators = small_inputs
@@ -227,6 +241,37 @@ class TestStagedCommands:
         args = ["score", "--records", records, "--indicators", indicators]
         assert run([*args, "--out", tmp_path / "o"]) == 2
         assert f"{records}: expected header 'url,country,rank,trend,traffic'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, row, message",
+        [
+            ("sites", "jobs.m.pl,PL,1,1.0", "line 14: expected 5 cells, got 4"),
+            ("indicators", "de,5.0", "line 8: country_code must be 2 uppercase letters: 'de'"),
+            ("panel", ",ZZ,3.0,7.0", "line 5: url must be non-empty"),
+            ("panel", "d.test,zz,3.0,7.0", "line 5: country_code must be 2 uppercase letters: 'zz'"),
+            ("panel", "d.test,ZZ,nan,7.0", "line 5: panel rows must not contain missing values"),
+            ("sites", 'jobs.m.pl,PL,"1,1.0,1.0\n' + STRAY_QUOTE_TAIL, "{path}: line 14: " + FIELD_LIMIT),
+            ("indicators", 'IT,"5.0\n' + STRAY_QUOTE_TAIL, "{path}: line 8: " + FIELD_LIMIT),
+            ("panel", 'd.test,ZZ,"3.0,7.0\n' + STRAY_QUOTE_TAIL, "{path}: line 5: " + FIELD_LIMIT),
+        ],
+        ids=["sites-short-row", "indicators-lowercase-country", "panel-empty-url",
+             "panel-lowercase-country", "panel-non-finite-score",
+             "sites-stray-quote", "indicators-stray-quote", "panel-stray-quote"],
+    )
+    def test_unreadable_row_names_its_line_exit_2(
+        self, small_inputs, tmp_path, capsys, name, row, message
+    ):
+        sites, indicators = small_inputs
+        panel = tmp_path / "panel.csv"
+        panel.write_text(SMALL_PANEL, encoding="utf-8")
+        path = {"sites": sites, "indicators": indicators, "panel": panel}[name]
+        path.write_text(path.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+        if name == "panel":
+            args = ["evaluate", "--panel", panel]
+        else:
+            args = ["score", "--records", sites, "--indicators", indicators]
+        assert run([*args, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
     def test_verbose_logs_each_theta_cell(self, tmp_path, caplog):
         # -v sets the jobsignal loggers to DEBUG for one run: the search logs
@@ -395,7 +440,7 @@ class TestStagedCommands:
         assert not (tmp_path / "o" / "report.json").exists()
 
     @pytest.mark.parametrize("mode", [[], ["--in-sample"]])
-    def test_failed_search_in_evaluate_exit_4(self, tmp_path, capsys, mode):
+    def test_failed_search_in_evaluate_exit_4(self, tmp_path, capsys, caplog, mode):
         # Identical scores make every cell's linear trend singular: the search
         # itself fails, which is a fit error in either evaluation mode.
         panel = tmp_path / "panel.csv"
@@ -404,9 +449,16 @@ class TestStagedCommands:
             "a.test,ZZ,1.0,4.0\nb.test,ZZ,1.0,5.0\nc.test,ZZ,1.0,6.0\n",
             encoding="utf-8",
         )
-        rc = run(["evaluate", "--panel", panel, "--basis", "linear", "--out", tmp_path / "o", *mode])
-        assert rc == 4
-        assert "no admissible theta grid cell" in capsys.readouterr().err
+        args = ["evaluate", "--panel", panel, "--basis", "linear", "-v", "--out", tmp_path / "o", *mode]
+        assert run(args) == 4
+        # The error and each skipped cell's DEBUG line name the cause.
+        singular = "trend system is singular (collinear or duplicate basis functions)"
+        assert capsys.readouterr().err == (
+            f"error: no admissible theta grid cell: every candidate failed; theta=10: {singular}\n"
+        )
+        cells = [r.getMessage() for r in caplog.records if r.name == "jobsignal.gpr"]
+        assert len(cells) == 13
+        assert all(re.fullmatch(rf"skipping theta=[0-9.]+: {re.escape(singular)}", m) for m in cells)
 
     def test_evaluate_error_exit_5(self, tmp_path):
         # Constant rates leave the correlation undefined.
@@ -433,14 +485,14 @@ class TestStagedCommands:
 
     def test_bad_theta_grid_exit_2(self, tmp_path, capsys):
         panel = tmp_path / "panel.csv"
-        panel.write_text(
-            "url,country,score,unemployment_rate\n"
-            "a.test,ZZ,0.0,4.0\nb.test,ZZ,1.0,5.0\nc.test,ZZ,2.0,6.0\n",
-            encoding="utf-8",
-        )
+        panel.write_text(SMALL_PANEL, encoding="utf-8")
         assert run(["evaluate", "--panel", panel, "--theta-grid", "oops", "--out", tmp_path / "o"]) == 2
         assert run(["evaluate", "--panel", panel, "--theta-grid", "5:1:4", "--out", tmp_path / "o"]) == 2
         capsys.readouterr()
+        assert run(["evaluate", "--panel", panel, "--theta-grid", "a:b:3", "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --theta-grid expects LO:HI:STEPS numbers, got 'a:b:3'\n"
+        )
         for grid in ("0.1:inf:13", "0.1:1e400:3"):
             # Non-finite bounds are rejected before the grid is built, so
             # numpy never gets to warn.
@@ -453,11 +505,7 @@ class TestStagedCommands:
 
     def test_bad_jitter_exit_2(self, tmp_path, capsys):
         panel = tmp_path / "panel.csv"
-        panel.write_text(
-            "url,country,score,unemployment_rate\n"
-            "a.test,ZZ,0.0,4.0\nb.test,ZZ,1.0,5.0\nc.test,ZZ,2.0,6.0\n",
-            encoding="utf-8",
-        )
+        panel.write_text(SMALL_PANEL, encoding="utf-8")
         for value in ("nan", "inf", "-0.5"):
             rc = run(["evaluate", "--panel", panel, "--jitter", value, "--out", tmp_path / "o"])
             assert rc == 2

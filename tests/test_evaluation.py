@@ -19,10 +19,10 @@ from jobsignal import (
     rmse,
 )
 from jobsignal.evaluation import (
+    REPORT_SCHEMA,
     evaluate_model,
     fit_panel,
     format_report,
-    load_report,
     save_report,
     split_panel,
 )
@@ -452,53 +452,27 @@ class TestReportSerialization:
         report = self.make_report()
         path = tmp_path / "report.json"
         save_report(report, path)
-        restored = load_report(path)
-        resaved = tmp_path / "resaved.json"
-        save_report(restored, resaved)
-        assert json.loads(resaved.read_text(encoding="utf-8")) == json.loads(
-            path.read_text(encoding="utf-8")
-        )
-        assert resaved.read_bytes() == path.read_bytes()
-        assert restored.per_fold == report.per_fold
-
-    def test_schema_checked(self, tmp_path):
-        from jobsignal import ParseError
-
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps({"schema": "bogus/1"}), encoding="utf-8")
-        with pytest.raises(ParseError, match="schema"):
-            load_report(path)
-
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"in_sample": "false"},
-            {"n": 3.7},
-            {"n": 8.0},
-            {"n": True, "per_fold": [[1.0, 2.0]]},
-            {"n": 2, "per_fold": ["12", "34"]},
-            {"n": 999},
-            {"rmse": 10**400},
-        ],
-        ids=[
-            "in-sample-string",
-            "n-float",
-            "n-integral-float",
-            "n-bool",
-            "pair-strings",
-            "n-not-count",
-            "rmse-beyond-float",
-        ],
-    )
-    def test_malformed_fields_rejected(self, tmp_path, fields):
-        from jobsignal import ParseError
-
-        path = tmp_path / "report.json"
-        save_report(self.make_report(), path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**payload, **fields}), encoding="utf-8")
-        with pytest.raises(ParseError, match="malformed report document"):
-            load_report(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc == {
+            "schema": REPORT_SCHEMA,
+            "direction": report.direction.value,
+            "n": report.n,
+            "correlation_rate": report.correlation_rate,
+            "rmse": report.rmse,
+            "rae": report.rae,
+            "kernel": {
+                "sigma_sq": report.kernel.sigma_sq,
+                "theta": report.kernel.theta.tolist(),
+                "jitter": report.kernel.jitter,
+            },
+            "basis": report.basis.degree,
+            "in_sample": report.in_sample,
+            "per_fold": [list(pair) for pair in report.per_fold],
+        }
+        assert list(doc)[0] == "schema"
+        # == on floats forgives the sign of zero; the bit patterns do not.
+        parsed = np.array(doc["per_fold"], dtype=float).view(np.uint64)
+        assert np.array_equal(parsed, np.array(report.per_fold).view(np.uint64))
 
     def test_text_table_labels(self):
         text = format_report(self.make_report(), self.make_panel())
