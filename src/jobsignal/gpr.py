@@ -45,13 +45,14 @@ model, closer to the dense matrix than the dense factor's own rounding
 allowance. Its likelihood comes from one QR of O(u m^2), and the model
 whitens with the (u + m) x m orthonormal factor of
 [diag(n_k/jitter)^1/2 G; I] (_LowRank), so no u x u matrix is formed. Any
-other cell is factorized densely (_Dense). fit makes the same choice, and
-every solve of a fitted model goes through the factor's whiten,
-whiten_t and inverse_diagonal, whichever form it has.
+other cell is factorized densely (_Dense), and every solve of a fitted
+model goes through the factor's whiten, whiten_t and inverse_diagonal,
+whichever form it has.
 The cells run one at a time, in grid order, on the calling thread, every
 dense one factorized into the same packed buffer. The winner's factor
 becomes the fitted model; a dense winner is factorized once more only if
-a later dense cell reused the buffer, so the search is also the fit. A
+a later dense cell reused the buffer, so the search is also the fit, and
+fit is the search at one cell: one path, _fit, makes both models. A
 fitted model holds no mutable state: predict logs at DEBUG, on the
 jobsignal.gpr logger, how many variances it clamped to 0.
 The fitted model also gives the closed forms over its own training rows
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -629,8 +630,7 @@ def _low_rank_applies(groups: _Groups, jitter: float) -> bool:
 def _low_rank_work(groups: _Groups, design: np.ndarray) -> np.ndarray:
     """The column-major work buffer of the low-rank cells, u + u // 8 rows
     by u // 8 + p + 1 columns: room for the least-squares system of
-    _low_rank_likelihood at any rank up to the cap. The search and fit each
-    hold one, so their pivot steps run on the same layout."""
+    _low_rank_likelihood at any rank up to the cap, one for all of _fit's cells."""
     cap = groups.counts.size // 8
     return np.empty((groups.counts.size + cap, cap + design.shape[1] + 1), order="F")
 
@@ -765,29 +765,66 @@ def _model_from_factor(
     )
 
 
+def _fit(training: TrainingSet, basis: BasisExpansion, thetas, jitter: float, sigma_sq=None):
+    """The model of the likeliest cell among thetas, each from jitter up its ladder,
+    with sigma_sq, when given, for the profiled one (see fit_hyperparameters)."""
+    groups = _group_rows(training)
+    design = _trend_design(training, basis, groups)
+    u = groups.counts.size
+    work = _low_rank_work(groups, design) if _low_rank_applies(groups, jitter) else None
+    buf = None  # the packed buffer of every dense cell, allocated by the first
+    held = None  # the last dense cell run, whose factor buf holds if it succeeded
+    best = None  # (loglik, sigma_sq, cell, jitter, rank of a low-rank cell or None)
+    for i, theta in enumerate(thetas):
+        name = f"theta={theta[0]:g}" if (theta == theta[0]).all() else f"theta={theta.tolist()}"
+        try:
+            rank = None if work is None else _partial_cholesky(groups, theta, work)
+            if rank is not None:
+                used, cell = jitter, _low_rank_likelihood(work, rank, groups, design, jitter)
+                logger.debug("%s: low-rank, rank %d", name, rank)
+            else:
+                if buf is None:
+                    buf = np.empty(u * (u + 1) // 2)
+                held = i
+                used = _factorize(buf, groups, theta, jitter)
+                cell = _profile_log_likelihood(buf, groups, design, used)
+                logger.debug("%s: dense", name)
+        except FitError as exc:
+            logger.debug("skipping %s: %s", name, exc)
+            failure = exc
+            continue
+        if best is None or cell[0] > best[0]:
+            best = (*cell, i, used, rank)
+    if best is None:
+        reason = f"every candidate failed; {name}: {failure}"
+        raise FitError(f"no admissible theta grid cell: {reason}") from failure
+    _, profiled, i, jitter, rank = best
+    sigma_sq = profiled if sigma_sq is None else sigma_sq
+    kernel = Kernel(sigma_sq=sigma_sq, theta=thetas[i], jitter=jitter)
+    if rank is not None:
+        buf = None  # no dense cell won: let its buffer go before the factor is formed
+        factor = _low_rank_factor(groups, kernel.theta, jitter, work)
+    else:
+        if held != i:
+            _factorize(buf, groups, kernel.theta, jitter)
+        factor = _Dense(buf)
+    return _model_from_factor(training, groups, basis, design, kernel, factor)
+
+
 def fit(training: TrainingSet, basis: BasisExpansion, kernel: Kernel) -> GprModel:
     """Fit trend coefficients and process state for the given kernel.
 
     Solves (F' C^-1 F) beta = F' C^-1 t against the jitter-regularized
     covariance, then precomputes alpha = C^-1 (t - F beta) for prediction.
-    The factor is low-rank where _low_rank_applies and _partial_cholesky
-    reaches numerical rank, and dense otherwise, as in the search. The
-    returned model records the jitter actually used, including any
-    escalation needed to make the dense factorization succeed.
+    It is the search at the one cell kernel.theta, with kernel.sigma_sq for
+    the profiled variance, so its factor is low-rank or dense as that cell's
+    is, and a FitError is the cell's own. The returned model records the
+    jitter actually used, including any escalation the ladder needed.
     """
-    groups = _group_rows(training)
-    design = _trend_design(training, basis, groups)
-    jitter = kernel.jitter
-    factor = None
-    if _low_rank_applies(groups, jitter):
-        factor = _low_rank_factor(groups, kernel.theta, jitter, _low_rank_work(groups, design))
-    if factor is None:
-        u = groups.counts.size
-        chol = np.empty(u * (u + 1) // 2)
-        jitter = _factorize(chol, groups, kernel.theta, jitter)
-        factor = _Dense(chol)
-    kernel = replace(kernel, jitter=jitter)
-    return _model_from_factor(training, groups, basis, design, kernel, factor)
+    try:
+        return _fit(training, basis, [kernel.theta], kernel.jitter, kernel.sigma_sq)
+    except FitError as exc:
+        raise (exc.__cause__ or exc) from None
 
 
 def predict(model: GprModel, x_new: np.ndarray) -> Prediction:
@@ -902,54 +939,17 @@ def fit_hyperparameters(
     ties resolve toward the smallest theta and then the smallest sigma_sq.
     Every low-rank cell pivots in the one work buffer and its QR overwrites
     G there, so a low-rank winner runs its pivots again, O(u m^2), and
-    _low_rank_factor forms its orthonormal factor, as fit does. A dense
-    winner's factor becomes the model's if it was the last dense cell run,
-    and is otherwise factorized again at the jitter it used, which rebuilds
-    the same matrix and so the same bits. The model's kernel carries that
-    jitter, and fit makes the same low-rank or dense choice in the same
-    layout, so the model equals fit(training, basis, model.kernel) bit for
-    bit. A FitError in a cell skips it, with its reason at DEBUG, and when
-    every cell fails the FitError names the last one's reason; any other
-    error stops the scan and propagates.
+    _low_rank_factor forms its orthonormal factor. A dense winner's factor
+    becomes the model's if it was the last dense cell run, and is otherwise
+    factorized again at the jitter it used, which rebuilds the same matrix
+    and so the same bits. The model's kernel carries that jitter. fit is
+    this search at the one cell model.kernel.theta (both are _fit), so
+    fit(training, basis, model.kernel) repeats the winner's cell and equals
+    the model bit for bit by construction, wherever _low_rank_applies reads
+    the winner's jitter as it read the search's. A FitError in a cell skips
+    it, with its reason at DEBUG, and when every cell fails the FitError
+    names the last one's reason; any other error stops the scan and
+    propagates.
     """
-    groups = _group_rows(training)
-    design = _trend_design(training, basis, groups)
-    u, d = groups.counts.size, training.ndim
-    grid = search.grid()
-    work = _low_rank_work(groups, design) if _low_rank_applies(groups, search.jitter) else None
-    buf = None  # the packed buffer of every dense cell, allocated by the first
-    held = None  # the last dense cell run, whose factor buf holds if it succeeded
-    best = None  # (loglik, sigma_sq, cell, jitter, rank of a low-rank cell or None)
-    for i, value in enumerate(grid):
-        theta = np.full(d, value)
-        try:
-            rank = None if work is None else _partial_cholesky(groups, theta, work)
-            if rank is not None:
-                jitter = search.jitter
-                cell = _low_rank_likelihood(work, rank, groups, design, jitter)
-                logger.debug("theta=%g: low-rank, rank %d", value, rank)
-            else:
-                if buf is None:
-                    buf = np.empty(u * (u + 1) // 2)
-                held = i
-                jitter = _factorize(buf, groups, theta, search.jitter)
-                cell = _profile_log_likelihood(buf, groups, design, jitter)
-                logger.debug("theta=%g: dense", value)
-        except FitError as exc:
-            logger.debug("skipping theta=%g: %s", value, exc)
-            failure = f"theta={value:g}: {exc}"
-            continue
-        if best is None or cell[0] > best[0]:
-            best = (*cell, i, jitter, rank)
-    if best is None:
-        raise FitError(f"no admissible theta grid cell: every candidate failed; {failure}")
-    _, sigma_sq, i, jitter, rank = best
-    kernel = Kernel(sigma_sq=sigma_sq, theta=np.full(d, grid[i]), jitter=jitter)
-    if rank is not None:
-        buf = None  # no dense cell won: let its buffer go before the factor is formed
-        factor = _low_rank_factor(groups, kernel.theta, jitter, work)
-    else:
-        if held != i:
-            _factorize(buf, groups, kernel.theta, jitter)
-        factor = _Dense(buf)
-    return _model_from_factor(training, groups, basis, design, kernel, factor)
+    grid = [np.full(training.ndim, value) for value in search.grid()]
+    return _fit(training, basis, grid, search.jitter)

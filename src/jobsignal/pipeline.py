@@ -172,13 +172,13 @@ def _parse_cell(token: str, name: str, line_no: int, caster):
 
 
 def _rows(reader, path: Path):
-    """The non-blank rows of a csv.reader; ParseError at the line where a row
-    csv cannot read begins, such as an unclosed quote past csv's field limit."""
+    """(line it begins on, row) for each non-blank row of a csv.reader;
+    ParseError there for a row csv cannot read, such as an unclosed quote."""
     start = 1
     try:
         for row in reader:
             if row:
-                yield row
+                yield start, row
             start = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"{path}: line {start}: {exc}") from exc
@@ -186,10 +186,10 @@ def _rows(reader, path: Path):
 
 def _read_table(path, header: list[str], what: str):
     """Yield (line_no, cells) for each data row of a CSV with this exact
-    header; ParseError on a missing file, bytes that are not UTF-8 or that
-    csv cannot split, another header or a short row. A leading UTF-8 byte
-    order mark, as spreadsheet exports write, is dropped, and blank lines
-    are skipped but counted."""
+    header, line_no the physical line it begins on; ParseError on a missing
+    file, bytes that are not UTF-8 or that csv cannot split, another header
+    or a short row. A leading UTF-8 byte order mark, as spreadsheet exports
+    write, is dropped, and blank lines are skipped but counted."""
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"{what} file not found: {path}")
@@ -203,14 +203,13 @@ def _read_table(path, header: list[str], what: str):
         raise ParseError(f"{path}: line {line_no} is not valid UTF-8 ({exc.reason})") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     rows = _rows(reader, path)  # blank lines are skipped, as csv.DictReader skips them
-    found = next(rows, None)
+    _, found = next(rows, (None, None))
     if found != header:
         got = repr(found)
         if len(got) > _ECHO_LIMIT:  # the first line may be a whole file of data
             got = got[:_ECHO_LIMIT] + "..."
         raise ParseError(f"{path}: expected header {','.join(header)!r}, got {got}")
-    for row in rows:
-        line_no = reader.line_num  # physical: a quoted cell may span lines
+    for line_no, row in rows:
         if len(row) != len(header):
             raise ParseError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
         yield line_no, row

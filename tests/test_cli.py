@@ -57,6 +57,12 @@ UNPARSABLE_JSON = {
 # field size limit (131,072 characters) lets one cell hold.
 STRAY_QUOTE_TAIL = "".join(f"jobs.s{i}.de,DE,{i + 1},12.5,1000.25\n" for i in range(5000))
 FIELD_LIMIT = "field larger than field limit (131072)"
+# A quote opened on line 2 swallows lines 3-5 into that row's third cell.
+STRAY_QUOTE_LISTING = (
+    "url,country,rank,trend,traffic\n"
+    'jobs.a.de,DE,"1,1.0,1.0\n'
+    "jobs.b.de,DE,2,1.0,1.0\njobs.c.de,DE,3,1.0,1.0\njobs.d.de,DE,4,1.0,1.0"
+)
 
 SMALL_PANEL = (
     "url,country,score,unemployment_rate\n"
@@ -253,10 +259,12 @@ class TestStagedCommands:
             ("sites", 'jobs.m.pl,PL,"1,1.0,1.0\n' + STRAY_QUOTE_TAIL, "{path}: line 14: " + FIELD_LIMIT),
             ("indicators", 'IT,"5.0\n' + STRAY_QUOTE_TAIL, "{path}: line 8: " + FIELD_LIMIT),
             ("panel", 'd.test,ZZ,"3.0,7.0\n' + STRAY_QUOTE_TAIL, "{path}: line 5: " + FIELD_LIMIT),
+            ("listing", STRAY_QUOTE_LISTING, "line 2: expected 5 cells, got 3"),
         ],
         ids=["sites-short-row", "indicators-lowercase-country", "panel-empty-url",
              "panel-lowercase-country", "panel-non-finite-score",
-             "sites-stray-quote", "indicators-stray-quote", "panel-stray-quote"],
+             "sites-stray-quote", "indicators-stray-quote", "panel-stray-quote",
+             "sites-stray-quote-short-file"],
     )
     def test_unreadable_row_names_its_line_exit_2(
         self, small_inputs, tmp_path, capsys, name, row, message
@@ -264,8 +272,10 @@ class TestStagedCommands:
         sites, indicators = small_inputs
         panel = tmp_path / "panel.csv"
         panel.write_text(SMALL_PANEL, encoding="utf-8")
-        path = {"sites": sites, "indicators": indicators, "panel": panel}[name]
-        path.write_text(path.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+        # A row is appended to its file; a listing replaces the sites file.
+        path = {"sites": sites, "listing": sites, "indicators": indicators, "panel": panel}[name]
+        head = "" if name == "listing" else path.read_text(encoding="utf-8")
+        path.write_text(head + row + "\n", encoding="utf-8")
         if name == "panel":
             args = ["evaluate", "--panel", panel]
         else:

@@ -134,6 +134,10 @@ class TestRae:
         with pytest.raises(EvaluationError, match="equal"):
             rae([(2.0, 1.0), (2.0, 3.0)])
 
+    def test_one_pair_rejected(self):
+        with pytest.raises(EvaluationError, match="rae needs at least two pairs"):
+            rae([(2.0, 1.0)])
+
     def test_translation_invariant(self, rng):
         actual = rng.normal(size=15)
         predicted = rng.normal(size=15)

@@ -295,8 +295,9 @@ class TestFit:
 
         monkeypatch.setattr(_lapack, "pftrf", always_fails)
         training = TrainingSet(inputs=np.array([[0.0], [1.0]]), targets=np.array([0.0, 1.0]))
-        with pytest.raises(FitError, match="positive definite"):
+        with pytest.raises(FitError) as excinfo:
             fit(training, BasisExpansion("const"), kernel_1d())
+        assert str(excinfo.value) == "covariance is not positive definite even at jitter 0.0001"
 
     def test_factor_matches_numpy_cholesky(self, rng):
         # The library calls dpftrf through its own binding; np.linalg.cholesky
@@ -336,14 +337,16 @@ class TestFit:
         inputs = np.column_stack([np.linspace(0, 1, 5), np.full(5, 2.0)])
         training = TrainingSet(inputs=inputs, targets=np.linspace(0, 1, 5))
         kernel = Kernel(sigma_sq=1.0, theta=[1.0, 1.0])
-        with pytest.raises(FitError, match="singular"):
+        with pytest.raises(FitError) as excinfo:
             fit(training, BasisExpansion("linear"), kernel)
+        assert str(excinfo.value) == "trend system is singular (collinear or duplicate basis functions)"
 
     def test_underdetermined_trend_system(self):
         training = TrainingSet(inputs=np.array([[0.0, 1.0]]), targets=np.array([1.0]))
         kernel = Kernel(sigma_sq=1.0, theta=[1.0, 1.0])
-        with pytest.raises(FitError, match="underdetermined"):
+        with pytest.raises(FitError) as excinfo:
             fit(training, BasisExpansion("linear"), kernel)
+        assert str(excinfo.value) == "trend system is underdetermined: 3 basis functions for 1 observations"
 
     def test_dimension_mismatch(self):
         training = TrainingSet(inputs=np.array([[0.0, 1.0]]), targets=np.array([1.0]))
@@ -471,8 +474,13 @@ class TestPredict:
 
     def test_dimension_mismatch(self, rng):
         model = random_fitted_model(rng, n=5, d=2)
-        for points in ([0.0], np.zeros((3, 1)), np.zeros((3, 3))):
-            with pytest.raises(ValueError, match="dimension"):
+        for points, message in (
+            ([0.0], "dimension mismatch"),
+            (np.zeros((3, 1)), "dimension mismatch"),
+            (np.zeros((3, 3)), "dimension mismatch"),
+            (np.zeros((2, 3, 2)), re.escape("one point or an (M, d) batch, got shape (2, 3, 2)")),
+        ):
+            with pytest.raises(ValueError, match=message):
                 predict(model, points)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -910,18 +918,27 @@ class TestScreen:
 
     @pytest.mark.parametrize(
         "rows, jitter, every_cell",
-        [(600, 1e-10, True), (gpr._LOW_RANK_MIN_ORDER - 1, 1e-4, True), (600, 1e-4, False)],
+        [
+            (600, 1e-10, True),
+            (600, 0.0, True),
+            (gpr._LOW_RANK_MIN_ORDER - 1, 1e-4, True),
+            (600, 1e-4, False),
+        ],
     )
     def test_factorizes_fewer_cells_only_where_it_screens(
         self, monkeypatch, rows, jitter, every_cell
     ):
         # At jitter 1e-10 rounding could move a cell's likelihood further
-        # than the low-rank form is exact, and below _LOW_RANK_MIN_ORDER
-        # distinct inputs a dense cell costs too little to go low-rank.
+        # than the low-rank form is exact, at jitter 0 by any amount, and
+        # below _LOW_RANK_MIN_ORDER distinct inputs a dense cell costs too
+        # little to go low-rank. fit is the search at one cell, so its
+        # factor is dense exactly where every cell of the search is.
         training = _sample_from_kernel(np.random.default_rng(5), n=rows)
         calls = spy_factorize(monkeypatch)
         self.search(training, jitter)
         assert (set(calls) == set(SearchConfig().grid())) == every_cell
+        model = fit(training, BasisExpansion("const"), kernel_1d(jitter=jitter))
+        assert isinstance(model.factor, gpr._Dense) == every_cell
 
     def test_failed_first_cell_rules_out_nothing(self, monkeypatch):
         # A FitError in the first dense cell skips that cell alone: every
@@ -1105,6 +1122,10 @@ class TestTypes:
             TrainingSet(inputs=np.zeros((0, 1)), targets=np.zeros(0))
         with pytest.raises(ValueError):
             TrainingSet(inputs=np.array([[np.nan]]), targets=np.array([1.0]))
+        with pytest.raises(ValueError, match=re.escape("inputs must be a 2-d array of shape (N, d)")):
+            TrainingSet(inputs=np.zeros(3), targets=np.zeros(3))
+        with pytest.raises(ValueError, match="targets must be a 1-d vector"):
+            TrainingSet(inputs=np.zeros((3, 1)), targets=np.zeros((3, 1)))
 
     def test_unknown_degree_rejected(self):
         with pytest.raises(ValueError, match="degree"):

@@ -513,10 +513,16 @@ class TestSiteRecordValidation:
         with pytest.raises(ValueError, match="rank"):
             SiteRecord(url="jobs.a.de", country_code="DE", rank=0)
 
-    @pytest.mark.parametrize("name", ["rank", "trend", "traffic"])
-    def test_rejects_boolean_signal(self, name):
-        with pytest.raises(ValueError, match=name):
-            SiteRecord(url="jobs.a.de", country_code="DE", **{name: True})
+    @pytest.mark.parametrize(
+        "name, value",
+        [("rank", True), ("trend", True), ("traffic", True), ("trend", "x")],
+        ids=["rank", "trend", "traffic", "trend-string"],
+    )
+    def test_rejects_boolean_signal(self, name, value):
+        # Neither a bool nor a string is a signal value; math.isfinite raises
+        # TypeError on a string.
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            SiteRecord(url="jobs.a.de", country_code="DE", **{name: value})
 
     def test_rejects_rank_beyond_float_range(self):
         with pytest.raises(ValueError, match="rank is too large"):
