@@ -712,23 +712,6 @@ def _low_rank_likelihood(
     return _likelihood(groups, jitter, float(diag[-1]) ** 2, logdet)
 
 
-def _low_rank_factor(
-    groups: _Groups, theta: np.ndarray, jitter: float, work: np.ndarray
-) -> _LowRank | None:
-    """The _LowRank factor of GG' + jitter*diag(1/n_k) at theta, G from
-    _partial_cholesky in work; None when that reaches the rank cap. The
-    orthonormal factor is formed in work and copied out at its rank."""
-    rank = _partial_cholesky(groups, theta, work)
-    if rank is None:
-        return None
-    u = groups.counts.size
-    stacked = work[: u + rank, :rank]
-    stacked[:u] *= np.sqrt(groups.counts / jitter)[:, None]
-    stacked[u:] = np.eye(rank)
-    _lapack.orgqr(stacked, _lapack.geqrf(stacked))
-    return _LowRank(q=np.array(stacked, order="F"), noise=jitter / groups.counts)
-
-
 def _model_from_factor(
     training: TrainingSet,
     groups: _Groups,
@@ -803,7 +786,14 @@ def _fit(training: TrainingSet, basis: BasisExpansion, thetas, jitter: float, si
     kernel = Kernel(sigma_sq=sigma_sq, theta=thetas[i], jitter=jitter)
     if rank is not None:
         buf = None  # no dense cell won: let its buffer go before the factor is formed
-        factor = _low_rank_factor(groups, kernel.theta, jitter, work)
+        # The cells' QRs overwrote G: pivot again, to the same rank, and form
+        # the orthonormal factor in work, copied out at that rank.
+        _partial_cholesky(groups, kernel.theta, work)
+        stacked = work[: u + rank, :rank]
+        stacked[:u] *= np.sqrt(groups.counts / jitter)[:, None]
+        stacked[u:] = np.eye(rank)
+        _lapack.orgqr(stacked, _lapack.geqrf(stacked))
+        factor = _LowRank(q=np.array(stacked, order="F"), noise=jitter / groups.counts)
     else:
         if held != i:
             _factorize(buf, groups, kernel.theta, jitter)
@@ -938,8 +928,8 @@ def fit_hyperparameters(
     order, and only a strictly larger likelihood replaces the incumbent, so
     ties resolve toward the smallest theta and then the smallest sigma_sq.
     Every low-rank cell pivots in the one work buffer and its QR overwrites
-    G there, so a low-rank winner runs its pivots again, O(u m^2), and
-    _low_rank_factor forms its orthonormal factor. A dense winner's factor
+    G there, so a low-rank winner runs its pivots again, O(u m^2), to the
+    same rank, and forms its orthonormal factor. A dense winner's factor
     becomes the model's if it was the last dense cell run, and is otherwise
     factorized again at the jitter it used, which rebuilds the same matrix
     and so the same bits. The model's kernel carries that jitter. fit is

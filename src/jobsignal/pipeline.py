@@ -171,19 +171,6 @@ def _parse_cell(token: str, name: str, line_no: int, caster):
         raise ParseError(f"line {line_no}: cannot parse {name} from {token!r}") from exc
 
 
-def _rows(reader, path: Path):
-    """(line it begins on, row) for each non-blank row of a csv.reader;
-    ParseError there for a row csv cannot read, such as an unclosed quote."""
-    start = 1
-    try:
-        for row in reader:
-            if row:
-                yield start, row
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise ParseError(f"{path}: line {start}: {exc}") from exc
-
-
 def _read_table(path, header: list[str], what: str):
     """Yield (line_no, cells) for each data row of a CSV with this exact
     header, line_no the physical line it begins on; ParseError on a missing
@@ -202,17 +189,49 @@ def _read_table(path, header: list[str], what: str):
         line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(f"{path}: line {line_no} is not valid UTF-8 ({exc.reason})") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
-    rows = _rows(reader, path)  # blank lines are skipped, as csv.DictReader skips them
-    _, found = next(rows, (None, None))
+    found = None  # the first non-blank row, which must be the header
+    start = 1  # the line the next row begins on
+    try:
+        for row in reader:
+            if not row:  # a blank line, skipped as csv.DictReader skips it
+                pass
+            elif found is None:
+                found = row
+                if found != header:
+                    break
+            elif len(row) != len(header):
+                raise ParseError(f"line {start}: expected {len(header)} cells, got {len(row)}")
+            else:
+                yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:  # such as a quote that never closes
+        raise ParseError(f"{path}: line {start}: {exc}") from exc
     if found != header:
         got = repr(found)
         if len(got) > _ECHO_LIMIT:  # the first line may be a whole file of data
             got = got[:_ECHO_LIMIT] + "..."
         raise ParseError(f"{path}: expected header {','.join(header)!r}, got {got}")
-    for line_no, row in rows:
-        if len(row) != len(header):
-            raise ParseError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-        yield line_no, row
+
+
+def _read_records(path, header: list[str], what: str, record, key: str) -> list:
+    """record(cells, line_no) for each data row of the table _read_table
+    reads, in order. A ValueError from record becomes a ParseError naming
+    the line, and IntegrityError names both lines of a key (record.url, or
+    record.country_code read as "country") that two rows share."""
+    records = []
+    seen: dict = {}  # the line of each key read so far
+    for line_no, row in _read_table(path, header, what):
+        try:
+            built = record(row, line_no)
+        except ValueError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from exc
+        value = getattr(built, key)
+        if value in seen:
+            name = key.removesuffix("_code")
+            raise IntegrityError(f"duplicate {name} {value!r} (lines {seen[value]} and {line_no})")
+        seen[value] = line_no
+        records.append(built)
+    return records
 
 
 def _write_table(path, header: list[str], rows: Iterable[list[str]]) -> None:
@@ -223,55 +242,36 @@ def _write_table(path, header: list[str], rows: Iterable[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _check_new_url(seen: dict[str, int], url: str, line_no: int) -> None:
-    """Note url's line in seen; IntegrityError if an earlier line had it."""
-    if url in seen:
-        raise IntegrityError(f"duplicate url {url!r} (lines {seen[url]} and {line_no})")
-    seen[url] = line_no
-
-
 def ingest_sites(path) -> list[SiteRecord]:
     """Read the site listing CSV: header url,country,rank,trend,traffic.
 
     Blank cells become missing fields; urls are lowercase-normalized and
     must be unique. Ranks are read as integers and floats exactly.
     """
-    records: list[SiteRecord] = []
-    seen: dict[str, int] = {}
-    for line_no, row in _read_table(path, SITES_HEADER, "sites"):
-        url = row[0].strip().lower()
-        try:
-            record = SiteRecord(
-                url=url,
-                country_code=row[1].strip(),
-                rank=_parse_cell(row[2], "rank", line_no, int),
-                trend=_parse_cell(row[3], "trend", line_no, float),
-                traffic=_parse_cell(row[4], "traffic", line_no, float),
-            )
-        except ValueError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from exc
-        _check_new_url(seen, url, line_no)
-        records.append(record)
-    return records
+
+    def site(row, line_no):
+        return SiteRecord(
+            url=row[0].strip().lower(),
+            country_code=row[1].strip(),
+            rank=_parse_cell(row[2], "rank", line_no, int),
+            trend=_parse_cell(row[3], "trend", line_no, float),
+            traffic=_parse_cell(row[4], "traffic", line_no, float),
+        )
+
+    return _read_records(path, SITES_HEADER, "sites", site, "url")
 
 
 def read_indicators(path) -> list[CountryIndicator]:
-    """Read the indicator CSV: header country,unemployment_rate (percent)."""
-    indicators: list[CountryIndicator] = []
-    seen: set[str] = set()
-    for line_no, row in _read_table(path, INDICATORS_HEADER, "indicators"):
+    """Read the indicator CSV: header country,unemployment_rate (percent);
+    countries must be unique."""
+
+    def indicator(row, line_no):
         rate = _parse_cell(row[1], "unemployment_rate", line_no, float)
         if rate is None:
-            raise ParseError(f"line {line_no}: unemployment_rate must not be blank")
-        try:
-            indicator = CountryIndicator(country_code=row[0].strip(), unemployment_rate=rate)
-        except ValueError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from exc
-        if indicator.country_code in seen:
-            raise IntegrityError(f"duplicate country {indicator.country_code!r} at line {line_no}")
-        seen.add(indicator.country_code)
-        indicators.append(indicator)
-    return indicators
+            raise ValueError("unemployment_rate must not be blank")
+        return CountryIndicator(country_code=row[0].strip(), unemployment_rate=rate)
+
+    return _read_records(path, INDICATORS_HEADER, "indicators", indicator, "country_code")
 
 
 def listwise_delete(records: Iterable[SiteRecord]) -> tuple[list[SiteRecord], int]:
@@ -373,20 +373,11 @@ def read_panel_csv(path) -> PanelDataset:
 
     The file carries rows only, so provenance degenerates to raw == clean.
     """
-    rows: list[PanelRow] = []
-    seen: dict[str, int] = {}
-    for line_no, row in _read_table(path, PANEL_HEADER, "panel"):
-        try:
-            rows.append(
-                PanelRow(
-                    url=row[0],
-                    country_code=row[1],
-                    score=float(row[2]),
-                    unemployment_rate=float(row[3]),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from exc
-        _check_new_url(seen, row[0], line_no)
-    return PanelDataset(rows=tuple(rows), raw_count=len(rows))
 
+    def panel_row(row, line_no):
+        return PanelRow(
+            url=row[0], country_code=row[1], score=float(row[2]), unemployment_rate=float(row[3])
+        )
+
+    rows = _read_records(path, PANEL_HEADER, "panel", panel_row, "url")
+    return PanelDataset(rows=tuple(rows), raw_count=len(rows))

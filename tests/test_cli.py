@@ -1,14 +1,20 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jobsignal import BasisExpansion, Direction, Kernel, TrainingSet, fit
+from jobsignal import BasisExpansion, Direction, Kernel, TrainingSet, __version__, fit
 from jobsignal.cli import _model_options, build_parser, main
 from jobsignal.evaluation import evaluate_model, fit_panel, split_panel
 from jobsignal.pipeline import ingest_sites, read_panel_csv
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SITES_BODY = """url,country,rank,trend,traffic
 jobs.a.de,DE,100,60.0,30000
@@ -626,6 +632,14 @@ class TestHelpParity:
                 flags.update(action.option_strings)
             options[name] = flags
         return options
+
+    def test_module_entry_point_prints_version(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "jobsignal.cli", "--version"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"jobsignal {__version__}\n"
 
     def test_commands_are_the_two_stages_pipeline_and_synth(self):
         assert list(self.collect_subparser_options()) == ["score", "evaluate", "pipeline", "synth"]

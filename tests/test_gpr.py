@@ -11,6 +11,7 @@ import pytest
 from jobsignal import (
     BasisExpansion,
     ConfigError,
+    EvaluationError,
     FitError,
     Kernel,
     SearchConfig,
@@ -331,6 +332,12 @@ class TestFit:
         lower = np.tril(rng.normal(size=(u, u)))
         sums = gpr._column_sums(pack(lower), u)
         assert np.abs(sums - lower.sum(axis=0)).max() <= 1e-12 * np.abs(lower).sum(axis=0).max()
+
+    def test_singular_factor_has_no_inverse_diagonal(self, rng):
+        factor = np.tril(rng.normal(size=(5, 5)), -1) + np.eye(5)
+        factor[2, 2] = 0.0
+        with pytest.raises(EvaluationError, match=r"covariance factor is singular \(dtftri info 3\)"):
+            gpr._Dense(pack(factor)).inverse_diagonal()
 
     def test_singular_trend_system(self):
         # A constant input column duplicates the intercept under the linear basis.

@@ -96,14 +96,21 @@ class TestTfsm:
 
 
 class TestSolveTriangular:
-    @pytest.mark.parametrize("order", ["C", "F"])
+    # "strided": every other row and column of a larger array, neither C-
+    # nor Fortran-contiguous, which the binding copies.
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
     @pytest.mark.parametrize("trans", [False, True])
     @pytest.mark.parametrize("lower", [True, False])
     @pytest.mark.parametrize("rhs_shape", [(7,), (7, 3)])
     def test_matches_numpy_solve(self, rng, order, trans, lower, rhs_shape):
         buf, factor = lower_factor(rng, 7)
         a, triangle = (buf, factor) if lower else (buf.T, factor.T)
-        a = np.array(a, order=order)
+        if order == "strided":
+            spread = np.zeros((14, 14))
+            spread[::2, ::2] = a
+            a = spread[::2, ::2]
+        else:
+            a = np.array(a, order=order)
         b = rng.normal(size=rhs_shape)
         b_before = b.copy()
         x = _lapack.solve_triangular(a, b, lower=lower, trans=trans)
@@ -122,6 +129,19 @@ class TestSolveTriangular:
         buf, _ = lower_factor(rng, 4)
         with pytest.raises(ValueError, match="does not match"):
             _lapack.solve_triangular(buf, np.ones(5), lower=True)
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(4, 3\)"):
+            _lapack.solve_triangular(np.ones((4, 3)), np.ones(4), lower=True)
+
+
+class TestGeqrf:
+    @pytest.mark.parametrize(
+        "a", [np.ones((4, 3)), np.ones((3, 4), order="F")], ids=["c-ordered", "wider-than-tall"]
+    )
+    def test_rejects_a_matrix_lapack_cannot_read_by_columns(self, a):
+        with pytest.raises(ValueError, match="not wider than tall, by columns"):
+            _lapack.geqrf(a)
 
 
 def test_missing_symbol_is_import_error():

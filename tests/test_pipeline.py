@@ -158,7 +158,7 @@ class TestReadIndicators:
     def test_duplicate_country(self, tmp_path):
         path = tmp_path / "ind.csv"
         path.write_text("country,unemployment_rate\nDE,5\nDE,6\n", encoding="utf-8")
-        with pytest.raises(IntegrityError, match="DE"):
+        with pytest.raises(IntegrityError, match=r"^duplicate country 'DE' \(lines 2 and 3\)$"):
             read_indicators(path)
 
 
@@ -492,6 +492,15 @@ class TestReadTable:
         empty_cells = "," * (header.count(","))
         with pytest.raises(ParseError, match="line 4: "):
             self.read(tmp_path, name, f"{header}\n{spanning}\n{empty_cells}\n".encode())
+
+    def test_repeated_key_names_both_lines(self, tmp_path, name):
+        _, header, rows = READERS[name]
+        key_name = header.split(",")[0]
+        key = rows[0].split(",")[0]
+        text = "\n".join([header, *rows[:2], rows[0]]) + "\n"
+        message = re.escape(f"duplicate {key_name} '{key}' (lines 2 and 4)")
+        with pytest.raises(IntegrityError, match=f"^{message}$"):
+            self.read(tmp_path, name, text.encode())
 
     @pytest.mark.parametrize("data", [b"", b"\n\n"], ids=["empty", "blank-lines-only"])
     def test_file_without_header_fails_its_header_check(self, tmp_path, name, data):
