@@ -1,4 +1,4 @@
-"""The six LAPACK routines jobsignal needs, called in numpy's own OpenBLAS.
+"""The seven LAPACK routines jobsignal needs, called in numpy's own OpenBLAS.
 
 A dense covariance factor is held in rectangular full packed format
 (Gustavson, Wasniewski, Dongarra & Langou 2010, ACM TOMS 37(2)): an n x n
@@ -6,7 +6,8 @@ triangle in n(n+1)/2 doubles, which dpftrf factorizes, dtftri inverts and
 dtfsm solves against with level-3 BLAS. Only the lower triangle with
 TRANSR='N' is bound; jobsignal.gpr lays it out. dtrtrs solves with the
 small dense trend factor. dgeqrf and dorgqr give the QR of a tall block of
-a column-major work buffer in place, for the low-rank factor.
+a column-major work buffer in place, for the low-rank factor, and dlaqge
+scales the rows of such a block.
 
 The PyPI numpy wheels for Linux bundle scipy-openblas64, an ILP64 OpenBLAS
 whose LAPACK symbols carry a scipy_ prefix and a 64_ suffix; numpy's linalg
@@ -54,6 +55,7 @@ _dtftri = _resolve(_lib, "scipy_dtftri_64_", 6, 3)
 _dtrtrs = _resolve(_lib, "scipy_dtrtrs_64_", 10, 3)
 _dgeqrf = _resolve(_lib, "scipy_dgeqrf_64_", 8, 0)
 _dorgqr = _resolve(_lib, "scipy_dorgqr_64_", 9, 0)
+_dlaqge = _resolve(_lib, "scipy_dlaqge_64_", 10, 1)
 
 _L, _U, _N, _T = (ctypes.c_char_p(flag) for flag in (b"L", b"U", b"N", b"T"))
 _ONE = ctypes.c_double(1.0)
@@ -221,4 +223,24 @@ def orgqr(a: np.ndarray, tau: np.ndarray) -> np.ndarray:
     )
     if info < 0:
         raise ValueError(f"dorgqr rejected argument {-info}")
+    return a
+
+
+def scale_rows(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Overwrite a (see _leading_dimension) with diag(r) a, and return it.
+
+    dlaqge scales the rows alone, each entry by one product r_i * a_ij, the
+    bits of numpy's a * r[:, None], when the row condition is below 0.1 and
+    the column condition is not: here 0 and 1. Unlike that ufunc on a block
+    of a larger buffer, it allocates no iteration buffers.
+    """
+    lda = _leading_dimension(a)
+    m, n = a.shape
+    if not (r.dtype == np.float64 and r.shape == (m,) and r.flags.c_contiguous):
+        raise ValueError(f"expected a contiguous float64 vector of {m} row factors")
+    equed = ctypes.create_string_buffer(1)
+    _dlaqge(
+        _ref(m), _ref(n), a.ctypes.data, _ref(lda), r.ctypes.data, r.ctypes.data,
+        ctypes.byref(ctypes.c_double(0.0)), ctypes.byref(_ONE), ctypes.byref(_ONE), equed, 1,
+    )
     return a

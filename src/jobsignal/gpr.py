@@ -39,22 +39,27 @@ form. With at least _LOW_RANK_MIN_ORDER distinct inputs, and a jitter large
 enough that rounding moves a likelihood by less than _LOW_RANK_ALLOWANCE
 (_low_rank_applies), each cell first grows a partial pivoted Cholesky factor
 G of R_u until its largest residual pivot is at most u eps, LAPACK dpstrf's
-default tolerance (_partial_cholesky). A cell that gets there within u // 8
-pivots reaches numerical rank m: C = GG' + jitter*diag(1/n_k) is then its
-model, closer to the dense matrix than the dense factor's own rounding
-allowance. Its likelihood comes from one QR of O(u m^2), and the model
-whitens with the (u + m) x m orthonormal factor of
-[diag(n_k/jitter)^1/2 G; I] (_LowRank), so no u x u matrix is formed. Any
-other cell is factorized densely (_Dense), and every solve of a fitted
-model goes through the factor's whiten, whiten_t and inverse_diagonal,
-whichever form it has.
+default tolerance (_partial_cholesky). A cell that gets there within
+u // _LOW_RANK_CAP_DIVISOR = u // 6 pivots reaches numerical rank m:
+C = GG' + jitter*diag(1/n_k) is then its model, closer to the dense matrix
+than the dense factor's own rounding allowance. The cap is where a
+low-rank cell comes to cost what a dense one does: on two cores with
+OpenBLAS on one thread, at jitter 1e-4, a dense cell took 1.5, 2.6 and
+40 ms at u = 382, 500 and 1600, and a low-rank cell as much at about
+0.22 u, 0.22 u and 0.17 u pivots. A low-rank cell's likelihood comes from
+one QR of O(u m^2), and the model whitens with the (u + m) x m orthonormal
+factor of [diag(n_k/jitter)^1/2 G; I] (_LowRank), so no u x u matrix is
+formed. Any other cell is factorized densely (_Dense), and every solve of
+a fitted model goes through the factor's whiten, whiten_t and
+inverse_diagonal, whichever form it has.
 The cells run one at a time, in grid order, on the calling thread, every
-dense one factorized into the same packed buffer. The winner's factor
-becomes the fitted model; a dense winner is factorized once more only if
-a later dense cell reused the buffer, so the search is also the fit, and
-fit is the search at one cell: one path, _fit, makes both models. A
-fitted model holds no mutable state: predict logs at DEBUG, on the
-jobsignal.gpr logger, how many variances it clamped to 0.
+dense one factorized into the same packed buffer and every low-rank one
+pivoted in one work buffer that grows with the largest rank reached. The
+winner's factor becomes the fitted model; a dense winner is factorized
+once more only if a later dense cell reused the buffer, so the search is
+also the fit, and fit is the search at one cell: one path, _fit, makes
+both models. A fitted model holds no mutable state: predict logs at
+DEBUG, on the jobsignal.gpr logger, how many variances it clamped to 0.
 The fitted model also gives the closed forms over its own training rows
 that evaluation reads. Leave-one-out at frozen hyperparameters is exact
 from the one full-data fit (Dubrule 1983, Math. Geology 15(6); Rasmussen &
@@ -100,6 +105,7 @@ SIGMA_SQ_FLOOR = 1e-30  # keeps log(sigma_sq) finite on zero-residual data
 _FILL_COLUMNS = 64  # columns of the packed matrix that _factorize fills per block
 _LOW_RANK_MIN_ORDER = 256  # fewest distinct inputs of a low-rank cell; a smaller cell is cheap
 _LOW_RANK_ALLOWANCE = 0.25  # log-likelihood units: the most rounding a low-rank cell allows
+_LOW_RANK_CAP_DIVISOR = 6  # a cell pivots at most u // 6 times, where low-rank costs what dense does
 
 CONST = "const"
 LINEAR = "linear"
@@ -627,30 +633,51 @@ def _low_rank_applies(groups: _Groups, jitter: float) -> bool:
     )
 
 
-def _low_rank_work(groups: _Groups, design: np.ndarray) -> np.ndarray:
-    """The column-major work buffer of the low-rank cells, u + u // 8 rows
-    by u // 8 + p + 1 columns: room for the least-squares system of
-    _low_rank_likelihood at any rank up to the cap, one for all of _fit's cells."""
-    cap = groups.counts.size // 8
-    return np.empty((groups.counts.size + cap, cap + design.shape[1] + 1), order="F")
+def _low_rank_work(groups: _Groups) -> np.ndarray:
+    """The work buffer of the low-rank cells, one for all of _fit's cells,
+    empty. It is C-ordered, one row per column of the column-major matrix
+    work.T, whose u + u // _LOW_RANK_CAP_DIVISOR rows leave room for the
+    least-squares system of _low_rank_likelihood at any rank up to the cap;
+    _resize adds and drops its columns as the cells need them."""
+    u = groups.counts.size
+    return np.empty((0, u + u // _LOW_RANK_CAP_DIVISOR))
+
+
+def _resize(work: np.ndarray, columns: int) -> None:
+    """Give the matrix work.T columns columns in place, keeping as many of
+    its own.
+
+    ndarray.resize reallocates the one buffer rather than allocating a
+    second, and a C-ordered array grows or shrinks by whole rows at its end,
+    so the columns kept keep their bits and an old and a new buffer are
+    never held together. It cannot check what refers to work, as every
+    caller does, so a view taken before the call points into the freed
+    buffer: take views of work only after it.
+    """
+    work.resize((columns, work.shape[1]), refcheck=False)
 
 
 def _partial_cholesky(groups: _Groups, theta: np.ndarray, work: np.ndarray) -> int | None:
     """The rank m of a pivoted partial Cholesky factor G of R_u at theta,
     grown until the largest residual pivot is at most u eps, the default
     tolerance of LAPACK dpstrf, with G in the first m columns and u rows of
-    work (see _low_rank_work); None when the rank reaches u // 8 first.
+    work.T (see _low_rank_work); None, with work emptied, when the rank
+    reaches the cap, u // _LOW_RANK_CAP_DIVISOR, first.
 
     G grows one column of R_u at a time, computed from the inputs at the
     pivot (Harbrecht, Peters & Schneider 2012), so nothing u x u is held.
-    The residual E = R_u - GG' is positive semidefinite and its diagonal,
-    updated at each step, ends at most u eps, so its trace is at most
-    u**2 eps. The stopping rule reads neither the jitter nor the targets.
+    work.T doubles its columns when G fills them, up to the cap, so it is
+    sized by the largest rank reached, and a cell past the cap gives them
+    all back before its dense factorization. The residual E = R_u - GG' is
+    positive semidefinite and its diagonal, updated at each step, ends at
+    most u eps, so its trace is at most u**2 eps. Rounding may leave an
+    entry of it below 0; the pivot is the largest, above tol > 0, so no such
+    entry is chosen or reaches the square root. The stopping rule reads
+    neither the jitter nor the targets.
     """
     u = groups.counts.size
     tol = u * np.finfo(float).eps  # R_u's diagonal is exactly 1
-    cap = u // 8
-    g = work[:u]
+    cap = u // _LOW_RANK_CAP_DIVISOR
     # One contiguous row per coordinate, paired with -theta_i: each pivot
     # column is _scaled_distances' arithmetic, term by term, with none of
     # its checks, and every step below writes into preallocated arrays.
@@ -660,8 +687,11 @@ def _partial_cholesky(groups: _Groups, theta: np.ndarray, work: np.ndarray) -> i
     rank = 0
     while residual[pivot := int(residual.argmax())] > tol:
         if rank == cap:
+            _resize(work, 0)
             return None
-        column = g[:, rank]
+        if rank == work.shape[0]:
+            _resize(work, min(cap, 2 * rank + 1))
+        column = work[rank, :u]
         for i, (coord, neg_length) in enumerate(coords):
             target = column if i == 0 else scratch
             np.subtract(coord, coord[pivot], out=target)
@@ -670,12 +700,11 @@ def _partial_cholesky(groups: _Groups, theta: np.ndarray, work: np.ndarray) -> i
             if i > 0:
                 column += scratch
         np.exp(column, out=column)
-        np.matmul(g[:, :rank], g[pivot, :rank], out=scratch)
+        np.matmul(work[:rank, :u].T, work[:rank, pivot], out=scratch)
         column -= scratch
         column /= math.sqrt(residual[pivot])
         np.multiply(column, column, out=scratch)
         residual -= scratch
-        np.maximum(residual, 0.0, out=residual)
         residual[pivot] = 0.0
         rank += 1
     return rank
@@ -685,7 +714,7 @@ def _low_rank_likelihood(
     work: np.ndarray, rank: int, groups: _Groups, design: np.ndarray, jitter: float
 ):
     """_likelihood of C = GG' + Lambda, G the rank columns _partial_cholesky
-    left in work, which this overwrites, and Lambda = jitter*diag(1/n_k),
+    left in work.T, which this overwrites, and Lambda = jitter*diag(1/n_k),
     with the trend at its GLS value. Raises FitError when the whitened
     design is rank deficient.
 
@@ -698,11 +727,12 @@ def _low_rank_likelihood(
     min over (z, beta) of |Lambda^-1/2 (ybar - F_u beta - G z)|^2 + |z|^2.
     """
     u, p = groups.counts.size, design.shape[1]
-    system = work[: u + rank, : rank + p + 1]
-    scale = np.sqrt(groups.counts / jitter)[:, None]
-    system[:u, :rank] *= scale
-    np.multiply(design, scale, out=system[:u, rank:-1])
-    np.multiply(groups.means[:, None], scale, out=system[:u, -1:])
+    if work.shape[0] < rank + p + 1:
+        _resize(work, rank + p + 1)
+    system = work[: rank + p + 1, : u + rank].T
+    system[:u, rank:-1] = design
+    system[:u, -1] = groups.means
+    _lapack.scale_rows(system[:u], np.sqrt(groups.counts / jitter))
     system[u:] = np.eye(rank, rank + p + 1)
     _lapack.geqrf(system)
     diag = np.diag(system)
@@ -754,7 +784,7 @@ def _fit(training: TrainingSet, basis: BasisExpansion, thetas, jitter: float, si
     groups = _group_rows(training)
     design = _trend_design(training, basis, groups)
     u = groups.counts.size
-    work = _low_rank_work(groups, design) if _low_rank_applies(groups, jitter) else None
+    work = _low_rank_work(groups) if _low_rank_applies(groups, jitter) else None
     buf = None  # the packed buffer of every dense cell, allocated by the first
     held = None  # the last dense cell run, whose factor buf holds if it succeeded
     best = None  # (loglik, sigma_sq, cell, jitter, rank of a low-rank cell or None)
@@ -786,15 +816,18 @@ def _fit(training: TrainingSet, basis: BasisExpansion, thetas, jitter: float, si
     kernel = Kernel(sigma_sq=sigma_sq, theta=thetas[i], jitter=jitter)
     if rank is not None:
         buf = None  # no dense cell won: let its buffer go before the factor is formed
-        # The cells' QRs overwrote G: pivot again, to the same rank, and form
-        # the orthonormal factor in work, copied out at that rank.
+        # The cells' QRs overwrote G: pivot again, to the same rank, in that
+        # many columns, and form the orthonormal factor there, copied out.
+        _resize(work, rank)
         _partial_cholesky(groups, kernel.theta, work)
-        stacked = work[: u + rank, :rank]
-        stacked[:u] *= np.sqrt(groups.counts / jitter)[:, None]
+        stacked = work[:, : u + rank].T
+        _lapack.scale_rows(stacked[:u], np.sqrt(groups.counts / jitter))
         stacked[u:] = np.eye(rank)
         _lapack.orgqr(stacked, _lapack.geqrf(stacked))
         factor = _LowRank(q=np.array(stacked, order="F"), noise=jitter / groups.counts)
+        work = stacked = None  # copied out: let the buffer go before the model is formed
     else:
+        work = None  # no low-rank cell won: let its buffer go before the factor is formed
         if held != i:
             _factorize(buf, groups, kernel.theta, jitter)
         factor = _Dense(buf)
@@ -918,7 +951,7 @@ def fit_hyperparameters(
     and a jitter for which _rounding_allowance is below _LOW_RANK_ALLOWANCE:
     never jitter 0, nor the default 1e-10 on a few hundred rows), each cell
     first runs _partial_cholesky, and a cell that reaches numerical rank
-    within u // 8 pivots takes its likelihood from _low_rank_likelihood.
+    within u // 6 pivots takes its likelihood from _low_rank_likelihood.
     Every other cell is factorized by _factorize, into the one packed
     buffer, and takes it from _profile_log_likelihood. The search logs one
     line per cell at DEBUG: "theta=...: low-rank, rank m" or
@@ -927,9 +960,10 @@ def fit_hyperparameters(
     The winner is the cell with the largest likelihood, in ascending theta
     order, and only a strictly larger likelihood replaces the incumbent, so
     ties resolve toward the smallest theta and then the smallest sigma_sq.
-    Every low-rank cell pivots in the one work buffer and its QR overwrites
-    G there, so a low-rank winner runs its pivots again, O(u m^2), to the
-    same rank, and forms its orthonormal factor. A dense winner's factor
+    Every low-rank cell pivots in the one work buffer, which grows in place
+    with the largest rank reached, and its QR overwrites G there, so a
+    low-rank winner runs its pivots again, O(u m^2), to the same rank, and
+    forms its orthonormal factor. A dense winner's factor
     becomes the model's if it was the last dense cell run, and is otherwise
     factorized again at the jitter it used, which rebuilds the same matrix
     and so the same bits. The model's kernel carries that jitter. fit is

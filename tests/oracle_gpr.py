@@ -234,10 +234,10 @@ def reference_partial_cholesky(groups, theta):
     np.argmax, a fresh matmul result and a column * column temporary per
     step. The arithmetic is the same, so gpr._partial_cholesky must leave the
     same columns bit for bit, or give None alike. Returns G, u x rank, or
-    None when the rank reaches u // 8 first."""
+    None when the rank reaches u // 6 first."""
     u = groups.counts.size
     tol = u * np.finfo(float).eps
-    cap = u // 8
+    cap = u // 6
     inputs = groups.inputs
     neg_theta = -np.asarray(theta, dtype=float)
     residual = np.ones(u)

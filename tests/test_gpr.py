@@ -744,9 +744,10 @@ class TestFitHyperparameters:
                 low_rank_winners += 1
             if pivots:
                 assert_matches_dense_kriging(model, KRIGING_RTOL[jitter])
-        # Bundled score-to-rate and the 600-row synth panel pick low-rank
-        # cells; the other two large panels pick a dense cell.
-        assert low_rank_winners == (0 if jitter == 1e-10 else 2)
+        # Bundled score-to-rate, the 600-row synth panel and the 300-row
+        # sample pick low-rank cells (the last at rank 45, within the cap of
+        # 300 // 6 = 50); the 2-d panel picks a dense cell.
+        assert low_rank_winners == (0 if jitter == 1e-10 else 3)
 
     @pytest.mark.parametrize("degree", ["const", "linear"])
     def test_two_dimensional_model_matches_fit_at_its_kernel(self, rng, degree):
@@ -898,7 +899,7 @@ def scan(calls):
 
 class TestScreen:
     """Where cells may be low-rank, every cell that reaches numerical rank
-    within u // 8 pivots is its own model, every other cell is factorized
+    within u // 6 pivots is its own model, every other cell is factorized
     densely, and the search selects the theta the dense scan selects."""
 
     def search(self, training, jitter=1e-4):
@@ -913,7 +914,7 @@ class TestScreen:
         allowance = gpr._rounding_allowance(model.groups, 1e-4)
         assert allowance < gpr._LOW_RANK_ALLOWANCE
         design = model.basis.design_matrix(model.groups.inputs)
-        work = gpr._low_rank_work(model.groups, design)
+        work = gpr._low_rank_work(model.groups)
         low_rank = [theta for theta, rank in scan(pivots) if rank is not None]
         assert 0 < len(low_rank) < SearchConfig().steps
         for theta in low_rank:
@@ -971,16 +972,16 @@ class TestScreen:
         assert_model_equals_fit(model)
 
     def test_cells_past_the_rank_cap_survive(self, monkeypatch):
-        # On inputs uniform over [0, 6] the smallest thetas need more than
-        # u // 8 pivots to reach numerical rank, so those cells, and only
-        # those, are factorized densely.
+        # On inputs uniform over [0, 6] the three smallest thetas need more
+        # than u // 6 pivots to reach numerical rank (76, 64 and 54 > 50), so
+        # those cells, and only those, are factorized densely.
         training = _sample_from_kernel(np.random.default_rng(5), n=300)
         pivots = spy_partial_cholesky(monkeypatch)
         calls = spy_factorize(monkeypatch)
         model = self.search(training)
         capped = [theta for theta, rank in scan(pivots) if rank is None]
         ranks = [rank for _, rank in scan(pivots) if rank is not None]
-        assert capped and ranks and max(ranks) <= 300 // 8
+        assert capped and ranks and max(ranks) <= 300 // 6
         assert sorted(set(calls)) == capped
         search = SearchConfig(jitter=1e-4)
         assert_selects_reference(model.kernel, reference_theta_search(training, model.basis, search))
@@ -1001,11 +1002,33 @@ class TestScreen:
         assert any(": dense" in m for m in messages) and any(": low-rank" in m for m in messages)
 
     @pytest.mark.parametrize("degree", ["const", "linear"])
+    def test_bundled_score_to_rate_factorizes_no_cell(self, monkeypatch, caplog, degree):
+        # The paper's panel: 382 distinct scores, and theta = 0.1 reaches rank
+        # 53, within the cap of 382 // 6 = 63, so every cell is low-rank.
+        records = ingest_sites(bundled_sites_path())
+        kept, _ = listwise_delete(records)
+        panel = build_panel(
+            normalize_and_score(kept), records, read_indicators(bundled_indicators_path())
+        )
+        inputs, targets = split_panel(panel, Direction.SCORE_TO_RATE)
+        training = TrainingSet(inputs=inputs, targets=targets)
+        calls = spy_factorize(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="jobsignal.gpr"):
+            model = fit_hyperparameters(training, BasisExpansion(degree), SearchConfig(jitter=1e-4))
+        messages = [r.getMessage() for r in caplog.records if r.name == "jobsignal.gpr"]
+        assert calls == []
+        assert messages[0] == "theta=0.1: low-rank, rank 53"
+        assert len(messages) == SearchConfig().steps
+        assert all(": low-rank, rank " in m for m in messages)
+        assert_model_equals_fit(model)
+
+    @pytest.mark.parametrize("degree", ["const", "linear"])
     @pytest.mark.parametrize("case", ["synth-300", "synth-600", "bundled", "2-d"])
     def test_matches_the_reference_step_bit_for_bit(self, case, degree):
         # The pivot step writes into preallocated arrays; the arithmetic is
-        # the reference's, so every factor and rank is the same bits. On the
-        # 2-d panel over [0, 3]^2 cells stop at the rank cap of u // 8.
+        # the reference's, so every factor and rank is the same bits, though
+        # the one work buffer grows and empties from cell to cell. On the
+        # 2-d panel over [0, 3]^2 cells stop at the rank cap of u // 6.
         if case == "2-d":
             inputs = np.random.default_rng(8).uniform(0.0, 3.0, size=(300, 2))
             training = TrainingSet(inputs=inputs, targets=np.sin(inputs).sum(axis=1))
@@ -1024,7 +1047,7 @@ class TestScreen:
         design = gpr._trend_design(training, basis, groups)
         u, d = groups.counts.size, training.ndim
         assert u >= gpr._LOW_RANK_MIN_ORDER
-        work = gpr._low_rank_work(groups, design)
+        work = gpr._low_rank_work(groups)
         capped = 0
         for theta in SearchConfig().grid():
             rank = gpr._partial_cholesky(groups, np.full(d, theta), work)
@@ -1033,8 +1056,11 @@ class TestScreen:
                 assert rank is None
                 capped += 1
                 continue
-            assert rank == expected.shape[1] <= u // 8
-            assert np.array_equal(work[:u, :rank], expected)
+            assert rank == expected.shape[1] <= u // 6
+            assert np.array_equal(work[:rank, :u].T, expected)
+            # As in the search, the cell's QR overwrites work, and the next
+            # cell pivots in what is left of it.
+            gpr._low_rank_likelihood(work, rank, groups, design, 1e-4)
         assert capped or case != "2-d"
 
 
@@ -1056,33 +1082,54 @@ class TestMemory:
 
         assert peak(lambda: fit_hyperparameters(training, basis, SearchConfig())) <= 0.75
         assert peak(lambda: fit(training, basis, kernel_1d())) <= 0.75
-        # At jitter 1e-4 the smallest thetas are dense and the others
-        # low-rank, so the packed buffer and the low-rank cells' work buffer
-        # of (u + u/8) x (u/8 + 2) doubles are held together.
+        # At jitter 1e-4, with the inputs stretched over [0, 9], the smallest
+        # theta needs more than u // 6 pivots and is dense, and the others
+        # are low-rank, the next at rank 92: the packed buffer and the work
+        # buffer of up to u/6 columns of u + u/6 doubles are held together.
+        stretched = TrainingSet(inputs=training.inputs * 1.5, targets=training.targets)
         mixed = SearchConfig(jitter=1e-4)
-        assert peak(lambda: fit_hyperparameters(training, basis, mixed)) <= 0.75
+        assert peak(lambda: fit_hyperparameters(stretched, basis, mixed)) <= 0.75
         model = fit(training, basis, kernel_1d(jitter=1e-4))
         assert peak(model.held_out_diagonals) <= 0.75
 
-    def test_low_rank_search_holds_no_packed_buffer(self, monkeypatch):
-        # Every cell of the 600-row synth panel reaches numerical rank within
-        # u // 8 = 75 pivots (ranks 68 down to 14), so no packed buffer of
-        # N(N+1)/2 doubles, 0.5 in these units, is allocated. The work buffer
-        # holds 0.14 of them and the winner's orthonormal factor, copied out
-        # at its rank, the rest.
-        inputs, targets = split_panel(synthetic_panel(600, 0.7, 0.5, 3), Direction.SCORE_TO_RATE)
+    @staticmethod
+    def low_rank_search(monkeypatch, n, seed):
+        """(calls to _factorize, the cells' ranks, the model, and the peak
+        traced allocation over N x N doubles of the search at jitter 1e-4
+        and the held-out diagonals) on a synth panel."""
+        inputs, targets = split_panel(synthetic_panel(n, 0.7, 0.5, seed), Direction.SCORE_TO_RATE)
         training = TrainingSet(inputs=inputs, targets=targets)
         calls = spy_factorize(monkeypatch)
+        pivots = spy_partial_cholesky(monkeypatch)
         tracemalloc.start()
         try:
             model = fit_hyperparameters(training, BasisExpansion("const"), SearchConfig(jitter=1e-4))
             model.held_out_diagonals()
-            peak = tracemalloc.get_traced_memory()[1] / (training.n**2 * 8)
+            peak = tracemalloc.get_traced_memory()[1] / (n**2 * 8)
         finally:
             tracemalloc.stop()
-        assert calls == []
         rank = model.factor.q.shape[1]
-        assert model.factor.q.shape == (600 + rank, rank) and rank < 600 // 8
+        assert model.factor.q.shape == (n + rank, rank)
+        return calls, [rank for _, rank in scan(pivots)], model, peak
+
+    def test_low_rank_search_holds_no_packed_buffer(self, monkeypatch):
+        # Every cell of the 600-row synth panel reaches numerical rank within
+        # u // 6 = 100 pivots (ranks 68 down to 14), so no packed buffer of
+        # N(N+1)/2 doubles, 0.5 in these units, is allocated. The peak, 0.22,
+        # is the work buffer while the first cell pivots: it doubles from
+        # 1 column to 63 and then to the cap of 100, of u + 100 doubles each.
+        calls, ranks, model, peak = self.low_rank_search(monkeypatch, 600, 3)
+        assert calls == []
+        assert ranks[0] == 68 and model.factor.q.shape[1] < 600 // 6
+        assert peak <= 0.25
+
+    def test_rank_near_the_cap_holds_no_packed_buffer(self, monkeypatch):
+        # On the 500-row synth panel (seed 1) theta = 0.1 reaches rank 63,
+        # within the cap of 500 // 6 = 83, so every cell is low-rank, and
+        # the work buffer is sized by that rank, not by the cap.
+        calls, ranks, _, peak = self.low_rank_search(monkeypatch, 500, 1)
+        assert calls == []
+        assert ranks[0] == 63 <= 500 // 6
         assert peak <= 0.25
 
     def test_tied_panel_peak_allocation_in_row_units(self):

@@ -144,6 +144,23 @@ class TestGeqrf:
             _lapack.geqrf(a)
 
 
+
+class TestScaleRows:
+    def test_matches_the_numpy_product_bit_for_bit(self, rng):
+        # A block of a larger column-major buffer, as the low-rank cells
+        # scale it; the rows and columns around it are left alone.
+        buf = np.asfortranarray(rng.standard_normal((9, 5)))
+        before = buf.copy()
+        r = rng.uniform(0.5, 2e3, 6)
+        assert _lapack.scale_rows(buf[1:7, :3], r) is not None
+        expected = before.copy()
+        expected[1:7, :3] = before[1:7, :3] * r[:, None]
+        assert np.array_equal(buf, expected)
+
+    def test_rejects_row_factors_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="vector of 4 row factors"):
+            _lapack.scale_rows(np.ones((4, 2), order="F"), np.ones(3))
+
 def test_missing_symbol_is_import_error():
     class Handle:
         """A library handle that exports nothing, as ctypes.CDLL reports it."""
