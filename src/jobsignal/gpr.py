@@ -54,11 +54,12 @@ a fitted model goes through the factor's whiten, whiten_t and
 inverse_diagonal, whichever form it has.
 The cells run one at a time, in grid order, on the calling thread, every
 dense one factorized into the same packed buffer and every low-rank one
-pivoted in one work buffer that grows with the largest rank reached. The
-winner's factor becomes the fitted model; a dense winner is factorized
-once more only if a later dense cell reused the buffer, so the search is
-also the fit, and fit is the search at one cell: one path, _fit, makes
-both models. A fitted model holds no mutable state: predict logs at
+pivoted in one work buffer, reserved uninitialised at the cap, of which
+only the rows a cell writes become resident; a cell past the cap lets it go
+before its dense factorization. The winner's factor becomes the fitted
+model; a dense winner is factorized once more only if a later dense cell
+reused the buffer, so the search is also the fit, and fit is the search at
+one cell: one path, _fit, makes both models. A fitted model holds no mutable state: predict logs at
 DEBUG, on the jobsignal.gpr logger, how many variances it clamped to 0.
 The fitted model also gives the closed forms over its own training rows
 that evaluation reads. Leave-one-out at frozen hyperparameters is exact
@@ -77,6 +78,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -401,13 +403,15 @@ def _scaled_distances(
     shape = (a.shape[0], b.shape[0])
     out = np.empty(shape) if out is None else out
     term = np.empty(shape) if theta.size > 1 else None
-    for i, length in enumerate(theta):
-        target = out if i == 0 else term
-        np.subtract(a[:, i, None], b[None, :, i], out=target)
-        np.square(target, out=target)
-        target /= length
-        if i > 0:
-            out += term
+    # A distance that overflows at a tiny theta has the intended exp(-inf) = 0.
+    with np.errstate(over="ignore"):
+        for i, length in enumerate(theta):
+            target = out if i == 0 else term
+            np.subtract(a[:, i, None], b[None, :, i], out=target)
+            np.square(target, out=target)
+            target /= length
+            if i > 0:
+                out += term
     return out
 
 
@@ -610,7 +614,8 @@ def _rounding_allowance(groups: _Groups, jitter: float) -> float:
     if lam == 0.0:
         return math.inf
     n, u = groups.index.size, groups.counts.size
-    return (n + u) * u * u * np.finfo(float).eps / lam
+    # Python floats: numpy's IEEE arithmetic, and inf at a tiny jitter with no warning.
+    return (n + u) * u * u * sys.float_info.epsilon / lam
 
 
 def _low_rank_applies(groups: _Groups, jitter: float) -> bool:
@@ -633,47 +638,34 @@ def _low_rank_applies(groups: _Groups, jitter: float) -> bool:
     )
 
 
-def _low_rank_work(groups: _Groups) -> np.ndarray:
-    """The work buffer of the low-rank cells, one for all of _fit's cells,
-    empty. It is C-ordered, one row per column of the column-major matrix
-    work.T, whose u + u // _LOW_RANK_CAP_DIVISOR rows leave room for the
-    least-squares system of _low_rank_likelihood at any rank up to the cap;
-    _resize adds and drops its columns as the cells need them."""
+def _low_rank_work(groups: _Groups, p: int) -> np.ndarray:
+    """The work buffer of the low-rank cells, reserved uninitialised at its
+    largest size. It is C-ordered, one row per column of the column-major
+    matrix work.T, whose cap + p + 1 columns and u + cap rows, with cap =
+    u // _LOW_RANK_CAP_DIVISOR, leave room for the least-squares system of
+    _low_rank_likelihood at any rank up to the cap, p the trend's basis size.
+    A page of it becomes resident only when written, so the rows past the
+    largest rank + p + 1 cost address space and no memory."""
     u = groups.counts.size
-    return np.empty((0, u + u // _LOW_RANK_CAP_DIVISOR))
-
-
-def _resize(work: np.ndarray, columns: int) -> None:
-    """Give the matrix work.T columns columns in place, keeping as many of
-    its own.
-
-    ndarray.resize reallocates the one buffer rather than allocating a
-    second, and a C-ordered array grows or shrinks by whole rows at its end,
-    so the columns kept keep their bits and an old and a new buffer are
-    never held together. It cannot check what refers to work, as every
-    caller does, so a view taken before the call points into the freed
-    buffer: take views of work only after it.
-    """
-    work.resize((columns, work.shape[1]), refcheck=False)
+    cap = u // _LOW_RANK_CAP_DIVISOR
+    return np.empty((cap + p + 1, u + cap))
 
 
 def _partial_cholesky(groups: _Groups, theta: np.ndarray, work: np.ndarray) -> int | None:
     """The rank m of a pivoted partial Cholesky factor G of R_u at theta,
     grown until the largest residual pivot is at most u eps, the default
     tolerance of LAPACK dpstrf, with G in the first m columns and u rows of
-    work.T (see _low_rank_work); None, with work emptied, when the rank
-    reaches the cap, u // _LOW_RANK_CAP_DIVISOR, first.
+    work.T (see _low_rank_work); None when the rank reaches the cap,
+    u // _LOW_RANK_CAP_DIVISOR, first.
 
     G grows one column of R_u at a time, computed from the inputs at the
-    pivot (Harbrecht, Peters & Schneider 2012), so nothing u x u is held.
-    work.T doubles its columns when G fills them, up to the cap, so it is
-    sized by the largest rank reached, and a cell past the cap gives them
-    all back before its dense factorization. The residual E = R_u - GG' is
-    positive semidefinite and its diagonal, updated at each step, ends at
-    most u eps, so its trace is at most u**2 eps. Rounding may leave an
-    entry of it below 0; the pivot is the largest, above tol > 0, so no such
-    entry is chosen or reaches the square root. The stopping rule reads
-    neither the jitter nor the targets.
+    pivot (Harbrecht, Peters & Schneider 2012), so nothing u x u is held,
+    and only the first m rows of work are written. The residual
+    E = R_u - GG' is positive semidefinite and its diagonal, updated at
+    each step, ends at most u eps, so its trace is at most u**2 eps.
+    Rounding may leave an entry of it below 0; the pivot is the largest,
+    above tol > 0, so no such entry is chosen or reaches the square root.
+    The stopping rule reads neither the jitter nor the targets.
     """
     u = groups.counts.size
     tol = u * np.finfo(float).eps  # R_u's diagonal is exactly 1
@@ -685,28 +677,27 @@ def _partial_cholesky(groups: _Groups, theta: np.ndarray, work: np.ndarray) -> i
     residual = np.ones(u)  # the diagonal of E
     scratch = np.empty(u)
     rank = 0
-    while residual[pivot := int(residual.argmax())] > tol:
-        if rank == cap:
-            _resize(work, 0)
-            return None
-        if rank == work.shape[0]:
-            _resize(work, min(cap, 2 * rank + 1))
-        column = work[rank, :u]
-        for i, (coord, neg_length) in enumerate(coords):
-            target = column if i == 0 else scratch
-            np.subtract(coord, coord[pivot], out=target)
-            np.square(target, out=target)
-            target /= neg_length
-            if i > 0:
-                column += scratch
-        np.exp(column, out=column)
-        np.matmul(work[:rank, :u].T, work[:rank, pivot], out=scratch)
-        column -= scratch
-        column /= math.sqrt(residual[pivot])
-        np.multiply(column, column, out=scratch)
-        residual -= scratch
-        residual[pivot] = 0.0
-        rank += 1
+    # A distance may overflow to -inf at a tiny theta, as in _scaled_distances.
+    with np.errstate(over="ignore"):
+        while residual[pivot := int(residual.argmax())] > tol:
+            if rank == cap:
+                return None
+            column = work[rank, :u]
+            for i, (coord, neg_length) in enumerate(coords):
+                target = column if i == 0 else scratch
+                np.subtract(coord, coord[pivot], out=target)
+                np.square(target, out=target)
+                target /= neg_length
+                if i > 0:
+                    column += scratch
+            np.exp(column, out=column)
+            np.matmul(work[:rank, :u].T, work[:rank, pivot], out=scratch)
+            column -= scratch
+            column /= math.sqrt(residual[pivot])
+            np.multiply(column, column, out=scratch)
+            residual -= scratch
+            residual[pivot] = 0.0
+            rank += 1
     return rank
 
 
@@ -727,8 +718,6 @@ def _low_rank_likelihood(
     min over (z, beta) of |Lambda^-1/2 (ybar - F_u beta - G z)|^2 + |z|^2.
     """
     u, p = groups.counts.size, design.shape[1]
-    if work.shape[0] < rank + p + 1:
-        _resize(work, rank + p + 1)
     system = work[: rank + p + 1, : u + rank].T
     system[:u, rank:-1] = design
     system[:u, -1] = groups.means
@@ -783,19 +772,23 @@ def _fit(training: TrainingSet, basis: BasisExpansion, thetas, jitter: float, si
     with sigma_sq, when given, for the profiled one (see fit_hyperparameters)."""
     groups = _group_rows(training)
     design = _trend_design(training, basis, groups)
-    u = groups.counts.size
-    work = _low_rank_work(groups) if _low_rank_applies(groups, jitter) else None
+    u, p = design.shape
+    low_rank = _low_rank_applies(groups, jitter)
+    work = None  # the low-rank cells' work buffer, reserved by the first that needs it
     buf = None  # the packed buffer of every dense cell, allocated by the first
     held = None  # the last dense cell run, whose factor buf holds if it succeeded
     best = None  # (loglik, sigma_sq, cell, jitter, rank of a low-rank cell or None)
     for i, theta in enumerate(thetas):
         name = f"theta={theta[0]:g}" if (theta == theta[0]).all() else f"theta={theta.tolist()}"
         try:
+            if low_rank and work is None:
+                work = _low_rank_work(groups, p)
             rank = None if work is None else _partial_cholesky(groups, theta, work)
             if rank is not None:
                 used, cell = jitter, _low_rank_likelihood(work, rank, groups, design, jitter)
                 logger.debug("%s: low-rank, rank %d", name, rank)
             else:
+                work = None  # past the cap: let it go before the packed buffer is held
                 if buf is None:
                     buf = np.empty(u * (u + 1) // 2)
                 held = i
@@ -816,11 +809,12 @@ def _fit(training: TrainingSet, basis: BasisExpansion, thetas, jitter: float, si
     kernel = Kernel(sigma_sq=sigma_sq, theta=thetas[i], jitter=jitter)
     if rank is not None:
         buf = None  # no dense cell won: let its buffer go before the factor is formed
-        # The cells' QRs overwrote G: pivot again, to the same rank, in that
-        # many columns, and form the orthonormal factor there, copied out.
-        _resize(work, rank)
+        # The cells' QRs overwrote G, and a later cell past the cap may have
+        # let the buffer go: pivot again, to the same rank, and form the
+        # orthonormal factor in G's columns, copied out.
+        work = _low_rank_work(groups, p) if work is None else work
         _partial_cholesky(groups, kernel.theta, work)
-        stacked = work[:, : u + rank].T
+        stacked = work[:rank, : u + rank].T
         _lapack.scale_rows(stacked[:u], np.sqrt(groups.counts / jitter))
         stacked[u:] = np.eye(rank)
         _lapack.orgqr(stacked, _lapack.geqrf(stacked))
@@ -960,13 +954,15 @@ def fit_hyperparameters(
     The winner is the cell with the largest likelihood, in ascending theta
     order, and only a strictly larger likelihood replaces the incumbent, so
     ties resolve toward the smallest theta and then the smallest sigma_sq.
-    Every low-rank cell pivots in the one work buffer, which grows in place
-    with the largest rank reached, and its QR overwrites G there, so a
-    low-rank winner runs its pivots again, O(u m^2), to the same rank, and
-    forms its orthonormal factor. A dense winner's factor
-    becomes the model's if it was the last dense cell run, and is otherwise
-    factorized again at the jitter it used, which rebuilds the same matrix
-    and so the same bits. The model's kernel carries that jitter. fit is
+    Every low-rank cell pivots in the one work buffer of _low_rank_work,
+    reserved by the first cell that needs it and let go by any cell past
+    the cap, and its QR overwrites G there, so a low-rank winner runs its
+    pivots again, O(u m^2), to the same rank, in the buffer reserved anew
+    if it was let go, and forms its orthonormal factor. A dense winner's
+    factor becomes the model's if it was the last dense cell run, and is
+    otherwise factorized again at the jitter it used, which rebuilds the
+    same matrix and so the same bits. The model's kernel carries that
+    jitter. fit is
     this search at the one cell model.kernel.theta (both are _fit), so
     fit(training, basis, model.kernel) repeats the winner's cell and equals
     the model bit for bit by construction, wherever _low_rank_applies reads

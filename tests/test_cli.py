@@ -527,6 +527,19 @@ class TestStagedCommands:
             assert rc == 2
             assert "jitter" in capsys.readouterr().err
 
+    def test_tiny_jitter_or_theta_warns_nothing(self, tmp_path):
+        # Near the bottom of the float range the rounding allowance and the
+        # scaled distances overflow to inf, as intended: the allowance keeps
+        # the cells dense, and exp(-inf) = 0 is the correlation. No numpy
+        # RuntimeWarning reaches stderr.
+        assert run(["synth", "--n", 300, "--out", tmp_path]) == 0
+        panel = tmp_path / "panel.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evaluate", "--panel", panel, "--jitter", "5e-324", "--out", tmp_path / "a"]) == 0
+            args = ["--jitter", "1e-4", "--theta-grid", "1e-320:1e-310:3", "--out", tmp_path / "b"]
+            assert run(["evaluate", "--panel", panel, *args]) == 0
+
     def test_non_utf8_panel_exit_2_names_file(self, tmp_path, capsys):
         panel = tmp_path / "panel.csv"
         panel.write_bytes(b"url,country,score,unemployment_rate\na.test,ZZ,0.0,4.0\xff\n")

@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -891,6 +892,28 @@ def spy_partial_cholesky(monkeypatch):
     return calls
 
 
+def spy_low_rank_work(monkeypatch):
+    """Wrap gpr._low_rank_work, handing out each reservation filled with NaN;
+    returns the list of every reservation, so a row never written stays NaN."""
+    low_rank_work = gpr._low_rank_work
+    reservations = []
+
+    def spy(groups, p):
+        work = low_rank_work(groups, p)
+        work.fill(np.nan)
+        reservations.append(work)
+        return work
+
+    monkeypatch.setattr(gpr, "_low_rank_work", spy)
+    return reservations
+
+
+def bundled_panel():
+    records = ingest_sites(bundled_sites_path())
+    kept, _ = listwise_delete(records)
+    return build_panel(normalize_and_score(kept), records, read_indicators(bundled_indicators_path()))
+
+
 def scan(calls):
     """The scan's share of spy_partial_cholesky's calls: a low-rank winner
     runs its pivots once more after the scan."""
@@ -914,7 +937,7 @@ class TestScreen:
         allowance = gpr._rounding_allowance(model.groups, 1e-4)
         assert allowance < gpr._LOW_RANK_ALLOWANCE
         design = model.basis.design_matrix(model.groups.inputs)
-        work = gpr._low_rank_work(model.groups)
+        work = gpr._low_rank_work(model.groups, design.shape[1])
         low_rank = [theta for theta, rank in scan(pivots) if rank is not None]
         assert 0 < len(low_rank) < SearchConfig().steps
         for theta in low_rank:
@@ -1005,12 +1028,7 @@ class TestScreen:
     def test_bundled_score_to_rate_factorizes_no_cell(self, monkeypatch, caplog, degree):
         # The paper's panel: 382 distinct scores, and theta = 0.1 reaches rank
         # 53, within the cap of 382 // 6 = 63, so every cell is low-rank.
-        records = ingest_sites(bundled_sites_path())
-        kept, _ = listwise_delete(records)
-        panel = build_panel(
-            normalize_and_score(kept), records, read_indicators(bundled_indicators_path())
-        )
-        inputs, targets = split_panel(panel, Direction.SCORE_TO_RATE)
+        inputs, targets = split_panel(bundled_panel(), Direction.SCORE_TO_RATE)
         training = TrainingSet(inputs=inputs, targets=targets)
         calls = spy_factorize(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="jobsignal.gpr"):
@@ -1027,17 +1045,14 @@ class TestScreen:
     def test_matches_the_reference_step_bit_for_bit(self, case, degree):
         # The pivot step writes into preallocated arrays; the arithmetic is
         # the reference's, so every factor and rank is the same bits, though
-        # the one work buffer grows and empties from cell to cell. On the
-        # 2-d panel over [0, 3]^2 cells stop at the rank cap of u // 6.
+        # every cell pivots in what the one work buffer holds from the last.
+        # On the 2-d panel over [0, 3]^2 cells stop at the rank cap of u // 6.
         if case == "2-d":
             inputs = np.random.default_rng(8).uniform(0.0, 3.0, size=(300, 2))
             training = TrainingSet(inputs=inputs, targets=np.sin(inputs).sum(axis=1))
         else:
             if case == "bundled":
-                records = ingest_sites(bundled_sites_path())
-                kept, _ = listwise_delete(records)
-                indicators = read_indicators(bundled_indicators_path())
-                panel = build_panel(normalize_and_score(kept), records, indicators)
+                panel = bundled_panel()
             else:
                 panel = synthetic_panel(int(case[6:]), 0.7, 0.5, 3)
             inputs, targets = split_panel(panel, Direction.SCORE_TO_RATE)
@@ -1047,7 +1062,7 @@ class TestScreen:
         design = gpr._trend_design(training, basis, groups)
         u, d = groups.counts.size, training.ndim
         assert u >= gpr._LOW_RANK_MIN_ORDER
-        work = gpr._low_rank_work(groups)
+        work = gpr._low_rank_work(groups, design.shape[1])
         capped = 0
         for theta in SearchConfig().grid():
             rank = gpr._partial_cholesky(groups, np.full(d, theta), work)
@@ -1085,7 +1100,7 @@ class TestMemory:
         # At jitter 1e-4, with the inputs stretched over [0, 9], the smallest
         # theta needs more than u // 6 pivots and is dense, and the others
         # are low-rank, the next at rank 92: the packed buffer and the work
-        # buffer of up to u/6 columns of u + u/6 doubles are held together.
+        # buffer of u/6 + 2 columns of u + u/6 doubles are held together.
         stretched = TrainingSet(inputs=training.inputs * 1.5, targets=training.targets)
         mixed = SearchConfig(jitter=1e-4)
         assert peak(lambda: fit_hyperparameters(stretched, basis, mixed)) <= 0.75
@@ -1115,9 +1130,9 @@ class TestMemory:
     def test_low_rank_search_holds_no_packed_buffer(self, monkeypatch):
         # Every cell of the 600-row synth panel reaches numerical rank within
         # u // 6 = 100 pivots (ranks 68 down to 14), so no packed buffer of
-        # N(N+1)/2 doubles, 0.5 in these units, is allocated. The peak, 0.22,
-        # is the work buffer while the first cell pivots: it doubles from
-        # 1 column to 63 and then to the cap of 100, of u + 100 doubles each.
+        # N(N+1)/2 doubles, 0.5 in these units, is allocated. The peak, 0.23,
+        # is mostly the work buffer, reserved at the cap: 102 columns of
+        # u + 100 doubles, 0.20 in these units.
         calls, ranks, model, peak = self.low_rank_search(monkeypatch, 600, 3)
         assert calls == []
         assert ranks[0] == 68 and model.factor.q.shape[1] < 600 // 6
@@ -1125,12 +1140,70 @@ class TestMemory:
 
     def test_rank_near_the_cap_holds_no_packed_buffer(self, monkeypatch):
         # On the 500-row synth panel (seed 1) theta = 0.1 reaches rank 63,
-        # within the cap of 500 // 6 = 83, so every cell is low-rank, and
-        # the work buffer is sized by that rank, not by the cap.
+        # within the cap of 500 // 6 = 83, so every cell is low-rank. The
+        # work buffer is reserved at the cap, 85 columns of u + 83 doubles,
+        # 0.20 in these units, and the peak is 0.24.
         calls, ranks, _, peak = self.low_rank_search(monkeypatch, 500, 1)
         assert calls == []
         assert ranks[0] == 63 <= 500 // 6
         assert peak <= 0.25
+
+    @pytest.mark.parametrize("case", ["bundled", "synth-1600"])
+    def test_rows_past_the_largest_rank_are_never_written(self, monkeypatch, case):
+        # The work buffer is reserved once, uninitialised, at the cap, and a
+        # cell of rank m writes its first m + p + 1 rows: the rows past the
+        # largest, never written, never become resident. On bundled
+        # score-to-rate that is 55 of 65 rows, on the 1600-row panel 74 of 268.
+        panel = bundled_panel() if case == "bundled" else synthetic_panel(1600, 0.7, 0.5, 3)
+        inputs, targets = split_panel(panel, Direction.SCORE_TO_RATE)
+        training = TrainingSet(inputs=inputs, targets=targets)
+        reservations = spy_low_rank_work(monkeypatch)
+        pivots = spy_partial_cholesky(monkeypatch)
+        fit_hyperparameters(training, BasisExpansion("const"), SearchConfig(jitter=1e-4))
+        written = max(rank for _, rank in pivots) + 2
+        [work] = reservations
+        assert work.shape == (training.n // 6 + 2, training.n + training.n // 6)
+        assert written < work.shape[0]
+        assert not np.isnan(work[written - 1, : training.n]).any()
+        assert np.isnan(work[written:]).all()
+
+    def test_a_cell_past_the_cap_lets_the_work_buffer_go(self, monkeypatch):
+        # The stretched 600-row search of test_peak_allocation_in_covariance_units:
+        # theta = 0.1 pivots to the cap, lets the work buffer go before its
+        # dense factorization, and the next cell, low-rank, reserves it again.
+        training = _sample_from_kernel(np.random.default_rng(21), n=600)
+        stretched = TrainingSet(inputs=training.inputs * 1.5, targets=training.targets)
+        reservations = []
+        low_rank_work = gpr._low_rank_work
+
+        def reserve(groups, p):
+            work = low_rank_work(groups, p)
+            reservations.append(weakref.ref(work))
+            return work
+
+        def nothing_reserved(theta):
+            assert all(ref() is None for ref in reservations)
+
+        monkeypatch.setattr(gpr, "_low_rank_work", reserve)
+        calls = spy_factorize(monkeypatch, nothing_reserved)
+        model = fit_hyperparameters(stretched, BasisExpansion("const"), SearchConfig(jitter=1e-4))
+        assert calls == [0.1]
+        assert len(reservations) == 2
+        assert isinstance(model.factor, gpr._LowRank)
+
+    def test_low_rank_winner_before_a_cell_past_the_cap(self, monkeypatch):
+        # theta = 1 is low-rank (rank 29) and wins; theta = 0.1, after it,
+        # passes the cap and lets the work buffer go, so the winner reserves
+        # it again to pivot once more. The model is fit's at its kernel.
+        training = _sample_from_kernel(np.random.default_rng(5), n=300)
+        reservations = spy_low_rank_work(monkeypatch)
+        calls = spy_factorize(monkeypatch)
+        model = gpr._fit(training, BasisExpansion("const"), [np.array([1.0]), np.array([0.1])], 1e-4)
+        assert calls == [0.1]
+        assert len(reservations) == 2
+        assert isinstance(model.factor, gpr._LowRank)
+        assert model.kernel.theta[0] == 1.0
+        assert_model_equals_fit(model)
 
     def test_tied_panel_peak_allocation_in_row_units(self):
         # 20,000 rows over 40 distinct inputs. The search and the held-out
