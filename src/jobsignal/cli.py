@@ -173,14 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_score.add_argument("--records", required=True, help="site listing CSV")
     p_score.add_argument("--indicators", required=True, help="country indicator CSV")
-    p_score.add_argument("--out", required=True, help="output directory")
     p_score.set_defaults(func=cmd_score)
 
     p_eval = sub.add_parser("evaluate", help="leave-one-out or in-sample metrics over a panel")
     p_eval.add_argument("--panel", required=True, help="panel CSV")
     _add_model_options(p_eval)
     _add_eval_options(p_eval)
-    p_eval.add_argument("--out", required=True, help="output directory")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_pipe = sub.add_parser("pipeline", help="score a site listing and evaluate it, end to end")
@@ -192,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_model_options(p_pipe)
     _add_eval_options(p_pipe)
-    p_pipe.add_argument("--out", required=True, help="output directory")
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic panel")
@@ -204,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--noise", type=float, default=0.0, help="extra noise scale on the rate column"
     )
     p_synth.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
-    p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.set_defaults(func=cmd_synth)
 
     for sub_parser in (p_score, p_eval, p_pipe, p_synth):
+        sub_parser.add_argument("--out", required=True, help="output directory")
         _add_verbose_option(sub_parser)
     return parser
 

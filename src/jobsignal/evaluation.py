@@ -86,7 +86,9 @@ def correlation_rate(pairs) -> float:
     denom_sq = float(da @ da) * float(dp @ dp)
     if denom_sq == 0.0:
         raise EvaluationError("correlation undefined: zero variance in actual or predicted values")
-    return float(da @ dp) / math.sqrt(denom_sq)
+    r = float(da @ dp) / math.sqrt(denom_sq)
+    # Rounding can carry r past +-1 on affine pairs; a NaN passes through.
+    return math.copysign(1.0, r) if abs(r) > 1.0 else r
 
 
 def rmse(pairs) -> float:

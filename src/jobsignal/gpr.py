@@ -56,11 +56,12 @@ The cells run one at a time, in grid order, on the calling thread, every
 dense one factorized into the same packed buffer and every low-rank one
 pivoted in one work buffer, reserved uninitialised at the cap, of which
 only the rows a cell writes become resident; a cell past the cap lets it go
-before its dense factorization. The winner's factor becomes the fitted
-model; a dense winner is factorized once more only if a later dense cell
-reused the buffer, so the search is also the fit, and fit is the search at
-one cell: one path, _fit, makes both models. A fitted model holds no mutable state: predict logs at
-DEBUG, on the jobsignal.gpr logger, how many variances it clamped to 0.
+before its dense factorization. The winner's factor, scaled by sigma_sq,
+becomes the fitted model's; a dense winner is factorized once more only if
+a later dense cell reused the buffer, so the search is also the fit, and
+fit is the search at one cell: one path, _fit, makes both models. A fitted
+model holds no mutable state: predict logs at DEBUG, on the jobsignal.gpr
+logger, how many variances it clamped to 0.
 The fitted model also gives the closed forms over its own training rows
 that evaluation reads. Leave-one-out at frozen hyperparameters is exact
 from the one full-data fit (Dubrule 1983, Math. Geology 15(6); Rasmussen &
@@ -263,12 +264,6 @@ class _Dense:
 
     chol: np.ndarray
 
-    def scaled(self, sigma_sq: float) -> _Dense:
-        """The factor of sigma_sq * C_u, made in place."""
-        chol = self.chol
-        chol *= math.sqrt(sigma_sq)
-        return self
-
     def whiten(self, b: np.ndarray) -> np.ndarray:
         """L^-1 b, overwriting b, a Fortran-ordered array of u rows."""
         return _lapack.tfsm(self.chol, b)
@@ -301,11 +296,6 @@ class _LowRank:
 
     q: np.ndarray
     noise: np.ndarray
-
-    def scaled(self, sigma_sq: float) -> _LowRank:
-        """The factor of sigma_sq * C_u: G and the noise scale together, so
-        A and q stay."""
-        return _LowRank(self.q, self.noise * sigma_sq)
 
     def whiten(self, b: np.ndarray) -> np.ndarray:
         """W b, for b of u rows."""
@@ -739,14 +729,12 @@ def _model_from_factor(
     kernel: Kernel,
     factor: _Dense | _LowRank,
 ) -> GprModel:
-    """The fitted model around factor, that of R_u + kernel.jitter*diag(1/n_k)
-    (a dense one is scaled in place).
+    """The fitted model around factor, that of the compressed covariance
+    sigma_sq * (R_u + kernel.jitter*diag(1/n_k)).
 
-    Scales factor to the compressed covariance's and solves the trend and
-    group_alpha against it. Row i of a group k gets
+    Solves the trend and group_alpha against factor. Row i of a group k gets
     alpha_i = r_i / (sigma_sq*jitter) + group_alpha_k / n_k.
     """
-    factor = factor.scaled(kernel.sigma_sq)
     ft, r_qr, beta, rho = _gls(factor, design, groups.means)
     group_alpha = factor.whiten_t(rho)
     alpha = group_alpha
@@ -818,12 +806,14 @@ def _fit(training: TrainingSet, basis: BasisExpansion, thetas, jitter: float, si
         _lapack.scale_rows(stacked[:u], np.sqrt(groups.counts / jitter))
         stacked[u:] = np.eye(rank)
         _lapack.orgqr(stacked, _lapack.geqrf(stacked))
-        factor = _LowRank(q=np.array(stacked, order="F"), noise=jitter / groups.counts)
+        noise = jitter / groups.counts * kernel.sigma_sq
+        factor = _LowRank(q=np.array(stacked, order="F"), noise=noise)
         work = stacked = None  # copied out: let the buffer go before the model is formed
     else:
         work = None  # no low-rank cell won: let its buffer go before the factor is formed
         if held != i:
             _factorize(buf, groups, kernel.theta, jitter)
+        buf *= math.sqrt(kernel.sigma_sq)
         factor = _Dense(buf)
     return _model_from_factor(training, groups, basis, design, kernel, factor)
 
@@ -961,9 +951,9 @@ def fit_hyperparameters(
     if it was let go, and forms its orthonormal factor. A dense winner's
     factor becomes the model's if it was the last dense cell run, and is
     otherwise factorized again at the jitter it used, which rebuilds the
-    same matrix and so the same bits. The model's kernel carries that
-    jitter. fit is
-    this search at the one cell model.kernel.theta (both are _fit), so
+    same matrix and so the same bits. Either factor is then scaled by
+    sigma_sq, and the model's kernel carries that jitter. fit is this
+    search at the one cell model.kernel.theta (both are _fit), so
     fit(training, basis, model.kernel) repeats the winner's cell and equals
     the model bit for bit by construction, wherever _low_rank_applies reads
     the winner's jitter as it read the search's. A FitError in a cell skips

@@ -540,6 +540,15 @@ class TestStagedCommands:
             args = ["--jitter", "1e-4", "--theta-grid", "1e-320:1e-310:3", "--out", tmp_path / "b"]
             assert run(["evaluate", "--panel", panel, *args]) == 0
 
+    def test_affine_predictions_report_correlation_minus_one(self, tmp_path):
+        # At theta near 1e-320 the LOO predictions are an affine function of
+        # the targets, and rounding alone would carry r past -1.
+        assert run(["synth", "--n", 300, "--seed", 0, "--out", tmp_path]) == 0
+        args = ["--jitter", "1e-4", "--theta-grid", "1e-320:1e-310:3", "--out", tmp_path / "o"]
+        assert run(["evaluate", "--panel", tmp_path / "panel.csv", *args]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text(encoding="utf-8"))
+        assert report["correlation_rate"] == -1.0
+
     def test_non_utf8_panel_exit_2_names_file(self, tmp_path, capsys):
         panel = tmp_path / "panel.csv"
         panel.write_bytes(b"url,country,score,unemployment_rate\na.test,ZZ,0.0,4.0\xff\n")

@@ -78,6 +78,15 @@ class TestCorrelationRate:
         with pytest.raises(EvaluationError, match="two"):
             correlation_rate([(1.0, 1.0)])
 
+    def test_affine_pairs_clamped_to_one(self):
+        # Rounding carries the plain ratio to -1.0000000000000002 and
+        # 1.0000000000000002 on these exactly affine pairs.
+        falling = [0.126, -0.132, 0.64]
+        rising = [-0.732, -0.544, -0.316]
+        assert correlation_rate([(a, -0.1 * a + 0.5) for a in falling]) == -1.0
+        assert correlation_rate([(a, 1.3 * a + 0.5) for a in rising]) == 1.0
+        assert math.isnan(correlation_rate([(1.0, 2.0), (2.0, math.nan)]))
+
     def test_bounded_on_random_inputs(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 30))

@@ -72,6 +72,8 @@ def test_removed_names_stay_gone():
         (evaluation, "_number"),
         (evaluation.Direction, "from_flag"),
         (documents, "read_document"),
+        (gpr._Dense, "scaled"),
+        (gpr._LowRank, "scaled"),
     ]:
         assert not hasattr(module, attr), f"{module.__name__}.{attr}"
 
