@@ -6,15 +6,18 @@ into panel.csv, and `evaluate` reads it. `synth` generates panels with a
 known score/rate coupling. Every subcommand is deterministic given its
 flags; outputs contain no wall-clock or locale-dependent bytes.
 
-`pipeline` runs the staged commands' steps in one process. `evaluate` and
-`pipeline` write report.txt and then report.json through evaluation, so
-report.json exists only for a finished verdict; only `pipeline` has the
-complete records, so only its report.txt gives rank statistics.
+`pipeline` is ingest followed by the staged commands' two steps in one
+process. The score step (`score`, `pipeline`) cleans, scores and joins a
+listing and writes panel.csv. The verdict path (`evaluate`, `pipeline`)
+makes one evaluation.evaluate call, then writes report.txt and, last,
+report.json, so report.json exists only for a finished verdict; only
+`pipeline` has the complete records, so only its report.txt gives rank
+statistics.
 
 Exit codes: 0 success, 2 parse/configuration failure (an unusable --out
 included), 3 data-integrity failure, 4 fit failure, 5 evaluation failure.
 Each error class in `errors` carries its code as `exit_code`; `main` maps
-ValueError and OSError to 2.
+ValueError, OSError and MemoryError to 2.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, datasets, evaluation, gpr, pipeline, synth
-from .errors import JobSignalError
+from .errors import EvaluationError, JobSignalError
 
 # Not __name__, which is "__main__" under python -m, where -v would miss it.
 logger = logging.getLogger("jobsignal.cli")
@@ -35,7 +38,7 @@ EXIT_PARSE = 2
 
 
 def _model_options(args) -> tuple[evaluation.Direction, gpr.BasisExpansion, gpr.SearchConfig]:
-    """fit_panel's (direction, basis, search) from --direction, --basis, --theta-grid, --jitter."""
+    """evaluate's (direction, basis, search) from --direction, --basis, --theta-grid, --jitter."""
     # argparse has checked --direction and --basis against their choices.
     direction = evaluation.Direction(args.direction.replace("-", "_"))
     basis = gpr.BasisExpansion(args.basis)
@@ -49,59 +52,63 @@ def _model_options(args) -> tuple[evaluation.Direction, gpr.BasisExpansion, gpr.
     return direction, basis, search
 
 
-def _panel_from_records(records, indicators_path):
-    """Clean, score and join records; returns the panel and the complete records."""
-    kept, _ = pipeline.listwise_delete(records)
-    scored = pipeline.normalize_and_score(kept)
-    indicators = pipeline.read_indicators(indicators_path)
-    return pipeline.build_panel(scored, records, indicators), kept
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_report_files(report, panel, complete_sites, out: Path) -> None:
-    # report.json goes last: it exists only once the verdict is complete.
-    text = evaluation.format_report(report, panel, complete_sites)
-    (out / "report.txt").write_text(text, encoding="utf-8")
-    evaluation.save_report(report, out / "report.json")
+def _score(args, records, indicators_path):
+    """The score step: clean, score and join records, then write panel.csv.
 
-
-def cmd_score(args) -> None:
-    panel, _ = _panel_from_records(pipeline.ingest_sites(args.records), args.indicators)
+    Returns the panel and the complete records.
+    """
+    kept, _ = pipeline.listwise_delete(records)
+    scored = pipeline.normalize_and_score(kept)
+    indicators = pipeline.read_indicators(indicators_path)
+    panel = pipeline.build_panel(scored, records, indicators)
     out = _out_dir(args)
     pipeline.write_panel_csv(panel, out / "panel.csv")
     logger.info("panel of %d rows -> %s", panel.n, out / "panel.csv")
+    return panel, kept
+
+
+def _verdict(args, panel, complete_sites=()) -> None:
+    """The verdict path: one evaluation.evaluate call, report.txt, then report.json."""
+    report = evaluation.evaluate(panel, *_model_options(args), in_sample=args.in_sample)
+    kernel = report.kernel
+    theta = ",".join(f"{t:g}" for t in kernel.theta)
+    logger.info("selected theta=%s, sigma_sq=%.3g, jitter=%g", theta, kernel.sigma_sq, kernel.jitter)
+    text = evaluation.format_report(report, panel, complete_sites)
+    out = _out_dir(args)
+    (out / "report.txt").write_text(text, encoding="utf-8")
+    evaluation.save_report(report, out / "report.json")
+    logger.info("report -> %s", out / "report.json")
+
+
+def cmd_score(args) -> None:
+    _score(args, pipeline.ingest_sites(args.records), args.indicators)
 
 
 def cmd_evaluate(args) -> None:
-    panel = pipeline.read_panel_csv(args.panel)
-    report = evaluation.evaluate(panel, *_model_options(args), in_sample=args.in_sample)
-    out = _out_dir(args)
-    _write_report_files(report, panel, (), out)
-    logger.info("report -> %s", out / "report.json")
+    _verdict(args, pipeline.read_panel_csv(args.panel))
 
 
 def cmd_pipeline(args) -> None:
     sites_path = args.sites or datasets.bundled_sites_path()
     indicators_path = args.indicators or datasets.bundled_indicators_path()
-    out = _out_dir(args)
+    _out_dir(args)
     stage = "ingest"
     try:
         records = pipeline.ingest_sites(sites_path)
         stage = "score"
-        panel, kept = _panel_from_records(records, indicators_path)
-        pipeline.write_panel_csv(panel, out / "panel.csv")
-        stage = "fit"
-        direction, basis, search = _model_options(args)
-        model = evaluation.fit_panel(panel, direction, basis, search)
-        stage = "evaluate"
-        report = evaluation.evaluate_model(model, panel, direction, in_sample=args.in_sample)
-        _write_report_files(report, panel, kept, out)
+        panel, kept = _score(args, records, indicators_path)
+        stage = "verdict"
+        _verdict(args, panel, kept)
     except Exception as exc:
+        if stage == "verdict":
+            # The search raises no OSError: one comes from the report writes.
+            stage = "evaluate" if isinstance(exc, (EvaluationError, OSError)) else "fit"
         print(f"pipeline failed at stage {stage}: {exc}", file=sys.stderr)
         raise
     logger.info("pipeline complete: %d raw -> %d clean rows", panel.raw_count, panel.n)
@@ -140,23 +147,10 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
         default=gpr.DEFAULT_JITTER,
         help="diagonal regularizer as a fraction of the process variance (default: %(default)g)",
     )
-
-
-def _add_eval_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--in-sample",
         action="store_true",
         help="score a full-data fit on its own rows instead of leave-one-out",
-    )
-
-
-def _add_verbose_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "-v",
-        "--verbose",
-        action="store_true",
-        help="log the jobsignal loggers' INFO and DEBUG lines to stderr: rows dropped, "
-        "how each theta cell was computed, output paths",
     )
 
 
@@ -178,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="leave-one-out or in-sample metrics over a panel")
     p_eval.add_argument("--panel", required=True, help="panel CSV")
     _add_model_options(p_eval)
-    _add_eval_options(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_pipe = sub.add_parser("pipeline", help="score a site listing and evaluate it, end to end")
@@ -189,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--indicators", help="country indicator CSV (default: the bundled fixture)"
     )
     _add_model_options(p_pipe)
-    _add_eval_options(p_pipe)
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic panel")
@@ -205,7 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sub_parser in (p_score, p_eval, p_pipe, p_synth):
         sub_parser.add_argument("--out", required=True, help="output directory")
-        _add_verbose_option(sub_parser)
+        sub_parser.add_argument(
+            "-v",
+            "--verbose",
+            action="store_true",
+            help="log the jobsignal loggers' INFO and DEBUG lines to stderr: rows dropped, "
+            "how each theta cell was computed, output paths",
+        )
     return parser
 
 
@@ -216,8 +214,9 @@ def main(argv=None) -> int:
     logging.getLogger("jobsignal").setLevel(logging.DEBUG if args.verbose else logging.NOTSET)
     try:
         args.func(args)
-    except (JobSignalError, ValueError, OSError) as exc:
+    except (JobSignalError, ValueError, OSError, MemoryError) as exc:
         # OSError: an --out that is a file, or an output path that is a directory.
+        # MemoryError: a size that fits an index but not memory, such as --n.
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_PARSE)
     return EXIT_OK

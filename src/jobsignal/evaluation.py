@@ -36,7 +36,6 @@ __all__ = [
     "correlation_rate",
     "evaluate",
     "evaluate_model",
-    "fit_panel",
     "format_report",
     "rae",
     "rmse",
@@ -135,17 +134,6 @@ def _require_rows(n: int) -> None:
         raise EvaluationError(f"evaluation needs at least 3 rows, got {n}")
 
 
-def fit_panel(
-    panel: PanelDataset,
-    direction: Direction,
-    basis: gpr.BasisExpansion,
-    search: gpr.SearchConfig,
-) -> gpr.GprModel:
-    """Grid-search the hyperparameters on the whole panel; the search returns the fit."""
-    inputs, targets = split_panel(panel, direction)
-    return gpr.fit_hyperparameters(gpr.TrainingSet(inputs=inputs, targets=targets), basis, search)
-
-
 def evaluate(
     panel: PanelDataset,
     direction: Direction,
@@ -159,7 +147,8 @@ def evaluate(
     instead of leave-one-out predictions.
     """
     _require_rows(panel.n)
-    model = fit_panel(panel, direction, basis, search)
+    inputs, targets = split_panel(panel, direction)
+    model = gpr.fit_hyperparameters(gpr.TrainingSet(inputs=inputs, targets=targets), basis, search)
     return evaluate_model(model, panel, direction, in_sample=in_sample)
 
 

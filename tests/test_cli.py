@@ -9,9 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jobsignal import BasisExpansion, Direction, Kernel, TrainingSet, __version__, fit
+from jobsignal import (
+    BasisExpansion,
+    Direction,
+    Kernel,
+    TrainingSet,
+    __version__,
+    fit,
+    fit_hyperparameters,
+)
+from jobsignal import evaluation, gpr, synth
 from jobsignal.cli import _model_options, build_parser, main
-from jobsignal.evaluation import evaluate_model, fit_panel, split_panel
+from jobsignal.evaluation import evaluate_model, split_panel
 from jobsignal.pipeline import ingest_sites, read_panel_csv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -165,7 +174,7 @@ class TestPipelineCommand:
         training = TrainingSet(*split_panel(panel, Direction(doc["direction"])))
         model = fit(training, BasisExpansion(doc["basis"]), kernel)
         direction, basis, search = _model_options(build_parser().parse_args([str(a) for a in args]))
-        expected = fit_panel(panel, direction, basis, search)
+        expected = fit_hyperparameters(TrainingSet(*split_panel(panel, direction)), basis, search)
         assert model.kernel.jitter == expected.kernel.jitter == kernel.jitter
         if search.jitter == 0.0:
             assert kernel.jitter > 0.0
@@ -243,6 +252,46 @@ class TestPipelineCommand:
         assert rc == 2
         assert "line 3: rank is too large to convert to a float" in capsys.readouterr().err
 
+class TestOneVerdictPath:
+    """evaluate and pipeline reach their report through one evaluation.evaluate call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = evaluation.evaluate
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].n)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "evaluate", spy)
+        return calls
+
+    def test_evaluate_and_pipeline_each_call_evaluate_once(self, small_inputs, tmp_path, calls):
+        sites, indicators = small_inputs
+        assert run(["score", "--records", sites, "--indicators", indicators, "--out", tmp_path]) == 0
+        assert calls == []
+        assert run(["evaluate", "--panel", tmp_path / "panel.csv", "--out", tmp_path]) == 0
+        assert calls == [11]
+        args = ["pipeline", "--sites", sites, "--indicators", indicators, "--in-sample"]
+        assert run([*args, "--out", tmp_path / "pipe"]) == 0
+        assert calls == [11, 11]
+
+    def test_pipeline_verbose_logs_both_paths_and_the_selected_cell(self, small_inputs, tmp_path, caplog):
+        sites, indicators = small_inputs
+        args = ["pipeline", "--sites", sites, "--indicators", indicators, "-v", "--out", tmp_path]
+        assert run(args) == 0
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        kernel = report["kernel"]
+        assert [r.getMessage() for r in caplog.records if r.name == "jobsignal.cli"] == [
+            f"panel of 11 rows -> {tmp_path / 'panel.csv'}",
+            f"selected theta={kernel['theta'][0]:g}, sigma_sq={kernel['sigma_sq']:.3g}, "
+            f"jitter={kernel['jitter']:g}",
+            f"report -> {tmp_path / 'report.json'}",
+            "pipeline complete: 12 raw -> 11 clean rows",
+        ]
+
+
 class TestStagedCommands:
     @pytest.mark.parametrize("case", list(UNPARSABLE_JSON))
     def test_unparsable_records_exit_2(self, small_inputs, tmp_path, capsys, case):
@@ -300,6 +349,11 @@ class TestStagedCommands:
         assert all(re.fullmatch(r"theta=[0-9.]+: (dense|low-rank, rank \d+)", m) for m in cells)
         assert any("low-rank" in m for m in cells)
         assert any(r.name == "jobsignal.cli" and r.levelname == "INFO" for r in caplog.records)
+        # The selected cell follows the per-cell lines, in a form CI's counts of those miss.
+        assert [r.name for r in caplog.records] == ["jobsignal.gpr"] * 13 + ["jobsignal.cli"] * 2
+        selected = caplog.records[13].getMessage()
+        assert re.fullmatch(r"selected theta=[0-9.e+-]+, sigma_sq=[0-9.e+-]+, jitter=0\.0001", selected)
+        assert ": low-rank, rank " not in selected and not selected.endswith(": dense")
         caplog.clear()
         assert run([*args, "--out", tmp_path / "quiet"]) == 0
         assert caplog.records == []
@@ -590,6 +644,41 @@ class TestUnusableOut:
         args = ["evaluate", "--panel", tmp_path / "s" / "panel.csv", "--out", out]
         self.check(capsys, args, out / "report.txt")
         assert not (out / "report.json").exists()
+
+
+class TestOutOfMemory:
+    """A size that fits an index but not memory exits 2 with one error line.
+
+    The MemoryError is raised by a stand-in: allocating the real size could
+    succeed under memory overcommit and get the process killed later.
+    """
+
+    MESSAGE = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+    def raise_memory_error(self, *args, **kwargs):
+        raise MemoryError(self.MESSAGE)
+
+    def test_synth(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(synth, "synthetic_panel", self.raise_memory_error)
+        assert run(["synth", "--n", 1000000000000, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "pipeline"])
+    def test_theta_grid(self, small_inputs, tmp_path, capsys, monkeypatch, command):
+        sites, indicators = small_inputs
+        assert run(["score", "--records", sites, "--indicators", indicators, "--out", tmp_path]) == 0
+        monkeypatch.setattr(gpr.SearchConfig, "grid", self.raise_memory_error)
+        inputs = {
+            "evaluate": ["--panel", tmp_path / "panel.csv"],
+            "pipeline": ["--sites", sites, "--indicators", indicators],
+        }[command]
+        args = [command, *inputs, "--theta-grid", "0.1:10:1000000000000", "--out", tmp_path / "o"]
+        assert run(args) == 2
+        err = f"error: {self.MESSAGE}\n"
+        if command == "pipeline":
+            err = f"pipeline failed at stage fit: {self.MESSAGE}\n" + err
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "o" / "report.json").exists()
 
 
 class TestSynthCommand:

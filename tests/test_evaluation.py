@@ -14,6 +14,7 @@ from jobsignal import (
     correlation_rate,
     evaluate,
     fit,
+    fit_hyperparameters,
     predict,
     rae,
     rmse,
@@ -21,7 +22,6 @@ from jobsignal import (
 from jobsignal.evaluation import (
     REPORT_SCHEMA,
     evaluate_model,
-    fit_panel,
     format_report,
     save_report,
     split_panel,
@@ -291,7 +291,7 @@ class TestClosedFormLoo:
         # with std 0.90), where the dense forms differ by 1.5e-10.
         panel = synthetic_panel(300, 0.7, 0.5, seed=300)
         basis, search = BasisExpansion("const"), SearchConfig(jitter=1e-4)
-        model = fit_panel(panel, direction, basis, search)
+        model = fit_hyperparameters(TrainingSet(*split_panel(panel, direction)), basis, search)
         assert type(model.factor).__name__ == "_LowRank"
         assert_loo_matches_refits(panel, direction, basis, search, atol)
 
@@ -346,7 +346,8 @@ class TestInSampleClosedForm:
     @pytest.mark.parametrize("degree", ["const", "linear"])
     def test_matches_batched_predict(self, direction, degree):
         panel = synthetic_panel(200, 0.7, 0.5, seed=3)
-        model = fit_panel(panel, direction, BasisExpansion(degree), SearchConfig(jitter=1e-4))
+        training = TrainingSet(*split_panel(panel, direction))
+        model = fit_hyperparameters(training, BasisExpansion(degree), SearchConfig(jitter=1e-4))
         expected = predict(model, model.training.inputs).mean
         scale = max(1.0, float(np.abs(expected).max()))
         assert np.abs(in_sample_means(model, panel, direction) - expected).max() <= 1e-8 * scale
@@ -374,7 +375,8 @@ class TestInSampleClosedForm:
         rates = 8.0 + np.sin(scores) + 0.1 * np.cos(7.0 * np.arange(12))
         panel = panel_from(scores, rates)
         search = SearchConfig(theta_min=0.5, theta_max=0.5, steps=1, jitter=0.0)
-        model = fit_panel(panel, Direction.SCORE_TO_RATE, BasisExpansion("const"), search)
+        training = TrainingSet(*split_panel(panel, Direction.SCORE_TO_RATE))
+        model = fit_hyperparameters(training, BasisExpansion("const"), search)
         assert model.kernel.jitter == 1e-10
         means = in_sample_means(model, panel, Direction.SCORE_TO_RATE)
         assert min(abs(means[0] - rates[0]), abs(means[11] - rates[11])) > 1e-3

@@ -74,6 +74,11 @@ def test_removed_names_stay_gone():
         (documents, "read_document"),
         (gpr._Dense, "scaled"),
         (gpr._LowRank, "scaled"),
+        (evaluation, "fit_panel"),
+        (cli, "_panel_from_records"),
+        (cli, "_write_report_files"),
+        (cli, "_add_eval_options"),
+        (cli, "_add_verbose_option"),
     ]:
         assert not hasattr(module, attr), f"{module.__name__}.{attr}"
 
